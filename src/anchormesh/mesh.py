@@ -352,39 +352,178 @@ def closest_point_on_triangle(p, tri, face: int = 0) -> SurfacePoint:
     return SurfacePoint(pos[0], face, bary[0])
 
 
+# Inflation of the closest-point search bound, relative to the bound and to
+# the largest coordinate: it absorbs the rounding between the bound and the
+# kernel's own distances, like ``octree._PAD`` does for the octree's cube.
+_PAD = 1e-9
+# (query, cell item) pairs a closest-point block may expand at once
+_BLOCK_PAIRS = 1 << 18
+# the 3 x 3 x 3 cell neighbourhood searched for a bounding vertex
+_NEIGHBOURS = np.stack(np.meshgrid(*[np.arange(-1, 2)] * 3, indexing="ij"), -1).reshape(-1, 3)
+
+
+def _ranks(count):
+    """0..count[i]-1 for every i, concatenated."""
+    return np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+
+
+def _blocks(cost, budget):
+    """Consecutive [start, stop) runs whose summed ``cost`` stays within
+    ``budget``; a run holds at least one item."""
+    ends = np.cumsum(cost)
+    start = 0
+    while start < len(cost):
+        base = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + budget, side="right")))
+        yield start, stop
+        start = stop
+
+
+class _Bins:
+    """Items binned by linear cell id, each cell's items in ascending order."""
+
+    def __init__(self, cells, items, n_cells):
+        self.items = items[np.lexsort((items, cells))]
+        counts = np.bincount(cells, minlength=n_cells)
+        self.starts = np.concatenate([[0], np.cumsum(counts)])
+        self.max_count = int(counts.max())
+
+    def gather(self, owner, cells):
+        """``(owner, item)`` for every item binned in each entry's cell."""
+        start = self.starts[cells]
+        count = self.starts[cells + 1] - start
+        return np.repeat(owner, count), self.items[np.repeat(start, count) + _ranks(count)]
+
+
+class _FaceGrid:
+    """Uniform grid over a mesh's faces, with one empty cell of margin on
+    every side so that a cell's 3 x 3 x 3 neighbourhood never leaves it.
+
+    The cell size ``h`` starts at the mean face extent and doubles until the
+    grid has at most eight cells, and the faces at most sixteen cell entries,
+    per face. Each face is binned in every cell its bounding box touches; each
+    face-referenced vertex in its own cell.
+    """
+
+    def __init__(self, mesh: TriangleMesh):
+        self.tri = mesh.vertices[mesh.faces]
+        self.fmin = self.tri.min(axis=1)
+        self.fmax = self.tri.max(axis=1)
+        self.origin = self.fmin.min(axis=0)
+        extent = self.fmax.max(axis=0) - self.origin
+        if not np.isfinite(extent).all():
+            raise MeshValidationError("closest-point query requires finite coordinates")
+        h = float((self.fmax - self.fmin).max(axis=1).mean()) or float(extent.max()) or 1.0
+        m = mesh.n_faces
+        while True:
+            inner = np.floor(extent / h) + 1.0
+            if np.prod(inner) <= 8.0 * m:
+                self.h, self.dims = h, inner.astype(np.int64) + 2
+                lo, hi = self.cell(self.fmin), self.cell(self.fmax)
+                if (hi - lo + 1).prod(axis=1).sum() <= 16 * m:
+                    break
+            h *= 2.0
+        n_cells = int(self.dims.prod())
+        face, cell = self.box_cells(lo, hi)
+        self.faces = _Bins(cell, face, n_cells)
+        self.used = mesh.vertices[np.unique(mesh.faces)]
+        self.verts = _Bins(self.linear(self.cell(self.used)), np.arange(len(self.used)),
+                           n_cells)
+
+    def cell(self, points):
+        """Integer cell of each point, clipped to the grid inside the margin."""
+        return np.clip(np.floor((points - self.origin) / self.h), 0,
+                       self.dims - 3).astype(np.int64) + 1
+
+    def linear(self, cell):
+        return (cell[..., 0] * self.dims[1] + cell[..., 1]) * self.dims[2] + cell[..., 2]
+
+    def box_cells(self, lo, hi):
+        """``(owner, cell)`` for every cell of each inclusive box [lo, hi]."""
+        span = hi - lo + 1
+        owner = np.repeat(np.arange(len(span)), span.prod(axis=1))
+        rest = _ranks(span.prod(axis=1))
+        cell = np.empty((len(owner), 3), dtype=np.int64)
+        for axis in (2, 1, 0):
+            rest, cell[:, axis] = np.divmod(rest, span[owner, axis])
+            cell[:, axis] += lo[owner, axis]
+        return owner, self.linear(cell)
+
+    def vertex_bounds(self, pts):
+        """Squared distance from each point to a face-referenced vertex: the
+        nearest one in the point's 3 x 3 x 3 cell neighbourhood or, where that
+        holds none, the nearest of all."""
+        r2 = np.full(len(pts), np.inf)
+        home = self.linear(self.cell(pts))
+        around = self.linear(_NEIGHBOURS)
+        for s, e in _blocks(np.full(len(pts), len(around) * self.verts.max_count),
+                            _BLOCK_PAIRS):
+            owner, v = self.verts.gather(np.repeat(np.arange(s, e), len(around)),
+                                         (home[s:e, None] + around).ravel())
+            diff = pts[owner] - self.used[v]
+            np.minimum.at(r2, owner, (diff * diff).sum(axis=-1))
+        miss = np.flatnonzero(np.isinf(r2))
+        for s, e in _blocks(np.full(len(miss), len(self.used)), _BLOCK_PAIRS):
+            diff = pts[miss[s:e], None, :] - self.used
+            r2[miss[s:e]] = (diff * diff).sum(axis=-1).min(axis=1)
+        return r2
+
+
 def closest_points_on_surface(mesh: TriangleMesh, points):
     """Batched exact closest-surface-point query.
 
-    Scans every face (vectorized, in query chunks sized to bound memory) and
-    keeps, per query, the minimum squared distance with ties broken by lowest
-    face index. Returns ``(positions, faces, bary, sq_dists)`` arrays.
+    Returns ``(positions, faces, bary, sq_dists)`` arrays: per query the
+    minimum squared distance over all faces, with ties broken by lowest face
+    index, exactly as a scan of every face with :func:`_closest_point_kernel`
+    finds it. A uniform grid over the faces' bounding boxes narrows that scan.
+    Each query ``q`` is bounded by its distance ``r`` to a nearby vertex that
+    some face references: no face farther than that holds the closest point.
+    The kernel then runs once per (query, face) pair on the faces binned in
+    the cells that ``q +- r`` covers whose bounding box lies within ``r`` of
+    ``q``. ``r`` is inflated by ``1e-9`` of itself and of the largest
+    coordinate, so rounding never prunes the minimum or a tie. Queries are
+    processed in blocks sized to bound memory. Raises
+    :class:`MeshValidationError` for a mesh without faces and for non-finite
+    coordinates.
     """
     if mesh.n_faces == 0:
         raise MeshValidationError("closest-point query requires a mesh with faces")
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    va = mesh.vertices[mesh.faces[:, 0]]
-    vb = mesh.vertices[mesh.faces[:, 1]]
-    vc = mesh.vertices[mesh.faces[:, 2]]
-    n = len(pts)
+    if not np.isfinite(pts).all():
+        raise MeshValidationError("closest-point query requires finite coordinates")
+    grid = _FaceGrid(mesh)
+    tri = grid.tri
+    reach = np.sqrt(grid.vertex_bounds(pts)) * (1.0 + _PAD) + _PAD * float(np.abs(tri).max())
+    lo = grid.cell(pts - reach[:, None])
+    hi = grid.cell(pts + reach[:, None])
     m = mesh.n_faces
+    n = len(pts)
     out_pos = np.empty((n, 3))
     out_face = np.empty(n, dtype=np.int64)
     out_bary = np.empty((n, 3))
     out_d2 = np.empty(n)
-    chunk = max(1, int(400_000 // max(m, 1)))
-    for start in range(0, n, chunk):
-        q = pts[start : start + chunk]
-        pos, bary = _closest_point_kernel(
-            q[:, None, :], va[None, :, :], vb[None, :, :], vc[None, :, :]
-        )
-        diff = pos - q[:, None, :]
+    cost = (hi - lo + 1).prod(axis=1) * grid.faces.max_count
+    for s, e in _blocks(cost, _BLOCK_PAIRS):
+        owner, face = grid.faces.gather(*grid.box_cells(lo[s:e], hi[s:e]))
+        key = np.sort(owner * m + face)
+        owner, face = np.divmod(key[np.r_[True, key[1:] != key[:-1]]], m)
+        q = pts[s:e][owner]
+        gap = np.maximum(grid.fmin[face] - q, 0.0) + np.maximum(q - grid.fmax[face], 0.0)
+        keep = (gap * gap).sum(axis=-1) <= reach[s:e][owner] ** 2
+        owner, face, q = owner[keep], face[keep], q[keep]
+        pos, bary = _closest_point_kernel(q, tri[face, 0], tri[face, 1], tri[face, 2])
+        diff = pos - q
         d2 = (diff * diff).sum(axis=-1)
-        best = np.argmin(d2, axis=1)  # first minimum == lowest face index
-        rows = np.arange(len(q))
-        out_pos[start : start + chunk] = pos[rows, best]
-        out_face[start : start + chunk] = best
-        out_bary[start : start + chunk] = bary[rows, best]
-        out_d2[start : start + chunk] = d2[rows, best]
+        # pairs run by query, then by face: per query, the first pair not
+        # above the query's minimum is the lowest-index closest face
+        first = np.r_[True, owner[1:] != owner[:-1]]
+        low = np.minimum.reduceat(d2, np.flatnonzero(first))[np.cumsum(first) - 1]
+        best = np.flatnonzero(~(d2 > low))
+        best = best[np.r_[True, owner[best][1:] != owner[best][:-1]]]
+        out_pos[s:e] = pos[best]
+        out_face[s:e] = face[best]
+        out_bary[s:e] = bary[best]
+        out_d2[s:e] = d2[best]
     return out_pos, out_face, out_bary, out_d2
 
 

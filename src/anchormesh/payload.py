@@ -10,8 +10,9 @@ Layout (little-endian throughout):
     anchor vertex positions: 3 * n float64, base-vertex order (n comes from
         the base mesh supplied at decode time)
     subdivision level: u8
-    quantization params alpha, delta, hbar: 3 float64
-    quantized displacements: zigzag varints in vertex order, x,y,z interleaved
+    quantization params alpha, delta, hbar: 3 finite float64
+    quantized displacements: zigzag varints in vertex order, x,y,z interleaved;
+        each holds an int64, so it is at most 10 bytes long
 
 The decoder reproduces the reconstruction bit-exactly given the same base
 mesh file; the payload's bit size (file size * 8) is the rate figure used in
@@ -92,12 +93,16 @@ def _read_varints(data: bytes, offset: int):
         while True:
             if offset >= n:
                 raise PayloadFormatError("truncated varint stream")
+            if shift >= 70:
+                raise PayloadFormatError("varint longer than 10 bytes")
             byte = data[offset]
             offset += 1
             z |= (byte & 0x7F) << shift
             if not byte & 0x80:
                 break
             shift += 7
+        if z >> 64:
+            raise PayloadFormatError("varint does not fit in int64")
         values.append(_zigzag_decode(z))
     return values
 

@@ -33,6 +33,7 @@ from .subdivide import (
     apply_displacements,
     compute_displacements,
     midpoint_subdivide,
+    subdivided_vertex_count,
 )
 
 
@@ -94,13 +95,14 @@ def decode_payload(payload: Payload, base: TriangleMesh) -> TriangleMesh:
         raise BaseHashMismatchError("payload was encoded against a different base mesh")
     if len(payload.anchor_positions) != base.n_vertices:
         raise PayloadFormatError("anchor vertex count does not match the base mesh")
-    anchor_mesh = TriangleMesh(payload.anchor_positions, base.faces)
-    sub = midpoint_subdivide(anchor_mesh, payload.level)
-    if len(payload.quantized) != sub.mesh.n_vertices:
+    expected = subdivided_vertex_count(base, payload.level)
+    if len(payload.quantized) != expected:
         raise PayloadFormatError(
             f"displacement stream holds {len(payload.quantized)} triples, "
-            f"expected {sub.mesh.n_vertices}"
+            f"expected {expected} for subdivision level {payload.level}"
         )
+    sub = midpoint_subdivide(TriangleMesh(payload.anchor_positions, base.faces),
+                             payload.level)
     counts = neighbor_counts(sub.mesh)
     if payload.adaptive:
         weights = adaptive_weights(counts, payload.params.hbar)

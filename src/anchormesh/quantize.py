@@ -9,6 +9,7 @@ are recomputed from connectivity at the decoder, never transmitted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,8 @@ class QuantizationParams:
     hbar: float = DEFAULT_HBAR
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.alpha, self.delta, self.hbar)):
+            raise ValueError("alpha, delta and hbar must be finite")
         if not self.alpha > 0:
             raise ValueError("alpha must be > 0")
         if not self.hbar > 0:

@@ -80,6 +80,27 @@ def midpoint_subdivide(mesh: TriangleMesh, levels: int) -> SubdividedMesh:
     return SubdividedMesh(TriangleMesh(vertices, faces), levels, parents)
 
 
+def subdivided_vertex_count(mesh: TriangleMesh, levels: int) -> int:
+    """Vertex count of ``midpoint_subdivide(mesh, levels)``, without building it.
+
+    Each level adds one vertex per unique edge, splits every edge in two, adds
+    three edges inside every face and splits every face in four. Faces on the
+    same three vertices share their inner edges, so faces are counted as
+    distinct vertex triples: ``V' = V + E``, ``E' = 2E + 3F``, ``F' = 4F``.
+    """
+    def distinct(rows):
+        rows = rows[np.lexsort(rows.T)]
+        return int(len(rows) and 1 + np.count_nonzero((rows[1:] != rows[:-1]).any(axis=1)))
+
+    tri = np.sort(mesh.faces, axis=1)
+    faces = distinct(tri)
+    edges = distinct(np.vstack([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [0, 2]]]))
+    vertices = mesh.n_vertices
+    for _ in range(levels):
+        vertices, edges, faces = vertices + edges, 2 * edges + 3 * faces, 4 * faces
+    return vertices
+
+
 def compute_displacements(sub: SubdividedMesh, target: TriangleMesh) -> DisplacementField:
     """Residual from each subdivided vertex to its nearest target surface point."""
     positions, _, _, _ = closest_points_on_surface(target, sub.mesh.vertices)

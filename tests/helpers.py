@@ -3,6 +3,7 @@
 import numpy as np
 
 from anchormesh import TriangleMesh, closest_point_on_triangle
+from anchormesh.mesh import _closest_point_kernel
 
 
 def random_mesh(rng, n_vertices=40, n_faces=60, scale=1.0) -> TriangleMesh:
@@ -58,6 +59,37 @@ def brute_force_surface_point(mesh: TriangleMesh, p):
         if best is None or d2 < best[0]:
             best = (d2, fi, sp)
     return best  # (sq_dist, face, SurfacePoint)
+
+
+def brute_force_surface_points(mesh: TriangleMesh, points):
+    """Batched exhaustive scan of every face for every query, in query chunks
+    sized to bound memory, with the lowest-face-index tie rule. Returns
+    ``(positions, faces, bary, sq_dists)`` like ``closest_points_on_surface``,
+    which must match it exactly."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    va = mesh.vertices[mesh.faces[:, 0]]
+    vb = mesh.vertices[mesh.faces[:, 1]]
+    vc = mesh.vertices[mesh.faces[:, 2]]
+    n = len(pts)
+    out_pos = np.empty((n, 3))
+    out_face = np.empty(n, dtype=np.int64)
+    out_bary = np.empty((n, 3))
+    out_d2 = np.empty(n)
+    chunk = max(1, int(400_000 // mesh.n_faces))
+    for start in range(0, n, chunk):
+        q = pts[start : start + chunk]
+        pos, bary = _closest_point_kernel(
+            q[:, None, :], va[None, :, :], vb[None, :, :], vc[None, :, :]
+        )
+        diff = pos - q[:, None, :]
+        d2 = (diff * diff).sum(axis=-1)
+        best = np.argmin(d2, axis=1)  # first minimum == lowest face index
+        rows = np.arange(len(q))
+        out_pos[start : start + chunk] = pos[rows, best]
+        out_face[start : start + chunk] = best
+        out_bary[start : start + chunk] = bary[rows, best]
+        out_d2[start : start + chunk] = d2[rows, best]
+    return out_pos, out_face, out_bary, out_d2
 
 
 def brute_force_nearest(points, q):

@@ -14,7 +14,13 @@ from anchormesh import (
     load_mesh,
     save_mesh,
 )
-from helpers import brute_force_surface_point, icosahedron, random_mesh, unit_cube
+from helpers import (
+    brute_force_surface_point,
+    brute_force_surface_points,
+    icosahedron,
+    random_mesh,
+    unit_cube,
+)
 
 
 # --- construction ---------------------------------------------------------
@@ -279,6 +285,123 @@ def test_surface_tie_break_lowest_face_index():
     m = TriangleMesh(verts, [[0, 1, 2], [3, 4, 5]])
     sp = closest_point_on_surface(m, [0.2, 0.2, 0.0])
     assert sp.face == 0
+
+
+def assert_matches_oracle(mesh, queries):
+    got = closest_points_on_surface(mesh, queries)
+    want = brute_force_surface_points(mesh, queries)
+    for name, g, w in zip(("positions", "faces", "bary", "sq_dists"), got, want):
+        assert np.array_equal(g, w), name
+    return got
+
+
+def test_surface_oracle_tie_across_shared_edge():
+    # a roof folded along the x axis: a query on the bisecting plane is
+    # equidistant from both faces, so face 0 wins in either listing order
+    verts = np.array([[0, 0, 0], [1, 0, 0], [0.5, 1, 1], [0.5, -1, 1]], dtype=float)
+    queries = np.array([[0.5, 0.0, 1.0], [0.25, 0.0, 3.0], [2.0, 0.0, 0.5]])
+    for faces in ([[0, 1, 2], [1, 0, 3]], [[1, 0, 3], [0, 1, 2]]):
+        _, face, _, _ = assert_matches_oracle(TriangleMesh(verts, faces), queries)
+        assert face.tolist() == [0, 0, 0]
+
+
+def test_surface_oracle_queries_on_shared_vertices():
+    m = icosahedron()
+    _, _, _, d2 = assert_matches_oracle(m, m.vertices)
+    assert np.all(d2 == 0.0)
+
+
+def test_surface_oracle_zero_area_and_sliver_faces():
+    verts = np.array([
+        [0, 0, 0], [1, 0, 0], [2, 0, 0],  # collinear: zero area
+        [0, 1, 0], [0, 1, 0], [0, 1, 0],  # three corners on one point
+        [0, 0, 1], [1, 0, 1], [0.5, 1e-4, 1],  # sliver
+        [0, 2, 0], [1, 2, 0], [0, 3, 0],  # an ordinary face
+    ], dtype=float)
+    m = TriangleMesh(verts, [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]])
+    rng = np.random.default_rng(23)
+    queries = np.vstack([rng.uniform(-0.5, 2.5, size=(400, 3)), verts,
+                         [[1.5, 0.0, 0.0], [0.5, 5e-5, 1.0]]])
+    assert_matches_oracle(m, queries)
+
+
+def test_surface_oracle_duplicated_faces():
+    cube = unit_cube()
+    faces = np.vstack([cube.faces, cube.faces[::-1]])
+    m = TriangleMesh(cube.vertices, faces)
+    rng = np.random.default_rng(29)
+    _, face, _, _ = assert_matches_oracle(m, rng.uniform(-0.5, 1.5, size=(300, 3)))
+    assert face.max() < cube.n_faces  # the first copy wins every tie
+
+
+def test_surface_oracle_ignores_unreferenced_vertex():
+    # vertex 3 belongs to no face; queries around it must still reach the
+    # triangle, not stop at the stray vertex
+    verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [10, 10, 10]], dtype=float)
+    m = TriangleMesh(verts, [[0, 1, 2]])
+    rng = np.random.default_rng(31)
+    queries = np.vstack([verts[3], verts[3] + rng.normal(scale=0.01, size=(20, 3))])
+    pos, _, _, _ = assert_matches_oracle(m, queries)
+    assert np.array_equal(pos[0], [0.5, 0.5, 0.0])
+
+
+def test_surface_oracle_queries_far_outside_the_grid():
+    rng = np.random.default_rng(37)
+    m = random_mesh(rng, n_vertices=30, n_faces=40)
+    directions = rng.normal(size=(50, 3))
+    queries = 1e3 * directions / np.linalg.norm(directions, axis=1, keepdims=True)
+    assert_matches_oracle(m, np.vstack([queries, [[1e6, -1e6, 1e6]]]))
+
+
+def test_surface_oracle_single_face_and_planar_mesh():
+    from anchormesh import make_grid
+
+    rng = np.random.default_rng(41)
+    single = TriangleMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
+    assert_matches_oracle(single, rng.uniform(-1, 2, size=(200, 3)))
+    plane = make_grid(6)  # every vertex at z = 0
+    queries = rng.uniform(-0.5, 1.5, size=(300, 3))
+    queries[:100, 2] = 0.0
+    assert_matches_oracle(plane, np.vstack([queries, plane.vertices]))
+
+
+def test_surface_oracle_distant_parts_use_the_dense_bound():
+    # two triangles far apart: a query midway has no vertex in its cell
+    # neighbourhood, so its bound comes from the nearest of all vertices
+    verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0],
+                      [100, 0, 0], [101, 0, 0], [100, 1, 0]], dtype=float)
+    m = TriangleMesh(verts, [[0, 1, 2], [3, 4, 5]])
+    queries = np.array([[50.0, 0.5, 0.5], [49.0, 0.0, 0.0], [60.0, 3.0, -2.0]])
+    _, face, _, _ = assert_matches_oracle(m, queries)
+    assert face.tolist() == [0, 0, 1]
+
+
+def test_surface_oracle_bend_sphere_clouds(monkeypatch):
+    import anchormesh as am
+    from anchormesh import mesh as mesh_module
+
+    spec = am.SequenceSpec(shape="sphere", resolution=2, frames=2, motion="bend",
+                           rate=0.1, region=0.4, topology_jitter=True, seed=3)
+    reference, target = am.generate_sequence(spec)
+    rng = np.random.default_rng(43)
+    sub = am.midpoint_subdivide(reference, 1)
+    clouds = [sub.mesh.vertices, target.vertices]
+    clouds += [target.vertices + rng.normal(scale=s, size=target.vertices.shape)
+               for s in (1e-6, 0.01, 0.1, 1.0)]
+    for cloud in clouds:
+        assert_matches_oracle(target, cloud)
+        assert_matches_oracle(sub.mesh, cloud)
+    # blocks small enough that one query's pairs overflow a block
+    monkeypatch.setattr(mesh_module, "_BLOCK_PAIRS", 16)
+    assert_matches_oracle(target, clouds[3])
+
+
+def test_surface_non_finite_coordinates_raise():
+    with pytest.raises(MeshValidationError):
+        closest_points_on_surface(unit_cube(), [[np.nan, 0.0, 0.0]])
+    verts = np.array([[0, 0, 0], [1, 0, 0], [0, np.inf, 0]], dtype=float)
+    with pytest.raises(MeshValidationError):
+        closest_points_on_surface(TriangleMesh(verts, [[0, 1, 2]]), [[0.0, 0.0, 0.0]])
 
 
 def test_triangle_sq_distances_match_exact_kernel():

@@ -23,6 +23,10 @@ def test_params_validation():
         QuantizationParams(alpha=0.0)
     with pytest.raises(ValueError):
         QuantizationParams(alpha=1.0, hbar=0.0)
+    for bad in ({"alpha": np.inf}, {"alpha": np.nan}, {"alpha": 1.0, "delta": np.nan},
+                {"alpha": 1.0, "delta": -np.inf}, {"alpha": 1.0, "hbar": np.inf}):
+        with pytest.raises(ValueError):
+            QuantizationParams(**bad)
 
 
 def test_neighbor_counts_triangle():

@@ -11,7 +11,7 @@ from anchormesh import (
     make_sphere,
     midpoint_subdivide,
 )
-from anchormesh.subdivide import DisplacementField
+from anchormesh.subdivide import DisplacementField, subdivided_vertex_count
 from helpers import brute_force_surface_point, random_mesh, unit_cube
 
 
@@ -37,6 +37,21 @@ def test_single_triangle_one_level():
     # originals first, midpoints in ascending sorted-edge order
     assert sub.parents[:3] == [("original", 0), ("original", 1), ("original", 2)]
     assert sub.parents[3:] == [("midpoint", 0, 1), ("midpoint", 0, 2), ("midpoint", 1, 2)]
+
+
+def test_subdivided_vertex_count_matches_subdivision():
+    rng = np.random.default_rng(79)
+    empty = TriangleMesh(np.zeros((4, 3)), np.zeros((0, 3), dtype=np.int64))
+    meshes = [make_sphere(1), make_grid(3), empty]
+    for _ in range(3):
+        m = random_mesh(rng, n_vertices=12, n_faces=16)
+        # the same face again, in another order: it shares its inner edges
+        meshes.append(TriangleMesh(m.vertices, np.vstack([m.faces, m.faces[:4, ::-1]])))
+    for m in meshes:
+        for level in range(4):
+            built = midpoint_subdivide(m, level).mesh.n_vertices
+            assert subdivided_vertex_count(m, level) == built
+    assert subdivided_vertex_count(make_sphere(0), 40) > 2 ** 80
 
 
 def test_midpoints_average_parents():
