@@ -195,6 +195,26 @@ def save_mesh(mesh: TriangleMesh) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def unique_edges(faces, n_vertices: int):
+    """Unique undirected edges of ``faces`` and each face's edge indices.
+
+    Returns ``edges`` (k, 2) int64 as (lo, hi) rows in lexicographic order,
+    and ``face_edges`` (m, 3) int64: the indices in ``edges`` of each face's
+    ab, bc and ca edges.
+    """
+    a, b = faces.T.ravel(), faces[:, [1, 2, 0]].T.ravel()  # ab, bc, ca blocks
+    keys = np.minimum(a, b) * n_vertices + np.maximum(a, b)
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    index = np.empty(len(keys), dtype=np.int64)
+    index[order] = np.cumsum(first) - 1
+    unique = sorted_keys[first]
+    edges = np.stack([unique // n_vertices, unique % n_vertices], axis=1)
+    return edges, index.reshape(3, -1).T
+
+
 def build_adjacency(mesh: TriangleMesh) -> AdjacencyMap:
     """Vertex neighbors, incident faces and the unique undirected edge list."""
     n = mesh.n_vertices
@@ -207,14 +227,7 @@ def build_adjacency(mesh: TriangleMesh) -> AdjacencyMap:
         vertex_faces[a].add(fi)
         vertex_faces[b].add(fi)
         vertex_faces[c].add(fi)
-    if mesh.n_faces:
-        pairs = np.vstack(
-            [mesh.faces[:, [0, 1]], mesh.faces[:, [1, 2]], mesh.faces[:, [2, 0]]]
-        )
-        pairs = np.sort(pairs, axis=1)
-        edges = [tuple(e) for e in np.unique(pairs, axis=0).tolist()]
-    else:
-        edges = []
+    edges = [tuple(e) for e in unique_edges(mesh.faces, n)[0].tolist()]
     return AdjacencyMap(neighbors, vertex_faces, edges)
 
 

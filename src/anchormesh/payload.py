@@ -7,8 +7,8 @@ Layout (little-endian throughout):
     flags   u8 (bit 0: adaptive quantization was used)
     base mesh identifier: SHA-256 of the base mesh's canonical OBJ
         serialization (32 bytes)
-    anchor vertex positions: 3 * n float64, base-vertex order (n comes from
-        the base mesh supplied at decode time)
+    anchor vertex positions: 3 * n finite float64, base-vertex order (n comes
+        from the base mesh supplied at decode time)
     subdivision level: u8
     quantization params alpha, delta, hbar: 3 finite float64
     quantized displacements: zigzag varints in vertex order, x,y,z interleaved;
@@ -63,48 +63,40 @@ def mesh_content_hash(mesh: TriangleMesh) -> bytes:
     return hashlib.sha256(save_mesh(mesh)).digest()
 
 
-def _zigzag_encode(v: int) -> int:
-    return (v << 1) if v >= 0 else ((-v << 1) - 1)
-
-
-def _zigzag_decode(z: int) -> int:
-    return (z >> 1) if (z & 1) == 0 else -((z + 1) >> 1)
-
-
 def _write_varints(values, out: bytearray) -> None:
-    for v in values:
-        z = _zigzag_encode(int(v))
-        while True:
-            byte = z & 0x7F
-            z >>= 7
-            if z:
-                out.append(byte | 0x80)
-            else:
-                out.append(byte)
-                break
+    """Append int64 ``values`` as zigzag LEB128 varints."""
+    v = np.asarray(values, dtype=np.int64).reshape(-1)
+    z = ((v << 1) ^ (v >> 63)).view(np.uint64)
+    groups, used = [], []  # one column per 7-bit group, low group first
+    more = np.ones(len(z), dtype=bool)
+    while more.any():
+        used.append(more)
+        low = (z & 0x7F).astype(np.uint8)
+        z = z >> 7
+        more = z != 0
+        groups.append(low | (more.view(np.uint8) << 7))
+    if groups:
+        out += np.stack(groups, axis=1)[np.stack(used, axis=1)].tobytes()
 
 
-def _read_varints(data: bytes, offset: int):
-    values = []
-    n = len(data)
-    while offset < n:
-        z = 0
-        shift = 0
-        while True:
-            if offset >= n:
-                raise PayloadFormatError("truncated varint stream")
-            if shift >= 70:
-                raise PayloadFormatError("varint longer than 10 bytes")
-            byte = data[offset]
-            offset += 1
-            z |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                break
-            shift += 7
-        if z >> 64:
-            raise PayloadFormatError("varint does not fit in int64")
-        values.append(_zigzag_decode(z))
-    return values
+def _read_varints(data: bytes, offset: int) -> np.ndarray:
+    """Decode the zigzag LEB128 varints from ``offset`` to the end as int64."""
+    stream = np.frombuffer(data, dtype=np.uint8, offset=offset)
+    bounds = np.concatenate([[0], np.flatnonzero(stream < 0x80) + 1])
+    starts, length = bounds[:-1], np.diff(bounds)
+    tail = len(stream) - bounds[-1]  # bytes after the last complete varint
+    if (length > 10).any() or tail > 10:
+        raise PayloadFormatError("varint longer than 10 bytes")
+    if tail:
+        raise PayloadFormatError("truncated varint stream")
+    if (stream[bounds[1:][length == 10] - 1] > 1).any():
+        raise PayloadFormatError("varint does not fit in int64")
+    if not len(starts):
+        return np.zeros(0, dtype=np.int64)
+    shift = 7 * (np.arange(len(stream)) - np.repeat(starts, length))
+    parts = (stream & 0x7F).astype(np.uint64) << shift.astype(np.uint64)
+    z = np.add.reduceat(parts, starts)  # the groups' bits do not overlap
+    return (z >> 1).view(np.int64) ^ -(z & 1).view(np.int64)
 
 
 def write_payload(payload: Payload) -> bytes:
@@ -142,6 +134,8 @@ def read_payload(data: bytes, n_anchor_vertices: int) -> Payload:
         raise PayloadFormatError("payload truncated before displacement stream")
     positions = np.frombuffer(data, dtype="<f8", count=3 * n_anchor_vertices,
                               offset=offset).reshape(-1, 3).astype(np.float64)
+    if not np.isfinite(positions).all():
+        raise PayloadFormatError("anchor positions must be finite")
     offset += pos_bytes
     level = data[offset]
     offset += 1
@@ -150,7 +144,7 @@ def read_payload(data: bytes, n_anchor_vertices: int) -> Payload:
     values = _read_varints(data, offset)
     if len(values) % 3 != 0:
         raise PayloadFormatError("displacement stream is not a whole number of triples")
-    quantized = np.array(values, dtype=np.int64).reshape(-1, 3)
+    quantized = values.reshape(-1, 3)
     try:
         params = QuantizationParams(alpha, delta, hbar)
     except ValueError as exc:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import TriangleMesh
+from .mesh import TriangleMesh, unique_edges
 from .subdivide import DisplacementField
 
 DEFAULT_HBAR = 6.0  # typical interior valence
@@ -49,14 +49,8 @@ class QuantizedDisplacementField:
 
 def neighbor_counts(mesh: TriangleMesh) -> np.ndarray:
     """Number of distinct edge-connected neighbors per vertex."""
-    counts = np.zeros(mesh.n_vertices, dtype=np.int64)
-    if mesh.n_faces == 0:
-        return counts
-    pairs = np.vstack([mesh.faces[:, [0, 1]], mesh.faces[:, [1, 2]], mesh.faces[:, [2, 0]]])
-    pairs = np.unique(np.sort(pairs, axis=1), axis=0)
-    counts += np.bincount(pairs[:, 0], minlength=mesh.n_vertices)
-    counts += np.bincount(pairs[:, 1], minlength=mesh.n_vertices)
-    return counts
+    edges, _ = unique_edges(mesh.faces, mesh.n_vertices)
+    return np.bincount(edges.ravel(), minlength=mesh.n_vertices).astype(np.int64)
 
 
 def adaptive_weights(counts, hbar: float) -> np.ndarray:

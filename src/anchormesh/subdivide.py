@@ -1,10 +1,12 @@
 """Midpoint subdivision and displacement field extraction/application.
 
-Subdivision is linear (edge midpoints, one new vertex per unique edge) with a
-deterministic numbering: carried-over vertices first in their previous order,
-then midpoints in ascending sorted-edge order, level by level. Displacements
-are world-axis residuals from each subdivided vertex to the nearest point on
-the target surface.
+Subdivision is linear, with one new vertex per unique edge and a
+deterministic numbering. A level on ``n`` vertices with edge array ``edges``
+(the unique (lo, hi) edges in lexicographic order, from
+:func:`anchormesh.mesh.unique_edges`) keeps vertices ``0 .. n-1`` in their
+previous order and adds vertex ``n + i`` at the midpoint of ``edges[i]``.
+Displacements are world-axis residuals from each subdivided vertex to the
+nearest point on the target surface.
 """
 
 from __future__ import annotations
@@ -13,21 +15,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import TriangleMesh, closest_points_on_surface
+from .mesh import TriangleMesh, closest_points_on_surface, unique_edges
 
 
 @dataclass
 class SubdividedMesh:
-    """A subdivided mesh plus provenance of each vertex.
+    """A subdivided mesh plus the edges its last level split.
 
-    ``parents[i]`` is ``("original", j)`` for a vertex carried over from the
-    previous level (where it had index ``j``) or ``("midpoint", u, v)`` for
-    the midpoint of previous-level edge (u, v).
+    ``edges`` (k, 2) int64 holds the previous level's unique edges in
+    lexicographic order; vertex ``n_prev + i`` is the midpoint of
+    ``edges[i]`` and vertices below ``n_prev`` are carried over unchanged.
+    At level 0 it is empty.
     """
 
     mesh: TriangleMesh
     level: int
-    parents: list
+    edges: np.ndarray
 
 
 @dataclass
@@ -39,45 +42,30 @@ class DisplacementField:
 
 
 def _subdivide_once(vertices, faces):
-    if len(faces) == 0:
-        return vertices.copy(), faces.copy(), [("original", i) for i in range(len(vertices))]
-    pairs = np.vstack([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-    pairs = np.sort(pairs, axis=1)
-    edges = np.unique(pairs, axis=0)  # lexicographically ascending
+    """One 1->4 split: ``(vertices, faces, edges)`` of the next level."""
     n = len(vertices)
-    rank = {(int(u), int(v)): n + i for i, (u, v) in enumerate(edges)}
+    edges, face_edges = unique_edges(faces, n)
     midpoints = 0.5 * (vertices[edges[:, 0]] + vertices[edges[:, 1]])
-    new_vertices = np.vstack([vertices, midpoints])
-    new_faces = np.empty((4 * len(faces), 3), dtype=np.int64)
-    for fi, (a, b, c) in enumerate(faces.tolist()):
-        mab = rank[(a, b) if a < b else (b, a)]
-        mbc = rank[(b, c) if b < c else (c, b)]
-        mca = rank[(c, a) if c < a else (a, c)]
-        new_faces[4 * fi : 4 * fi + 4] = [
-            (a, mab, mca),
-            (b, mbc, mab),
-            (c, mca, mbc),
-            (mab, mbc, mca),
-        ]
-    parents = [("original", i) for i in range(n)]
-    parents.extend(("midpoint", int(u), int(v)) for u, v in edges.tolist())
-    return new_vertices, new_faces, parents
+    a, b, c = faces.T
+    mab, mbc, mca = (n + face_edges).T
+    children = np.stack([a, mab, mca, b, mbc, mab, c, mca, mbc, mab, mbc, mca], axis=1)
+    return np.vstack([vertices, midpoints]), children.reshape(-1, 3), edges
 
 
 def midpoint_subdivide(mesh: TriangleMesh, levels: int) -> SubdividedMesh:
     """Split every triangle 1->4 per level using shared edge midpoints.
 
-    ``levels=0`` returns an identity copy. The parent map refers to the
-    previous level only.
+    ``levels=0`` returns an identity copy. ``edges`` refers to the previous
+    level only.
     """
     if levels < 0:
         raise ValueError("subdivision level must be >= 0")
     vertices = mesh.vertices
     faces = mesh.faces
-    parents = [("original", i) for i in range(len(vertices))]
+    edges = np.zeros((0, 2), dtype=np.int64)
     for _ in range(levels):
-        vertices, faces, parents = _subdivide_once(vertices, faces)
-    return SubdividedMesh(TriangleMesh(vertices, faces), levels, parents)
+        vertices, faces, edges = _subdivide_once(vertices, faces)
+    return SubdividedMesh(TriangleMesh(vertices, faces), levels, edges)
 
 
 def subdivided_vertex_count(mesh: TriangleMesh, levels: int) -> int:
@@ -88,14 +76,11 @@ def subdivided_vertex_count(mesh: TriangleMesh, levels: int) -> int:
     same three vertices share their inner edges, so faces are counted as
     distinct vertex triples: ``V' = V + E``, ``E' = 2E + 3F``, ``F' = 4F``.
     """
-    def distinct(rows):
-        rows = rows[np.lexsort(rows.T)]
-        return int(len(rows) and 1 + np.count_nonzero((rows[1:] != rows[:-1]).any(axis=1)))
-
-    tri = np.sort(mesh.faces, axis=1)
-    faces = distinct(tri)
-    edges = distinct(np.vstack([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [0, 2]]]))
-    vertices = mesh.n_vertices
+    unique, face_edges = unique_edges(mesh.faces, mesh.n_vertices)
+    # a face's sorted triple (a, b, c) is its lowest edge (a, b) plus c
+    keys = np.sort(face_edges.min(axis=1) * mesh.n_vertices + mesh.faces.max(axis=1))
+    faces = int(len(keys) and 1 + np.count_nonzero(keys[1:] != keys[:-1]))
+    vertices, edges = mesh.n_vertices, len(unique)
     for _ in range(levels):
         vertices, edges, faces = vertices + edges, 2 * edges + 3 * faces, 4 * faces
     return vertices

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import TriangleMesh, build_adjacency
+from .mesh import TriangleMesh, build_adjacency, unique_edges
 from .qem import _optimal_point_raw, all_vertex_quadrics, _TRIU_ROWS, _TRIU_COLS
+from .subdivide import midpoint_subdivide
 
 _MASK64 = (1 << 64) - 1
 
@@ -158,14 +159,13 @@ def make_sphere(level: int, radius: float = 1.0) -> TriangleMesh:
         (0, -1, phi), (0, 1, phi), (0, -1, -phi), (0, 1, -phi),
         (phi, 0, -1), (phi, 0, 1), (-phi, 0, -1), (-phi, 0, 1),
     ], dtype=np.float64)
-    faces = _ICO_FACES
-    from .subdivide import _subdivide_once
-
-    verts = verts / np.linalg.norm(verts, axis=1, keepdims=True) * radius
+    sphere = TriangleMesh(verts / np.linalg.norm(verts, axis=1, keepdims=True) * radius,
+                          _ICO_FACES)
     for _ in range(level):
-        verts, faces, _ = _subdivide_once(verts, faces)
-        verts = verts / np.linalg.norm(verts, axis=1, keepdims=True) * radius
-    return TriangleMesh(verts, faces)
+        split = midpoint_subdivide(sphere, 1).mesh
+        verts = split.vertices / np.linalg.norm(split.vertices, axis=1, keepdims=True) * radius
+        sphere = TriangleMesh(verts, split.faces)
+    return sphere
 
 
 def _base_shape(spec: SequenceSpec) -> TriangleMesh:
@@ -230,12 +230,7 @@ def _split_edges(mesh: TriangleMesh, rng: SplitMix64, count: int) -> TriangleMes
     Edges are drawn from the input mesh's edge list; splits never remove
     other original edges, so applying them sequentially is well defined.
     """
-    edge_set = set()
-    for a, b, c in mesh.faces.tolist():
-        edge_set.add((a, b) if a < b else (b, a))
-        edge_set.add((b, c) if b < c else (c, b))
-        edge_set.add((c, a) if c < a else (a, c))
-    edges = sorted(edge_set)
+    edges = unique_edges(mesh.faces, mesh.n_vertices)[0].tolist()
     count = min(count, len(edges))
     chosen = []
     taken = set()

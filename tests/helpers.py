@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from anchormesh import TriangleMesh, closest_point_on_triangle
+from anchormesh import PayloadFormatError, TriangleMesh, closest_point_on_triangle, make_sphere
 from anchormesh.mesh import _closest_point_kernel
 
 
@@ -46,6 +46,22 @@ def unit_cube() -> TriangleMesh:
         (1, 2, 6), (1, 6, 5),  # x = 1
     ], dtype=np.int64)
     return TriangleMesh(verts, faces)
+
+
+def connectivity_cases():
+    """(name, vertices, faces) arrays, some of which ``TriangleMesh`` rejects."""
+    cases = [(f"sphere{level}", make_sphere(level).vertices, make_sphere(level).faces)
+             for level in range(4)]
+    rng = np.random.default_rng(89)
+    for k in range(3):
+        m = random_mesh(rng, n_vertices=14, n_faces=20)
+        verts = np.vstack([m.vertices, rng.normal(size=(1, 3))])  # isolated vertex
+        a, b = m.faces[0, :2]
+        faces = np.vstack([m.faces, [[a, a, b]],  # repeated index
+                           m.faces[3:7, ::-1], m.faces[5:6, [1, 2, 0]]])  # other windings
+        cases.append((f"random{k}", verts, faces))
+    cases.append(("no faces", rng.normal(size=(5, 3)), np.zeros((0, 3), dtype=np.int64)))
+    return cases
 
 
 def brute_force_surface_point(mesh: TriangleMesh, p):
@@ -98,3 +114,93 @@ def brute_force_nearest(points, q):
     d2 = (diff * diff).sum(axis=1)
     i = int(np.argmin(d2))  # first occurrence = lowest index
     return i, float(np.sqrt(d2[i]))
+
+
+def loop_subdivide_once(vertices, faces):
+    """One midpoint split with an edge-rank dict and a per-face loop; the
+    oracle for ``subdivide._subdivide_once``. Returns ``parents``:
+    ``("original", j)`` or ``("midpoint", u, v)`` per new vertex."""
+    if len(faces) == 0:
+        return vertices.copy(), faces.copy(), [("original", i) for i in range(len(vertices))]
+    pairs = np.vstack([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+    pairs = np.sort(pairs, axis=1)
+    edges = np.unique(pairs, axis=0)  # lexicographically ascending
+    n = len(vertices)
+    rank = {(int(u), int(v)): n + i for i, (u, v) in enumerate(edges)}
+    midpoints = 0.5 * (vertices[edges[:, 0]] + vertices[edges[:, 1]])
+    new_vertices = np.vstack([vertices, midpoints])
+    new_faces = np.empty((4 * len(faces), 3), dtype=np.int64)
+    for fi, (a, b, c) in enumerate(faces.tolist()):
+        mab = rank[(a, b) if a < b else (b, a)]
+        mbc = rank[(b, c) if b < c else (c, b)]
+        mca = rank[(c, a) if c < a else (a, c)]
+        new_faces[4 * fi : 4 * fi + 4] = [
+            (a, mab, mca),
+            (b, mbc, mab),
+            (c, mca, mbc),
+            (mab, mbc, mca),
+        ]
+    parents = [("original", i) for i in range(n)]
+    parents.extend(("midpoint", int(u), int(v)) for u, v in edges.tolist())
+    return new_vertices, new_faces, parents
+
+
+def unique_rows_neighbor_counts(mesh) -> np.ndarray:
+    """Distinct edge-connected neighbours per vertex via ``np.unique(axis=0)``;
+    the oracle for ``quantize.neighbor_counts``."""
+    counts = np.zeros(mesh.n_vertices, dtype=np.int64)
+    if mesh.n_faces == 0:
+        return counts
+    pairs = np.vstack([mesh.faces[:, [0, 1]], mesh.faces[:, [1, 2]], mesh.faces[:, [2, 0]]])
+    pairs = np.unique(np.sort(pairs, axis=1), axis=0)
+    counts += np.bincount(pairs[:, 0], minlength=mesh.n_vertices)
+    counts += np.bincount(pairs[:, 1], minlength=mesh.n_vertices)
+    return counts
+
+
+def _zigzag_encode(v: int) -> int:
+    return (v << 1) if v >= 0 else ((-v << 1) - 1)
+
+
+def _zigzag_decode(z: int) -> int:
+    return (z >> 1) if (z & 1) == 0 else -((z + 1) >> 1)
+
+
+def scalar_write_varints(values, out: bytearray) -> None:
+    """Byte-at-a-time zigzag LEB128 writer; the oracle for
+    ``payload._write_varints``."""
+    for v in values:
+        z = _zigzag_encode(int(v))
+        while True:
+            byte = z & 0x7F
+            z >>= 7
+            if z:
+                out.append(byte | 0x80)
+            else:
+                out.append(byte)
+                break
+
+
+def scalar_read_varints(data: bytes, offset: int):
+    """Byte-at-a-time zigzag LEB128 reader; the oracle for
+    ``payload._read_varints``."""
+    values = []
+    n = len(data)
+    while offset < n:
+        z = 0
+        shift = 0
+        while True:
+            if offset >= n:
+                raise PayloadFormatError("truncated varint stream")
+            if shift >= 70:
+                raise PayloadFormatError("varint longer than 10 bytes")
+            byte = data[offset]
+            offset += 1
+            z |= (byte & 0x7F) << shift
+            if not byte & 0x80:
+                break
+            shift += 7
+        if z >> 64:
+            raise PayloadFormatError("varint does not fit in int64")
+        values.append(_zigzag_decode(z))
+    return values

@@ -14,9 +14,11 @@ from anchormesh import (
     load_mesh,
     save_mesh,
 )
+from anchormesh.mesh import unique_edges
 from helpers import (
     brute_force_surface_point,
     brute_force_surface_points,
+    connectivity_cases,
     icosahedron,
     random_mesh,
     unit_cube,
@@ -124,6 +126,16 @@ def test_adjacency_icosahedron_valence_five():
         expected[c].update((a, b))
     assert adj.neighbors == expected
     assert all(len(s) == 5 for s in adj.neighbors)
+
+
+@pytest.mark.parametrize("name, verts, faces", connectivity_cases())
+def test_unique_edges_match_unique_rows(name, verts, faces):
+    edges, face_edges = unique_edges(faces, len(verts))
+    # each face's ab, bc, ca as (lo, hi)
+    pairs = np.sort(np.stack([faces, np.roll(faces, -1, axis=1)], axis=-1), axis=-1)
+    assert edges.dtype == face_edges.dtype == np.int64
+    assert np.array_equal(edges, np.unique(pairs.reshape(-1, 2), axis=0))
+    assert np.array_equal(edges[face_edges], pairs)
 
 
 def test_adjacency_properties_random():

@@ -2,10 +2,13 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import anchormesh as am
 from anchormesh import (
     Payload,
+    PayloadError,
     PayloadFormatError,
     QuantizationParams,
     decode_payload,
@@ -13,10 +16,15 @@ from anchormesh import (
     read_payload,
     write_payload,
 )
-from anchormesh import pipeline
+from anchormesh import cli, pipeline
+from anchormesh.payload import _read_varints, _write_varints
+from helpers import scalar_read_varints, scalar_write_varints
 
 INT64 = np.iinfo(np.int64)
 HEADER = 4 + 1 + 1 + 32  # magic, version, flags, base hash
+# fixed example order and no example database, so tier-1 stays deterministic
+DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
+int64s = st.integers(INT64.min, INT64.max)
 
 
 @pytest.fixture(scope="module")
@@ -94,3 +102,100 @@ def test_non_finite_quantization_params_raise(field, value):
                      value)
     with pytest.raises(PayloadFormatError):
         read_payload(bytes(data), len(sent.anchor_positions))
+
+
+def test_varints_match_scalar_oracle():
+    rng = np.random.default_rng(13)
+    for size in (0, 1, 9, 1000):
+        for bits in (6, 13, 40, 63):
+            values = rng.integers(-(1 << bits), 1 << bits, size=size)
+            fast, slow = bytearray(), bytearray()
+            _write_varints(values, fast)
+            scalar_write_varints(values, slow)
+            assert fast == slow
+            got = _read_varints(bytes(fast), 0)
+            assert got.dtype == np.int64
+            assert got.tolist() == scalar_read_varints(bytes(fast), 0) == values.tolist()
+
+
+@DETERMINISTIC
+@given(st.lists(int64s, max_size=60))
+@example([INT64.min, INT64.max, 0, -1, 1])
+def test_varint_round_trip_property(values):
+    out = bytearray(b"\x07")  # reading starts past a leading byte
+    _write_varints(np.array(values, dtype=np.int64), out)
+    slow = bytearray(b"\x07")
+    scalar_write_varints(values, slow)
+    assert out == slow
+    assert _read_varints(bytes(out), 1).tolist() == values
+
+
+@DETERMINISTIC
+@given(st.binary(max_size=40))
+@example(bytes([0x80] * 10))  # truncated at the tenth byte
+@example(bytes([0x80] * 11))
+@example(bytes([0xFF] * 9 + [0x02]))
+def test_varint_reader_matches_scalar_oracle_on_any_bytes(data):
+    try:
+        want = scalar_read_varints(data, 0)
+    except PayloadFormatError:
+        with pytest.raises(PayloadFormatError):
+            _read_varints(data, 0)
+    else:
+        assert _read_varints(data, 0).tolist() == want
+
+
+@DETERMINISTIC
+@given(quantized=st.lists(st.tuples(int64s, int64s, int64s), max_size=20),
+       n_anchor=st.integers(0, 4), level=st.integers(0, 255), adaptive=st.booleans())
+@example(quantized=[(INT64.min, INT64.max, 0)], n_anchor=1, level=0, adaptive=True)
+def test_write_read_round_trip_property(quantized, n_anchor, level, adaptive):
+    sent = Payload(base_hash=bytes(range(32)),
+                   anchor_positions=np.arange(3.0 * n_anchor).reshape(-1, 3) - 0.5,
+                   level=level, params=QuantizationParams(8.0), adaptive=adaptive,
+                   quantized=np.array(quantized, dtype=np.int64).reshape(-1, 3))
+    got = read_payload(write_payload(sent), n_anchor)
+    assert np.array_equal(got.anchor_positions, sent.anchor_positions)
+    assert (got.level, got.params, got.adaptive) == (level, sent.params, adaptive)
+    assert got.quantized.dtype == np.int64
+    assert np.array_equal(got.quantized, sent.quantized)
+
+
+def _decode_or_payload_error(data, base):
+    """A mutated payload must decode or raise a PayloadError, nothing else."""
+    try:
+        decode_payload(read_payload(data, base.n_vertices), base)
+    except PayloadError:
+        pass
+
+
+@DETERMINISTIC
+@given(cut=st.integers(0, 1 << 20))
+def test_truncated_payload_decodes_or_raises_payload_error(encoded, cut):
+    base, payload = encoded
+    data = write_payload(payload)
+    _decode_or_payload_error(data[: cut % len(data)], base)
+
+
+@DETERMINISTIC
+@given(at=st.integers(0, 1 << 20), mask=st.integers(1, 255))
+def test_byte_flip_decodes_or_raises_payload_error(encoded, at, mask):
+    base, payload = encoded
+    data = bytearray(write_payload(payload))
+    data[at % len(data)] ^= mask
+    _decode_or_payload_error(bytes(data), base)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_anchor_position_raises(encoded, value, tmp_path):
+    base, payload = encoded
+    data = bytearray(write_payload(payload))
+    struct.pack_into("<d", data, HEADER, value)  # first anchor coordinate
+    with pytest.raises(PayloadFormatError):
+        read_payload(bytes(data), base.n_vertices)
+    (tmp_path / "pair.ancf").write_bytes(bytes(data))
+    (tmp_path / "base.obj").write_bytes(am.save_mesh(base))
+    out = tmp_path / "recon.obj"
+    args = ["decode", str(tmp_path / "pair.ancf"), str(tmp_path / "base.obj"), str(out)]
+    assert cli.main(args) == 3
+    assert not out.exists()

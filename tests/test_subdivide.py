@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,16 @@ from anchormesh import (
     make_sphere,
     midpoint_subdivide,
 )
-from anchormesh.subdivide import DisplacementField, subdivided_vertex_count
-from helpers import brute_force_surface_point, random_mesh, unit_cube
+from anchormesh.quantize import neighbor_counts
+from anchormesh.subdivide import DisplacementField, _subdivide_once, subdivided_vertex_count
+from helpers import (
+    brute_force_surface_point,
+    connectivity_cases,
+    loop_subdivide_once,
+    random_mesh,
+    unique_rows_neighbor_counts,
+    unit_cube,
+)
 
 
 def test_level_zero_is_identity():
@@ -21,7 +31,8 @@ def test_level_zero_is_identity():
     assert sub.level == 0
     assert np.array_equal(sub.mesh.vertices, m.vertices)
     assert np.array_equal(sub.mesh.faces, m.faces)
-    assert sub.parents == [("original", i) for i in range(m.n_vertices)]
+    assert sub.edges.dtype == np.int64
+    assert sub.edges.shape == (0, 2)
 
 
 def test_negative_level_rejected():
@@ -35,8 +46,9 @@ def test_single_triangle_one_level():
     assert sub.mesh.n_vertices == 6
     assert sub.mesh.n_faces == 4
     # originals first, midpoints in ascending sorted-edge order
-    assert sub.parents[:3] == [("original", 0), ("original", 1), ("original", 2)]
-    assert sub.parents[3:] == [("midpoint", 0, 1), ("midpoint", 0, 2), ("midpoint", 1, 2)]
+    assert np.array_equal(sub.mesh.vertices[:3], m.vertices)
+    assert sub.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
+    assert np.array_equal(sub.mesh.vertices[3:], [[0.5, 0, 0], [0, 0.5, 0], [0.5, 0.5, 0]])
 
 
 def test_subdivided_vertex_count_matches_subdivision():
@@ -54,17 +66,49 @@ def test_subdivided_vertex_count_matches_subdivision():
     assert subdivided_vertex_count(make_sphere(0), 40) > 2 ** 80
 
 
+@pytest.mark.parametrize("name, verts, faces", connectivity_cases())
+def test_subdivide_once_matches_loop_oracle(name, verts, faces):
+    got_verts, got_faces, edges = _subdivide_once(verts, faces)
+    want_verts, want_faces, parents = loop_subdivide_once(verts, faces)
+    assert np.array_equal(got_verts, want_verts)
+    assert np.array_equal(got_faces, want_faces)
+    assert got_faces.dtype == np.int64
+    n = len(verts)
+    assert parents[:n] == [("original", i) for i in range(n)]
+    assert parents[n:] == [("midpoint", u, v) for u, v in edges.tolist()]
+
+
+@pytest.mark.parametrize("name, verts, faces", connectivity_cases())
+def test_neighbor_counts_match_unique_rows_oracle(name, verts, faces):
+    # duck-typed so the repeated-index face reaches both counts
+    mesh = SimpleNamespace(faces=faces, n_vertices=len(verts), n_faces=len(faces))
+    got = neighbor_counts(mesh)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, unique_rows_neighbor_counts(mesh))
+
+
+def test_midpoint_subdivide_matches_repeated_loop_oracle():
+    m = make_sphere(1)
+    verts, faces = m.vertices, m.faces
+    for level in range(1, 4):
+        verts, faces, parents = loop_subdivide_once(verts, faces)
+        sub = midpoint_subdivide(m, level)
+        assert np.array_equal(sub.mesh.vertices, verts)
+        assert np.array_equal(sub.mesh.faces, faces)
+        n_prev = len(parents) - len(sub.edges)
+        assert parents[n_prev:] == [("midpoint", u, v) for u, v in sub.edges.tolist()]
+
+
 def test_midpoints_average_parents():
     rng = np.random.default_rng(71)
     m = random_mesh(rng, n_vertices=20, n_faces=30)
     sub = midpoint_subdivide(m, 1)
-    for i, entry in enumerate(sub.parents):
-        if entry[0] == "midpoint":
-            _, u, v = entry
-            expected = 0.5 * (m.vertices[u] + m.vertices[v])
-            assert np.linalg.norm(sub.mesh.vertices[i] - expected) < 1e-12
-        else:
-            assert np.array_equal(sub.mesh.vertices[i], m.vertices[entry[1]])
+    n = m.n_vertices
+    assert sub.mesh.n_vertices == n + len(sub.edges)
+    assert np.array_equal(sub.mesh.vertices[:n], m.vertices)
+    for i, (u, v) in enumerate(sub.edges):
+        expected = 0.5 * (m.vertices[u] + m.vertices[v])
+        assert np.linalg.norm(sub.mesh.vertices[n + i] - expected) < 1e-12
 
 
 def test_face_count_and_shared_midpoints():
@@ -86,7 +130,7 @@ def test_subdivision_deterministic():
     s2 = midpoint_subdivide(m, 2)
     assert np.array_equal(s1.mesh.vertices, s2.mesh.vertices)
     assert np.array_equal(s1.mesh.faces, s2.mesh.faces)
-    assert s1.parents == s2.parents
+    assert np.array_equal(s1.edges, s2.edges)
 
 
 def test_displacements_zero_on_surface():

@@ -12,6 +12,7 @@ from anchormesh import (
     make_sphere,
     save_mesh,
 )
+from helpers import icosahedron, loop_subdivide_once
 
 
 def test_splitmix_reference_values():
@@ -42,6 +43,17 @@ def test_shapes_have_expected_sizes():
 def test_sphere_vertices_on_radius():
     s = make_sphere(2, radius=2.5)
     assert np.allclose(np.linalg.norm(s.vertices, axis=1), 2.5, atol=1e-12)
+
+
+def test_sphere_matches_loop_subdivided_icosahedron():
+    ico = icosahedron()
+    verts, faces = ico.vertices / np.linalg.norm(ico.vertices, axis=1, keepdims=True), ico.faces
+    for level in range(4):
+        s = make_sphere(level)
+        assert np.array_equal(s.vertices, verts)
+        assert np.array_equal(s.faces, faces)
+        verts, faces, _ = loop_subdivide_once(verts, faces)
+        verts = verts / np.linalg.norm(verts, axis=1, keepdims=True)
 
 
 def test_invalid_resolution_rejected():
