@@ -22,14 +22,12 @@ from .mesh import (
     MeshError,
     MeshValidationError,
     ObjParseError,
-    Plane,
     SurfacePoint,
     TriangleMesh,
     build_adjacency,
     closest_point_on_surface,
     closest_point_on_triangle,
     closest_points_on_surface,
-    face_plane,
     load_mesh,
     save_mesh,
 )
@@ -45,14 +43,7 @@ from .payload import (
     write_payload,
 )
 from .pipeline import EncodeResult, decode_payload, encode_pair
-from .qem import (
-    Quadric,
-    edge_quadric,
-    optimal_point,
-    plane_quadric,
-    refine_anchor,
-    vertex_quadric,
-)
+from .qem import refine_anchor
 from .quantize import (
     QuantizationParams,
     QuantizedDisplacementField,

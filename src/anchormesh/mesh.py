@@ -1,4 +1,4 @@
-"""Indexed triangle meshes: OBJ I/O, adjacency, face planes, closest-point queries.
+"""Indexed triangle meshes: OBJ I/O, adjacency, closest-point queries.
 
 Positions are kept in double precision throughout; integer quantization only
 ever happens in :mod:`anchormesh.quantize`. Non-manifold connectivity is
@@ -92,28 +92,6 @@ class AdjacencyMap:
     neighbors: list
     vertex_faces: list
     edges: list
-
-
-@dataclass(frozen=True)
-class Plane:
-    """Plane a*x + b*y + c*z + d = 0 with the full coefficient 4-vector
-    normalized to unit Euclidean norm."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def vector(self) -> np.ndarray:
-        return np.array([self.a, self.b, self.c, self.d])
-
-    @property
-    def normal(self) -> np.ndarray:
-        return np.array([self.a, self.b, self.c])
-
-    def signed_residual(self, point) -> float:
-        x, y, z = np.asarray(point, dtype=np.float64)
-        return self.a * x + self.b * y + self.c * z + self.d
 
 
 @dataclass(frozen=True)
@@ -229,22 +207,6 @@ def build_adjacency(mesh: TriangleMesh) -> AdjacencyMap:
         vertex_faces[c].add(fi)
     edges = [tuple(e) for e in unique_edges(mesh.faces, n)[0].tolist()]
     return AdjacencyMap(neighbors, vertex_faces, edges)
-
-
-def face_plane(mesh: TriangleMesh, face: int) -> Plane:
-    """Supporting plane of a face, oriented by the right-hand winding rule.
-
-    The coefficient 4-vector (a, b, c, d) is normalized to unit Euclidean
-    norm. Raises :class:`DegenerateFaceError` when the face area is at or
-    below ``DEGENERATE_AREA``.
-    """
-    a, b, c = mesh.vertices[mesh.faces[face]]
-    n = np.cross(b - a, c - a)
-    if 0.5 * float(np.linalg.norm(n)) <= DEGENERATE_AREA:
-        raise DegenerateFaceError(f"face {face} has (near) zero area")
-    v = np.array([n[0], n[1], n[2], -float(n @ a)])
-    v /= np.linalg.norm(v)
-    return Plane(float(v[0]), float(v[1]), float(v[2]), float(v[3]))
 
 
 def _row_dot(u, v):
@@ -556,6 +518,17 @@ def triangle_sq_distances(p, a, b, c):
     of the order of the squared distance to ``a`` times the machine epsilon.
     Degenerate triangles are measured by their edges.
     """
+    return sq_distances_to_terms(p, triangle_terms(*np.broadcast_arrays(a, b, c)))
+
+
+def triangle_terms(a, b, c):
+    """What :func:`triangle_sq_distances` needs of each triangle, as rows
+    stacked along a new first axis: ``a`` (3 rows), ``b - a`` (3), ``c - a``
+    (3), then ``|ab|^2``, ``ab.ac``, ``|ac|^2``, the divisors of the
+    projections onto edges ab, ac and bc (inf for a zero-length edge), the
+    inverse of ``|ab x ac|^2`` (0 for a degenerate triangle) and 1 for a
+    non-degenerate triangle, else 0: 17 rows. Computing them once per
+    triangle and gathering them per pair gives the same bits."""
     ab = b - a
     ac = c - a
     d00 = _dot3(ab, ab)
@@ -564,28 +537,36 @@ def triangle_sq_distances(p, a, b, c):
     dbc = d00 - 2.0 * d01 + d11
     denom = d00 * d11 - d01 * d01  # |ab x ac|^2
     flat = 0.5 * np.sqrt(np.maximum(denom, 0.0)) > DEGENERATE_AREA
+    return np.concatenate([a, ab, ac, np.stack([
+        d00, d01, d11, np.where(d00 > 0.0, d00, np.inf), np.where(d11 > 0.0, d11, np.inf),
+        np.where(dbc > 0.0, dbc, np.inf), 1.0 / np.where(flat, denom, np.inf), flat])])
+
+
+def sq_distances_to_terms(p, terms):
+    """:func:`triangle_sq_distances` from the :func:`triangle_terms` rows."""
+    a, ab, ac = terms[0:3], terms[3:6], terms[6:9]
+    d00, d01, d11, div_ab, div_ac, div_bc, inv, flat = terms[9:17]
     rel = p - a
     e = _dot3(rel, rel)
     d20 = _dot3(rel, ab)
     d21 = _dot3(rel, ac)
     # closest point on the boundary: edge ab, then ac, then bc
-    v = np.clip(d20 / np.where(d00 > 0.0, d00, np.inf), 0.0, 1.0)
+    v = np.clip(d20 / div_ab, 0.0, 1.0)
     w = np.zeros_like(v)
     d2 = e - v * (2.0 * d20 - v * d00)
-    t = np.clip(d21 / np.where(d11 > 0.0, d11, np.inf), 0.0, 1.0)
+    t = np.clip(d21 / div_ac, 0.0, 1.0)
     cand = e - t * (2.0 * d21 - t * d11)
     take = cand < d2
     v, w, d2 = np.where(take, 0.0, v), np.where(take, t, w), np.where(take, cand, d2)
-    t = np.clip((d21 - d20 - d01 + d00) / np.where(dbc > 0.0, dbc, np.inf), 0.0, 1.0)
+    t = np.clip((d21 - d20 - d01 + d00) / div_bc, 0.0, 1.0)
     s = 1.0 - t
     cand = e - 2.0 * (s * d20 + t * d21) + s * s * d00 + 2.0 * s * t * d01 + t * t * d11
     take = cand < d2
     v, w, d2 = np.where(take, s, v), np.where(take, t, w), np.where(take, cand, d2)
     # the plane projection wins wherever it lands inside the triangle
-    inv = 1.0 / np.where(flat, denom, np.inf)
     vi = (d11 * d20 - d01 * d21) * inv
     wi = (d00 * d21 - d01 * d20) * inv
-    inside = (vi >= 0.0) & (wi >= 0.0) & (vi + wi <= 1.0) & flat
+    inside = (vi >= 0.0) & (wi >= 0.0) & (vi + wi <= 1.0) & (flat != 0.0)
     v, w = np.where(inside, vi, v), np.where(inside, wi, w)
     d2 = np.where(inside, e - vi * d20 - wi * d21, d2)
     return np.maximum(d2, 0.0), v, w

@@ -14,21 +14,19 @@ coarse vertex and its target correspondence, is never marked
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .coarse import OFF_VERTEX, AnchorMesh, traversal_order
 from .mesh import (
+    _BLOCK_PAIRS,
+    _PAD,
     DEGENERATE_AREA,
-    AdjacencyMap,
-    DegenerateFaceError,
-    Plane,
     TriangleMesh,
+    _blocks,
     _dot3,
-    build_adjacency,
-    face_plane,
-    triangle_sq_distances,
+    sq_distances_to_terms,
+    triangle_terms,
+    unique_edges,
 )
 
 # Upper-triangle layout of the symmetric 4x4 matrix:
@@ -40,31 +38,9 @@ _TRIU_ROWS, _TRIU_COLS = np.triu_indices(4)
 CONDITION_LIMIT = 1e12
 
 
-@dataclass(frozen=True, eq=False)
-class Quadric:
-    """Symmetric 4x4 error form stored as its 10 unique coefficients."""
-
-    coeffs: np.ndarray  # (10,) float64
-
-    @staticmethod
-    def zero() -> "Quadric":
-        return Quadric(np.zeros(10))
-
-    def __add__(self, other: "Quadric") -> "Quadric":
-        return Quadric(self.coeffs + other.coeffs)
-
-    def matrix(self) -> np.ndarray:
-        m = np.zeros((4, 4))
-        m[_TRIU_ROWS, _TRIU_COLS] = self.coeffs
-        m[_TRIU_COLS, _TRIU_ROWS] = self.coeffs
-        return m
-
-    def evaluate(self, point) -> float:
-        """Value of [x y z 1]^T Q [x y z 1] at a 3D point."""
-        return float(_evaluate_raw(self.coeffs, np.asarray(point, dtype=np.float64)))
-
-
 def _evaluate_raw(c, p):
+    """Value of [x y z 1]^T Q [x y z 1] for coefficients ``c`` (..., 10) at
+    points ``p`` (..., 3)."""
     x, y, z = p[..., 0], p[..., 1], p[..., 2]
     return (
         c[..., 0] * x * x + c[..., 4] * y * y + c[..., 7] * z * z + c[..., 9]
@@ -73,34 +49,12 @@ def _evaluate_raw(c, p):
     )
 
 
-def plane_quadric(plane: Plane) -> Quadric:
-    """Quadric P*P^T of a normalized plane; evaluates to (P^T X)^2."""
-    p = plane.vector()
-    return Quadric(np.outer(p, p)[_TRIU_ROWS, _TRIU_COLS])
-
-
-def vertex_quadric(mesh: TriangleMesh, adjacency: AdjacencyMap, v: int) -> Quadric:
-    """Sum of plane quadrics over the non-degenerate faces incident to ``v``."""
-    acc = np.zeros(10)
-    for fi in sorted(adjacency.vertex_faces[v]):
-        try:
-            plane = face_plane(mesh, fi)
-        except DegenerateFaceError:
-            continue
-        acc += plane_quadric(plane).coeffs
-    return Quadric(acc)
-
-
-def edge_quadric(qa: Quadric, qb: Quadric) -> Quadric:
-    """Error form of an edge: entrywise sum of its endpoint quadrics."""
-    return qa + qb
-
-
 def all_vertex_quadrics(mesh: TriangleMesh) -> np.ndarray:
     """Per-vertex quadric coefficients, (n, 10), vectorized over faces.
 
-    Matches accumulating :func:`vertex_quadric` per vertex; degenerate faces
-    contribute nothing.
+    Each vertex sums the plane quadrics P*P^T of its incident faces, the
+    plane 4-vector normalized to unit norm; degenerate faces contribute
+    nothing.
     """
     acc = np.zeros((mesh.n_vertices, 10))
     if mesh.n_faces == 0:
@@ -123,15 +77,17 @@ def all_vertex_quadrics(mesh: TriangleMesh) -> np.ndarray:
     return acc
 
 
-def _optimal_point_raw(coeffs, fallback_a, fallback_b):
-    """(position, error) minimizing the quadric, with endpoint/midpoint
-    fallback when the 3x3 block is singular or ill-conditioned.
+def _optimal_points(coeffs, fallback_a, fallback_b):
+    """Minimizers of the quadrics ``coeffs`` (k, 10) as ``(points (k, 3),
+    errors (k,))``, errors clamped at 0.
 
-    The block is solved analytically via its adjugate; the condition estimate
-    is the 1-norm condition number.
+    A row's 3x3 block is solved analytically via its adjugate where its
+    determinant is nonzero, its 1-norm condition number is finite and below
+    ``CONDITION_LIMIT`` and the solution is finite. Every other row takes the
+    best of (fallback_a, midpoint, fallback_b), ties resolved in that order.
     """
     c = coeffs
-    a11, a12, a13, a22, a23, a33 = c[0], c[1], c[2], c[4], c[5], c[7]
+    a11, a12, a13, a22, a23, a33 = c[:, 0], c[:, 1], c[:, 2], c[:, 4], c[:, 5], c[:, 7]
     m11 = a22 * a33 - a23 * a23
     m12 = a13 * a23 - a12 * a33
     m13 = a12 * a23 - a13 * a22
@@ -139,41 +95,42 @@ def _optimal_point_raw(coeffs, fallback_a, fallback_b):
     m23 = a12 * a13 - a11 * a23
     m33 = a11 * a22 - a12 * a12
     det = a11 * m11 + a12 * m12 + a13 * m13
-    if det != 0.0:
+    # every row is solved: det == 0 divides by zero, a near-singular block
+    # overflows 1/det, and both leave a non-finite cond that sends the row to
+    # the fallback
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inv_det = 1.0 / det
-        norm_a = max(abs(a11) + abs(a12) + abs(a13),
-                     abs(a12) + abs(a22) + abs(a23),
-                     abs(a13) + abs(a23) + abs(a33))
-        norm_inv = abs(inv_det) * max(abs(m11) + abs(m12) + abs(m13),
-                                      abs(m12) + abs(m22) + abs(m23),
-                                      abs(m13) + abs(m23) + abs(m33))
+        norm_a = np.maximum(np.maximum(abs(a11) + abs(a12) + abs(a13),
+                                       abs(a12) + abs(a22) + abs(a23)),
+                            abs(a13) + abs(a23) + abs(a33))
+        norm_inv = abs(inv_det) * np.maximum(np.maximum(abs(m11) + abs(m12) + abs(m13),
+                                                        abs(m12) + abs(m22) + abs(m23)),
+                                             abs(m13) + abs(m23) + abs(m33))
         cond = norm_a * norm_inv
-        if np.isfinite(cond) and cond < CONDITION_LIMIT:
-            bx, by, bz = -c[3], -c[6], -c[8]
-            point = np.array([
-                (m11 * bx + m12 * by + m13 * bz) * inv_det,
-                (m12 * bx + m22 * by + m23 * bz) * inv_det,
-                (m13 * bx + m23 * by + m33 * bz) * inv_det,
-            ])
-            if np.all(np.isfinite(point)):
-                return point, max(float(_evaluate_raw(c, point)), 0.0)
-    fa = np.asarray(fallback_a, dtype=np.float64)
-    fb = np.asarray(fallback_b, dtype=np.float64)
-    mid = 0.5 * (fa + fb)
-    candidates = (fa, mid, fb)  # tie order: a, then midpoint, then b
-    errors = [max(float(_evaluate_raw(c, cand)), 0.0) for cand in candidates]
-    best = min(range(3), key=lambda i: (errors[i], i))
-    return candidates[best].copy(), errors[best]
+        bx, by, bz = -c[:, 3], -c[:, 6], -c[:, 8]
+        points = np.stack([
+            (m11 * bx + m12 * by + m13 * bz) * inv_det,
+            (m12 * bx + m22 * by + m23 * bz) * inv_det,
+            (m13 * bx + m23 * by + m33 * bz) * inv_det,
+        ], axis=1)
+    solved = ((det != 0.0) & np.isfinite(cond) & (cond < CONDITION_LIMIT)
+              & np.isfinite(points).all(axis=1))
+    fallback = np.flatnonzero(~solved)
+    if len(fallback):
+        cf, fa, fb = c[fallback], fallback_a[fallback], fallback_b[fallback]
+        best, best_error = fa.copy(), _clamped_error(cf, fa)
+        for cand in (0.5 * (fa + fb), fb):  # ties go to a, then the midpoint
+            error = _clamped_error(cf, cand)
+            better = error < best_error
+            best[better], best_error[better] = cand[better], error[better]
+        points[fallback] = best
+    return points, _clamped_error(c, points)
 
 
-def optimal_point(q: Quadric, fallback_a, fallback_b):
-    """Minimizer of the quadric as ``(position, error)``.
-
-    Solves the stationarity system of the affine form when the 3x3 block has
-    condition below ``CONDITION_LIMIT``; otherwise returns the best of
-    (fallback_a, midpoint, fallback_b), ties resolved in that order.
-    """
-    return _optimal_point_raw(q.coeffs, fallback_a, fallback_b)
+def _clamped_error(c, p):
+    """``max(value, 0.0)`` of the quadrics at the points, row by row."""
+    e = _evaluate_raw(c, p)
+    return np.where(0.0 > e, 0.0, e)
 
 
 class _WorkingCopy:
@@ -221,38 +178,46 @@ class _WorkingCopy:
 _FAN_SUBFACES = np.array([[0, 3, 5], [1, 4, 3], [2, 5, 4], [3, 4, 5]])
 
 
-def _closest_in_groups(points, point_counts, tris, tri_counts):
-    """Closest triangle of its own group to each point.
-
-    ``points`` (n, 3) and ``tris`` (m, 3, 3) come in consecutive groups of
-    the given sizes; each point is measured against every triangle of its
-    group only. Returns ``(d2, tri, v, w)`` per point as in
-    :func:`anchormesh.mesh.triangle_sq_distances`, with ``tri`` a row of
-    ``tris`` (lowest row on ties) and ``d2 = inf``, ``tri = -1`` for a point
-    whose group has no triangle. A pair is skipped when the triangle's
-    bounding sphere, centered on its centroid, lies farther from the point
-    than the nearest centroid of the group.
-    """
-    point_counts = np.asarray(point_counts, dtype=np.int64)
-    tri_counts = np.asarray(tri_counts, dtype=np.int64)
-    sizes = point_counts * tri_counts
-    offset = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    per_pair = np.repeat(tri_counts, sizes)
-    pi = np.repeat(np.cumsum(point_counts) - point_counts, sizes) + offset // per_pair
-    ti = np.repeat(np.cumsum(tri_counts) - tri_counts, sizes) + offset % per_pair
-    p = np.ascontiguousarray(points.T)
+def _triangles(tris):
+    """Columns of the triangles ``tris`` (m, 3, 3) for the closest-triangle
+    searches: their :func:`anchormesh.mesh.triangle_terms` (17 rows), then the
+    center (3 rows) and radius of their bounding sphere centered on the
+    centroid."""
     a, b, c = (np.ascontiguousarray(tris[:, i].T) for i in range(3))
     center = (a + b + c) / 3.0
     radius = np.sqrt(np.maximum.reduce([_dot3(x - center, x - center) for x in (a, b, c)]))
-    rel = p[:, pi] - center[:, ti]
+    return np.concatenate([triangle_terms(a, b, c), center, radius[None]])
+
+
+def _pairs_in_groups(points, point_counts, tris, tri_counts):
+    """``(point, column)`` pairs of each point with every triangle of its
+    group, by point, then column: ``points`` (n, 3) and the :func:`_triangles`
+    columns ``tris`` (21, m) come in consecutive groups of the given sizes.
+    A pair is left out when the triangle's bounding sphere lies farther from
+    the point than the nearest centroid of the group."""
+    tri_counts = np.asarray(tri_counts, dtype=np.int64)
+    per_point = np.repeat(tri_counts, point_counts)  # triangles in each point's group
+    pi = np.repeat(np.arange(len(points)), per_point)
+    ti = _ranges(np.repeat(np.cumsum(tri_counts) - tri_counts, point_counts), per_point)
+    # np.take keeps the gathered (rows, pairs) arrays contiguous; ``x[:, pi]`` does not
+    rel = np.take(np.ascontiguousarray(points.T), pi, axis=1) - np.take(tris[17:20], ti, axis=1)
     gap = np.sqrt(_dot3(rel, rel))
-    bound = np.full(len(points), np.inf)
-    np.minimum.at(bound, pi, gap)
-    keep = gap - radius[ti] <= bound[pi]
-    pi, ti = pi[keep], ti[keep]
-    d2, v, w = triangle_sq_distances(p[:, pi], a[:, ti], b[:, ti], c[:, ti])
-    best = np.full(len(points), np.inf)
-    np.minimum.at(best, pi, d2)
+    keep = gap - tris[20, ti] <= _run_minima(gap, pi, len(points))[pi]
+    return pi[keep], ti[keep]
+
+
+def _closest_of_pairs(points, pi, ti, tris):
+    """Closest triangle to each of ``points`` (n, 3) among its pairs with
+    the :func:`_triangles` columns ``tris``, for ``pi`` ascending.
+
+    Returns ``(d2, tri, v, w)`` per point as in
+    :func:`anchormesh.mesh.triangle_sq_distances`, with ``tri`` the column of
+    the earliest closest pair and ``d2 = inf``, ``tri = -1`` for a point
+    without pairs.
+    """
+    d2, v, w = sq_distances_to_terms(np.take(np.ascontiguousarray(points.T), pi, axis=1),
+                                     np.take(tris[:17], ti, axis=1))
+    best = _run_minima(d2, pi, len(points))
     hit = np.flatnonzero(d2 == best[pi])
     first = hit[np.diff(pi[hit], prepend=-1) != 0]
     tri = np.full(len(points), -1)
@@ -264,11 +229,46 @@ def _closest_in_groups(points, point_counts, tris, tri_counts):
     return best, tri, out_v, out_w
 
 
+def _run_minima(values, owner, n):
+    """Minimum of ``values`` per owner, for ``owner`` ascending; inf for an
+    owner without values."""
+    out = np.full(n, np.inf)
+    if len(owner):
+        starts = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
+        out[owner[starts]] = np.minimum.reduceat(values, starts)
+    return out
+
+
 def _ranges(starts, counts):
     """Concatenation of ``arange(s, s + c)`` over the pairs."""
     counts = np.asarray(counts, dtype=np.int64)
     offsets = np.repeat(np.asarray(starts, dtype=np.int64) - (np.cumsum(counts) - counts), counts)
     return offsets + np.arange(counts.sum())
+
+
+def _within_reach(centers, reach2, points):
+    """``(center, point)`` index pairs whose squared distance
+    ``((center - point) ** 2).sum()`` is at most the center's ``reach2``,
+    ordered by center, then point.
+
+    A sweep over the points sorted by x narrows each center's candidates to
+    the x-window of its reach, padded by ``1e-9`` of itself and of the largest
+    x so that rounding never drops a pair; the squared distance then decides.
+    """
+    order = np.argsort(points[:, 0], kind="stable")
+    swept = points[order]
+    pad = _PAD * float(np.abs(swept[:, 0]).max(initial=0.0))
+    reach = np.sqrt(reach2) * (1.0 + _PAD) + pad
+    lo = np.searchsorted(swept[:, 0], centers[:, 0] - reach, side="left")
+    count = np.searchsorted(swept[:, 0], centers[:, 0] + reach, side="right") - lo
+    keys = [np.zeros(0, dtype=np.int64)]
+    for s, e in _blocks(count, _BLOCK_PAIRS):
+        near = _ranges(lo[s:e], count[s:e])
+        d2 = ((np.repeat(centers[s:e], count[s:e], axis=0) - swept[near]) ** 2).sum(axis=1)
+        keep = d2 <= np.repeat(reach2[s:e], count[s:e])
+        owner = np.repeat(np.arange(s, e), count[s:e])
+        keys.append(np.sort(owner[keep] * len(points) + order[near[keep]]))
+    return np.divmod(np.concatenate(keys), max(len(points), 1))
 
 
 class _MoveJudge:
@@ -291,12 +291,12 @@ class _MoveJudge:
     anchor that covers no target vertex has error 0 wherever it goes.
     """
 
-    def __init__(self, coarse: AnchorMesh, target: TriangleMesh, adjacency: AdjacencyMap):
+    def __init__(self, coarse: AnchorMesh, target: TriangleMesh):
         self.target = target
         self.positions = pos = coarse.mesh.vertices
         faces = coarse.mesh.faces
         n = len(pos)
-        edges = np.array(adjacency.edges, dtype=np.int64).reshape(-1, 2)
+        edges = unique_edges(faces, n)[0]
         self.edge_keys = edges[:, 0] * n + edges[:, 1]
         # rim of every anchor: its neighbors, ascending, as directed edges
         directed = np.concatenate([edges, edges[:, ::-1]])
@@ -316,22 +316,18 @@ class _MoveJudge:
         reach2 = np.zeros(n)
         np.maximum.at(reach2, directed[:, 0],
                       ((pos[directed[:, 0]] - pos[self.rim]) ** 2).sum(axis=1))
-        owner, sample = [], []
-        for lo in range(0, n, 64):
-            d2 = ((pos[lo:lo + 64, None] - target.vertices[None]) ** 2).sum(axis=-1)
-            a, v = np.nonzero(d2 <= reach2[lo:lo + 64, None])
-            owner.append(a + lo)
-            sample.append(v)
-        sample = np.concatenate(sample)
+        owner, sample = _within_reach(pos, reach2, target.vertices)
+        # the pairs of a target vertex with the fan faces of each anchor that
+        # reaches it, pruned fan by fan, are measured once per distinct face
         fan_face = by_anchor // 3
-        d2, row, _, _ = _closest_in_groups(
-            target.vertices[sample], np.bincount(np.concatenate(owner), minlength=n),
-            pos[faces[fan_face]], self.fan_count)
-        found = row >= 0
-        sample, d2, face = sample[found], d2[found], fan_face[row[found]]
-        order = np.lexsort((face, d2, sample))
-        first = order[np.diff(sample[order], prepend=-1) != 0]
-        covered_vertex, covered_face = sample[first], face[first]
+        face_tris = _triangles(pos[faces])
+        pi, ti = _pairs_in_groups(target.vertices[sample], np.bincount(owner, minlength=n),
+                                  np.take(face_tris, fan_face, axis=1), self.fan_count)
+        m = max(len(faces), 1)
+        vertex, face = np.divmod(np.unique(sample[pi] * m + fan_face[ti]), m)
+        _, face, _, _ = _closest_of_pairs(target.vertices, vertex, face, face_tris)
+        covered_vertex = np.flatnonzero(face >= 0)
+        covered_face = face[covered_vertex]
 
         # covered target vertices of every anchor, ascending
         anchor = faces[covered_face].ravel()
@@ -342,6 +338,7 @@ class _MoveJudge:
         self.covered_start = np.cumsum(self.covered_count) - self.covered_count
 
         # patch of every anchor: the target faces touching a vertex it covers
+        self.target_tris = _triangles(target.vertices[target.faces])
         n_faces = max(target.n_faces, 1)
         tv_face = np.argsort(target.faces.ravel(), kind="stable") // 3
         tv_count = np.bincount(target.faces.ravel(), minlength=target.n_vertices)
@@ -355,7 +352,6 @@ class _MoveJudge:
         # projected edge midpoints, each on the patch of its lower end
         self.midpoints = self._project(0.5 * (pos[edges[:, 0]] + pos[edges[:, 1]]),
                                        np.bincount(edges[:, 0], minlength=n), np.arange(n))
-        self.before = self.errors(np.arange(n), pos)  # every anchor at its coarse vertex
 
     def _edge(self, u, w):
         return np.searchsorted(self.edge_keys, np.minimum(u, w) * len(self.positions)
@@ -365,12 +361,13 @@ class _MoveJudge:
         """Closest target points to ``points``, in consecutive groups of
         ``counts``, each searched on the patch of its anchor."""
         patch = self.patch_face[_ranges(self.patch_start[anchors], self.patch_count[anchors])]
-        tris = self.target.vertices[self.target.faces[patch]]
-        _, row, v, w = _closest_in_groups(points, counts, tris, self.patch_count[anchors])
+        tris = np.take(self.target_tris, patch, axis=1)
+        pairs = _pairs_in_groups(points, counts, tris, self.patch_count[anchors])
+        _, row, v, w = _closest_of_pairs(points, *pairs, tris)
         projected = points.copy()
         hit = row >= 0
-        a, b, c = (tris[row[hit], i] for i in range(3))
-        projected[hit] = a + v[hit, None] * (b - a) + w[hit, None] * (c - a)
+        a, ab, ac = (tris[i:i + 3, row[hit]].T for i in (0, 3, 6))  # a, b - a, c - a
+        projected[hit] = a + v[hit, None] * ab + w[hit, None] * ac
         return projected
 
     def errors(self, anchors, points):
@@ -400,29 +397,43 @@ class _MoveJudge:
 
         rows = np.column_stack([center, u, w, spoke(u), n + self._edge(u, w), spoke(w)])
         counts = self.covered_count[anchors]
-        covered = self.covered[_ranges(self.covered_start[anchors], counts)]
-        d2, _, _, _ = _closest_in_groups(
-            self.target.vertices[covered], counts,
-            table[rows[:, _FAN_SUBFACES]].reshape(-1, 3, 3), 4 * self.fan_count[anchors])
+        covered = self.target.vertices[self.covered[_ranges(self.covered_start[anchors], counts)]]
+        tris = _triangles(table[rows[:, _FAN_SUBFACES]].reshape(-1, 3, 3))
+        pairs = _pairs_in_groups(covered, counts, tris, 4 * self.fan_count[anchors])
+        d2, _, _, _ = _closest_of_pairs(covered, *pairs, tris)
         owner = np.repeat(np.arange(len(anchors)), counts)
         return np.bincount(owner, weights=d2, minlength=len(anchors))
+
+
+def _best_collapses(quadrics, positions, c, nb) -> dict:
+    """Optimal collapse of every edge ``(c[i], nb[i])``, and the best per
+    distinct ``c`` (minimal error, ties to the lexicographically smallest
+    edge) as ``{c: (neighbor, point, edge quadric, error)}``."""
+    qe = quadrics[c] + quadrics[nb]
+    points, errors = _optimal_points(qe, positions[c], positions[nb])
+    order = np.lexsort((np.maximum(c, nb), np.minimum(c, nb), errors, c))
+    best = order[np.diff(c[order], prepend=-1) != 0]
+    return {int(c[i]): (int(nb[i]), points[i], qe[i], errors[i]) for i in best}
 
 
 def _best_collapse(work: _WorkingCopy, quadrics: np.ndarray, c: int, anchor_targets: set):
     """Minimal-error collapse of a working-copy edge at target vertex ``c``
     whose other end is not an anchor's correspondent, as ``(neighbor,
-    point, edge quadric, error)``; ``None`` when there is no such edge.
-    Ties go to the lexicographically smallest edge."""
-    best_key = None
-    best = None
-    for nb in sorted(work.neighbors_of(c) - anchor_targets):
-        qe = quadrics[c] + quadrics[nb]
-        point, err = _optimal_point_raw(qe, work.positions[c], work.positions[nb])
-        key = (err, (c, nb) if c < nb else (nb, c))
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (nb, point, qe, err)
-    return best
+    point, edge quadric, error)``; ``None`` when there is no such edge."""
+    nb = np.fromiter(work.neighbors_of(c) - anchor_targets, dtype=np.int64)
+    return _best_collapses(quadrics, work.positions, np.full(len(nb), c), nb).get(c)
+
+
+def _first_collapses(target: TriangleMesh, quadrics: np.ndarray, corr: np.ndarray) -> dict:
+    """:func:`_best_collapse` on the untouched target of every correspondent
+    in ``corr`` that has a candidate edge, keyed by the correspondent."""
+    edges = unique_edges(target.faces, target.n_vertices)[0]
+    held = np.zeros(target.n_vertices, dtype=bool)
+    held[corr] = True
+    edges = edges[held[edges[:, 0]] != held[edges[:, 1]]]
+    flip = held[edges[:, 1]]
+    edges[flip] = edges[flip, ::-1]  # correspondent first
+    return _best_collapses(quadrics, target.vertices, edges[:, 0], edges[:, 1])
 
 
 def _refine_with_diagnostics(coarse: AnchorMesh, target: TriangleMesh,
@@ -437,34 +448,38 @@ def _refine_with_diagnostics(coarse: AnchorMesh, target: TriangleMesh,
     work = _WorkingCopy(target)
     quadrics = all_vertex_quadrics(target)
     anchor_targets = set(corr.tolist())
-    base_adjacency = build_adjacency(coarse.mesh)
-    order = traversal_order(coarse.mesh, base_adjacency)
-    judge = _MoveJudge(coarse, target, base_adjacency)
-    # Every anchor's first collapse is found and judged up front, on the
-    # untouched working copy. A kept collapse at c with neighbor nb changes
-    # the candidates of c, nb and their neighbors only; an anchor whose
-    # correspondent is among those is searched again in turn, and judged
-    # again only if its point changed: the judge scores a point the same
-    # whatever the working copy.
-    first = {ai: _best_collapse(work, quadrics, int(corr[ai]), anchor_targets)
-             for ai in order}
-    movable = [ai for ai in order if first[ai] is not None]
-    first_error = dict(zip(movable, judge.errors(movable, [first[ai][1] for ai in movable])))
+    order = traversal_order(coarse.mesh)
+    judge = _MoveJudge(coarse, target)
+    # Every anchor's first collapse is found up front, on the untouched
+    # working copy, and judged in one batch with the anchor at its coarse
+    # vertex. A kept collapse at c with neighbor nb changes the candidates of
+    # c, nb and their neighbors only; an anchor whose correspondent is among
+    # those is searched again in turn, and judged again only if its point
+    # changed: the judge scores a point the same whatever the working copy.
+    # An anchor without a first move never gets one, since a collapse only
+    # ever replaces a non-correspondent by the correspondent that keeps it.
+    first = _first_collapses(target, quadrics, corr)
+    movable = [ai for ai in order if int(corr[ai]) in first]
+    scores = judge.errors(
+        np.r_[movable, movable],
+        np.concatenate([coarse.mesh.vertices[movable],
+                        np.reshape([first[int(corr[ai])][1] for ai in movable], (-1, 3))]))
+    fine_errors = dict(zip(movable, scores[:len(movable)]))
+    first_error = dict(zip(movable, scores[len(movable):]))
     touched = set()
     fine_positions = coarse.mesh.vertices.copy()
-    fine_errors = judge.before.copy()
     out_corr = corr.copy()
     diagnostics = []  # (anchor index, selected error, edge error at the coarse position)
     for ai in order:
         c = int(corr[ai])
         for step in range(collapses_per_anchor):
             if step == 0 and c not in touched:
-                move = first[ai]
+                move = first.get(c)
             else:
                 move = _best_collapse(work, quadrics, c, anchor_targets)
             if move is None:
                 break
-            if step == 0 and first[ai] is not None and np.array_equal(move[1], first[ai][1]):
+            if step == 0 and c in first and np.array_equal(move[1], first[c][1]):
                 error = first_error[ai]
             else:
                 error = judge.errors([ai], [move[1]])[0]

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import TriangleMesh, build_adjacency, unique_edges
-from .qem import _optimal_point_raw, all_vertex_quadrics, _TRIU_ROWS, _TRIU_COLS
+from .mesh import TriangleMesh, unique_edges
+from .qem import _optimal_points, all_vertex_quadrics, _TRIU_ROWS, _TRIU_COLS
 from .subdivide import midpoint_subdivide
 
 _MASK64 = (1 << 64) - 1
@@ -340,18 +340,20 @@ def decimate_to_base(mesh: TriangleMesh, target_vertex_count: int,
         vfaces[c].add(fi)
     alive = [True] * n
     stamps = [0] * n
-    heap = []
     seq = 0
 
-    def push(u, v):
+    def entries(lo, hi):
+        """Heap entries of the edges (lo[i], hi[i]), numbered on from ``seq``."""
         nonlocal seq
-        point, err = _optimal_point_raw(quad[u] + quad[v], pos[u], pos[v])
-        seq += 1
-        heapq.heappush(heap, (err, u, v, stamps[u], stamps[v], seq, point))
+        points, errors = _optimal_points(quad[lo] + quad[hi], pos[lo], pos[hi])
+        out = [(err, u, v, stamps[u], stamps[v], seq + 1 + i, point) for i, (err, u, v, point)
+               in enumerate(zip(errors.tolist(), lo.tolist(), hi.tolist(), points))]
+        seq += len(out)
+        return out
 
-    adjacency = build_adjacency(mesh)
-    for u, v in adjacency.edges:
-        push(u, v)
+    edges = unique_edges(mesh.faces, n)[0]
+    heap = entries(edges[:, 0], edges[:, 1])
+    heapq.heapify(heap)  # seq makes every entry distinct, so pops follow the entries alone
     remaining = n
     while remaining > target_vertex_count and heap:
         err, u, v, su, sv, _, point = heapq.heappop(heap)
@@ -382,8 +384,11 @@ def decimate_to_base(mesh: TriangleMesh, target_vertex_count: int,
         for fi in vfaces[u]:
             neighbors.update(faces[fi])
         neighbors.discard(u)
-        for nb in sorted(neighbors):
-            push(min(u, nb), max(u, nb))
+        if neighbors:
+            nb = np.fromiter(neighbors, dtype=np.int64)
+            nb.sort()
+            for entry in entries(np.minimum(u, nb), np.maximum(u, nb)):
+                heapq.heappush(heap, entry)
     out_faces = [tuple(faces[fi]) for fi in range(len(faces)) if face_alive[fi]]
     used = sorted({v for f in out_faces for v in f})
     remap = {old: new for new, old in enumerate(used)}

@@ -10,7 +10,6 @@ from anchormesh import (
     closest_point_on_surface,
     closest_point_on_triangle,
     closest_points_on_surface,
-    face_plane,
     load_mesh,
     save_mesh,
 )
@@ -19,6 +18,7 @@ from helpers import (
     brute_force_surface_point,
     brute_force_surface_points,
     connectivity_cases,
+    face_plane,
     icosahedron,
     random_mesh,
     unit_cube,

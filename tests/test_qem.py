@@ -1,25 +1,34 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from anchormesh import (
     OFF_VERTEX,
-    Plane,
-    Quadric,
     TriangleMesh,
     build_adjacency,
     decimate_to_base,
     distortion,
-    edge_quadric,
     generate_coarse_anchor,
     make_grid,
     make_sphere,
+    refine_anchor,
+)
+from anchormesh.qem import _TRIU_COLS, _TRIU_ROWS, _optimal_points, all_vertex_quadrics
+from helpers import (
+    Plane,
+    Quadric,
+    covering_faces,
+    dense_within_reach,
+    edge_quadric,
     optimal_point,
     plane_quadric,
-    refine_anchor,
+    random_mesh,
+    scalar_best_collapse,
+    scalar_optimal_point,
+    unit_cube,
     vertex_quadric,
 )
-from anchormesh.qem import all_vertex_quadrics
-from helpers import random_mesh, unit_cube
 
 
 def _normalized_plane(*coeffs):
@@ -182,6 +191,77 @@ def test_optimal_point_gradient_is_stationary():
         checked += 1
 
 
+def _plane_coeffs(plane, weight):
+    p = np.asarray(plane, dtype=float)
+    p = p / np.linalg.norm(p)
+    return weight * (p[_TRIU_ROWS] * p[_TRIU_COLS])
+
+
+# a quadric: a weighted sum of 0 (the zero quadric) to 5 planes, either
+# axis-aligned with integer offsets (exact zeros in the block, so det == 0
+# and exact error ties) or free; weights near 1e-12 put the condition number
+# of axis-aligned sums near CONDITION_LIMIT
+_axis_planes = st.builds(lambda axis, offset: np.r_[np.eye(3)[axis], offset],
+                         st.integers(0, 2), st.integers(-3, 3))
+_free_planes = st.lists(st.floats(-1, 1), min_size=4, max_size=4).filter(
+    lambda v: np.linalg.norm(v) > 1e-3)
+_weights = st.one_of(st.just(1.0), st.floats(1e-3, 1e3),
+                     st.floats(0.9e-12, 1.1e-12), st.floats(1e-14, 1e-10))
+_quadrics = st.lists(st.tuples(st.one_of(_axis_planes, _free_planes), _weights),
+                     max_size=5).map(
+    lambda planes: sum((_plane_coeffs(p, w) for p, w in planes), np.zeros(10)))
+_points = st.one_of(st.tuples(*[st.integers(-3, 3).map(float)] * 3),
+                    st.tuples(*[st.floats(-10, 10)] * 3)).map(np.array)
+
+
+def _axis_sum(weights, offsets=(0, 0, 0)):
+    return sum((_plane_coeffs(np.r_[np.eye(3)[i], o], w)
+                for i, (w, o) in enumerate(zip(weights, offsets))), np.zeros(10))
+
+
+_Z_PLANE = _plane_coeffs([0, 0, 1, 0], 1.0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.lists(st.tuples(_quadrics, _points, _points), min_size=1, max_size=20))
+@example([(np.zeros(10), np.array([1.0, 2, 3]), np.array([-1.0, 0, 2]))])  # zero quadric
+@example([(_Z_PLANE, np.array([0.0, 0, 1]), np.array([0.0, 0, -3]))])  # a ties the midpoint
+@example([(_Z_PLANE, np.array([0.0, 0, -3]), np.array([0.0, 0, 1]))])  # midpoint ties b
+@example([(_Z_PLANE, np.array([1.0, 2, 0]), np.array([3.0, 4, 0]))])  # all three tie
+@example([(_axis_sum([1.0, 1.0, 0.0]), np.array([0.0, 0, 1]), np.array([2.0, 1, 0]))])  # det 0
+@example([(_axis_sum([1.0, 1.0, w]), np.array([1.0, 1, 1]), np.array([2.0, 2, 2]))
+          for w in (0.999999e-12, 1e-12, 1.000001e-12)])  # condition at CONDITION_LIMIT
+@example([(_axis_sum([1.0, 1.0, 1.0], (1, -2, 3)) + _axis_sum([0.5, 2.0, 1.0], (0, 1, -1)),
+           np.array([0.0, 0, 0]), np.array([1.0, 1, 1]))])  # 3+ planes, solved
+def test_optimal_points_match_scalar_oracle(cases):
+    # one batched call gives each row the scalar solver's point and error,
+    # bit for bit
+    coeffs, fa, fb = (np.array(column) for column in zip(*cases))
+    points, errors = _optimal_points(coeffs, fa, fb)
+    for i, case in enumerate(cases):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            point, error = scalar_optimal_point(*case)  # 1/det may overflow, as above
+        assert points[i].tobytes() == point.tobytes()
+        assert errors[i].tobytes() == np.float64(error).tobytes()
+
+
+def test_optimal_points_branches():
+    # the examples above reach both sides of every branch: the fallback on
+    # det == 0, the solve just under CONDITION_LIMIT and the fallback just
+    # over it, and the a / midpoint / b tie order
+    fa, fb = np.ones((3, 3)), np.full((3, 3), 2.0)
+    coeffs = np.array([_axis_sum([1.0, 1.0, 0.0]), _axis_sum([1.0, 1.0, 1.000001e-12]),
+                       _axis_sum([1.0, 1.0, 0.999999e-12])])
+    points, _ = _optimal_points(coeffs, fa, fb)
+    assert np.array_equal(points[[0, 2]], fa[[0, 2]])  # fallback: a wins
+    assert np.array_equal(points[1], [0, 0, 0])  # solved: the planes' common point
+    fa = np.array([[0.0, 0, 1], [0.0, 0, -3], [1.0, 2, 0]])
+    fb = np.array([[0.0, 0, -3], [0.0, 0, 1], [3.0, 4, 0]])
+    points, errors = _optimal_points(np.tile(_Z_PLANE, (3, 1)), fa, fb)
+    assert np.array_equal(points, [[0, 0, 1], [0, 0, -1], [1, 2, 0]])
+    assert np.array_equal(errors, [1.0, 1.0, 0.0])
+
+
 # --- refinement ---------------------------------------------------------------
 
 def test_refine_flat_grid_stays_on_plane():
@@ -285,8 +365,9 @@ def test_refine_keeps_rejected_anchors_on_their_coarse_vertex():
 
 
 def test_move_judge_batch_matches_single_anchor():
-    # refinement judges every first move in one batch and re-judges touched
-    # anchors one at a time: both must give the same numbers
+    # refinement judges every anchor at its coarse vertex and every first move
+    # in one batch, and re-judges touched anchors one at a time: all must give
+    # the same numbers
     from anchormesh.qem import _MoveJudge
 
     rng = np.random.default_rng(67)
@@ -294,28 +375,80 @@ def test_move_judge_batch_matches_single_anchor():
     noisy = TriangleMesh(target.vertices + rng.normal(0, 0.01, target.vertices.shape),
                          target.faces)
     coarse, _ = generate_coarse_anchor(decimate_to_base(make_sphere(2), 40), noisy)
-    judge = _MoveJudge(coarse, noisy, build_adjacency(coarse.mesh))
+    judge = _MoveJudge(coarse, noisy)
     n = coarse.mesh.n_vertices
     points = coarse.mesh.vertices + rng.normal(0, 0.05, (n, 3))
     batch = judge.errors(np.arange(n), points)
     single = [judge.errors([ai], [points[ai]])[0] for ai in range(n)]
     assert np.array_equal(batch, single)
-    assert np.array_equal(judge.errors(np.arange(n), coarse.mesh.vertices), judge.before)
-    assert np.all(judge.before >= 0.0) and np.any(batch > judge.before)
+    before = judge.errors(np.arange(n), coarse.mesh.vertices)
+    fused = judge.errors(np.r_[np.arange(n), np.arange(n)],
+                         np.vstack([coarse.mesh.vertices, points]))
+    assert np.array_equal(fused, np.r_[before, batch])
+    assert np.all(before >= 0.0) and np.any(batch > before)
 
 
-@pytest.mark.parametrize("seed,base_size,collapses",
-                         [(4, 40, 1), (3, 120, 1), (3, 120, 2)])
-def test_refine_matches_plain_sequential_search(seed, base_size, collapses):
-    # refinement searches and judges first moves up front and redoes only the
-    # anchors whose correspondent a kept collapse touched; a plain loop that
-    # searches and judges every anchor in turn must give the same anchor
-    # (seed 3 with 120 base vertices has 12 duplicate correspondences)
+@pytest.mark.parametrize("seed,base_size", [(4, 40), (3, 120)])
+def test_move_judge_covers_what_an_exhaustive_search_finds(seed, base_size):
+    # every target vertex is covered by the three anchors of its closest face
+    # among the fans that reach it, lowest face on ties (coarse anchors sit
+    # on target vertices, so ties between the faces around one are common)
     import anchormesh as am
-    from anchormesh.coarse import traversal_order
-    from anchormesh.qem import _MoveJudge, _WorkingCopy, _best_collapse
+    from anchormesh.qem import _MoveJudge
 
     spec = am.SequenceSpec(shape="sphere", resolution=2, frames=2, motion="bend",
+                           rate=0.1, region=0.4, topology_jitter=True, seed=seed)
+    reference, target = am.generate_sequence(spec)
+    coarse, _ = generate_coarse_anchor(decimate_to_base(reference, base_size), target)
+    judge = _MoveJudge(coarse, target)
+    want = [[] for _ in range(coarse.mesh.n_vertices)]
+    for v, face in sorted(covering_faces(coarse.mesh, target).items()):
+        for a in coarse.mesh.faces[face]:
+            want[a].append(v)
+    for a, vertices in enumerate(want):
+        start = judge.covered_start[a]
+        assert judge.covered[start:start + judge.covered_count[a]].tolist() == vertices
+
+
+def test_within_reach_matches_dense_search():
+    # the judge's sort-based sweep must find the pairs of the dense search it
+    # replaced, in the same order
+    from anchormesh.qem import _within_reach
+
+    rng = np.random.default_rng(71)
+    grid = np.array([[i, j, k] for i in range(4) for j in range(4) for k in range(3)], float)
+    cases = [
+        (rng.normal(size=(150, 3)), rng.uniform(0, 0.6, 150), rng.normal(size=(700, 3))),
+        (grid[::2], np.r_[0.0, 1.0, 2.0, np.zeros(21)], grid),  # exact hits, shared x
+        (rng.normal(size=(300, 3)), np.full(300, np.inf), rng.normal(size=(1000, 3))),  # 2 blocks
+        (rng.normal(size=(5, 3)), np.ones(5), np.zeros((0, 3))),
+        (np.zeros((0, 3)), np.zeros(0), rng.normal(size=(8, 3))),
+    ]
+    for centers, reach, points in cases:
+        owner, sample = _within_reach(centers, reach ** 2, points)
+        want_owner, want_sample = dense_within_reach(centers, reach ** 2, points)
+        assert np.array_equal(owner, want_owner) and np.array_equal(sample, want_sample)
+    centers, reach, points = cases[0]
+    assert len(_within_reach(centers, reach ** 2, points)[0]) > 150  # not a trivial case
+
+
+@pytest.mark.parametrize("level,seed,base_size,collapses", [
+    pytest.param(2, 4, 40, 1, id="4-40-1"),
+    pytest.param(2, 3, 120, 1, id="3-120-1"),
+    pytest.param(2, 3, 120, 2, id="3-120-2"),
+    pytest.param(3, 3, 184, 1, id="level3-3-184-1"),
+])
+def test_refine_matches_plain_sequential_search(level, seed, base_size, collapses):
+    # refinement searches and judges first moves up front, in batches, and
+    # redoes only the anchors whose correspondent a kept collapse touched; a
+    # plain loop that searches every anchor in turn with the scalar solver and
+    # judges it alone must give the same anchor (seed 3 with 120 base vertices
+    # has 12 duplicate correspondences; level 3 with 184 is the benchmark's size)
+    import anchormesh as am
+    from anchormesh.coarse import traversal_order
+    from anchormesh.qem import _MoveJudge, _WorkingCopy
+
+    spec = am.SequenceSpec(shape="sphere", resolution=level, frames=2, motion="bend",
                            rate=0.1, region=0.4, topology_jitter=True, seed=seed)
     reference, target = am.generate_sequence(spec)
     coarse, _ = generate_coarse_anchor(decimate_to_base(reference, base_size), target)
@@ -324,13 +457,13 @@ def test_refine_matches_plain_sequential_search(seed, base_size, collapses):
     corr = coarse.correspondence
     work = _WorkingCopy(target)
     quadrics = all_vertex_quadrics(target)
-    judge = _MoveJudge(coarse, target, build_adjacency(coarse.mesh))
+    judge = _MoveJudge(coarse, target)
     positions = coarse.mesh.vertices.copy()
-    errors = judge.before.copy()
+    errors = judge.errors(np.arange(len(positions)), positions)
     for ai in traversal_order(coarse.mesh):
         c = int(corr[ai])
         for _ in range(collapses):
-            move = _best_collapse(work, quadrics, c, set(corr.tolist()))
+            move = scalar_best_collapse(work, quadrics, c, set(corr.tolist()))
             if move is None:
                 break
             nb, point, qe, _ = move

@@ -12,7 +12,7 @@ from anchormesh import (
     make_sphere,
     save_mesh,
 )
-from helpers import icosahedron, loop_subdivide_once
+from helpers import icosahedron, loop_subdivide_once, scalar_decimate_to_base
 
 
 def test_splitmix_reference_values():
@@ -171,3 +171,20 @@ def test_decimate_deterministic():
     b = decimate_to_base(m, 50)
     assert np.array_equal(a.vertices, b.vertices)
     assert np.array_equal(a.faces, b.faces)
+
+
+@pytest.mark.parametrize("mesh,target", [
+    pytest.param(make_sphere(3), 160, id="sphere"),
+    pytest.param(make_grid(8), 30, id="open-grid"),
+    pytest.param(make_cube(4), 40, id="cube"),
+    pytest.param(generate_sequence(SequenceSpec(
+        resolution=3, frames=1, motion="bend", rate=0.1, region=0.4, topology_jitter=True,
+        seed=5))[0], 184, id="jittered-sphere"),
+])
+def test_decimate_matches_scalar_oracle(mesh, target):
+    # batched solves per heap refill must leave the base of one scalar solve
+    # per pushed edge, bit for bit
+    got = decimate_to_base(mesh, target)
+    want = scalar_decimate_to_base(mesh, target)
+    assert got.vertices.tobytes() == want.vertices.tobytes()
+    assert np.array_equal(got.faces, want.faces)
