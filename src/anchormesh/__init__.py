@@ -22,11 +22,8 @@ from .mesh import (
     MeshError,
     MeshValidationError,
     ObjParseError,
-    SurfacePoint,
     TriangleMesh,
     build_adjacency,
-    closest_point_on_surface,
-    closest_point_on_triangle,
     closest_points_on_surface,
     load_mesh,
     save_mesh,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -137,17 +138,16 @@ def cmd_synth(args) -> int:
 
 
 def _sweep_job(job):
-    """One (config, alpha, frame pair) encode/decode/eval; module-level so a
+    """One (ablation, alpha, frame pair) encode/decode/eval; module-level so a
     process pool can pickle it."""
-    label, overrides, alpha, pair_index, base_bytes, target_bytes = job
+    label, config, pair_index, base_bytes, target_bytes = job
     base = load_mesh(base_bytes)
     target = load_mesh(target_bytes)
-    config = CodecConfig().override(alpha=alpha, **overrides)
     result = encode_pair(base, target, config)
     data = write_payload(result.payload)
     recon = decode_payload(read_payload(data, base.n_vertices), base)
     report = distortion(target, recon)
-    return (label, alpha, pair_index, len(data) * 8, report.d1_psnr, report.d2_psnr)
+    return (label, config.alpha, pair_index, len(data) * 8, report.d1_psnr, report.d2_psnr)
 
 
 def cmd_sweep(args) -> int:
@@ -167,14 +167,14 @@ def cmd_sweep(args) -> int:
         target_count = max(4, round(config.base_fraction * mesh.n_vertices))
         bases.append(decimate_to_base(mesh, target_count))
 
+    # each job codes with the sweep's own settings, its ablation's switches
+    # and one alpha of the ladder
     jobs = []
-    for label, overrides in ABLATION_CONFIGS:
-        merged = dict(overrides)
-        merged["level"] = config.level
-        merged["hbar"] = config.hbar
+    for label, switches in ABLATION_CONFIGS:
         for alpha in config.alpha_ladder:
+            job_config = config.override(alpha=alpha, **switches)
             for pair_index in range(len(frames) - 1):
-                jobs.append((label, merged, alpha, pair_index,
+                jobs.append((label, job_config, pair_index,
                              save_mesh(bases[pair_index]),
                              save_mesh(frames[pair_index + 1])))
     if config.threads > 1:
@@ -191,13 +191,12 @@ def cmd_sweep(args) -> int:
     warnings = []
     for label, rows in by_config.items():
         rows.sort()
-        csv_path = os.path.join(args.out, f"rd_{label}.csv")
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["frame", "alpha", "bits", "d1_psnr", "d2_psnr"])
-            for alpha, pair_index, bits, d1, d2 in rows:
-                writer.writerow([pair_index + 1, alpha, bits,
-                                 _psnr_json(d1), _psnr_json(d2)])
+        text = io.StringIO(newline="")
+        writer = csv.writer(text)
+        writer.writerow(["frame", "alpha", "bits", "d1_psnr", "d2_psnr"])
+        for alpha, pair_index, bits, d1, d2 in rows:
+            writer.writerow([pair_index + 1, alpha, bits, _psnr_json(d1), _psnr_json(d2)])
+        _atomic_write(os.path.join(args.out, f"rd_{label}.csv"), text.getvalue().encode())
         points_d1 = []
         points_d2 = []
         for alpha in sorted({r[0] for r in rows}):

@@ -94,15 +94,6 @@ class AdjacencyMap:
     edges: list
 
 
-@dataclass(frozen=True)
-class SurfacePoint:
-    """A point on a mesh surface: position, owning face, barycentric weights."""
-
-    position: np.ndarray
-    face: int
-    bary: np.ndarray
-
-
 def load_mesh(data) -> TriangleMesh:
     """Parse an ASCII OBJ (``v``/``f`` records only) into a TriangleMesh.
 
@@ -274,15 +265,28 @@ def _closest_point_kernel(p, a, b, c):
         bw = np.select(conds, [zeros, zeros, ones, zeros, t_ac, t_bc],
                        default=w_in)
 
-    cross = np.cross(ab, ac)
-    degen = 0.5 * np.sqrt(_row_dot(cross, cross)) <= DEGENERATE_AREA
-    degen = np.broadcast_to(degen, bu.shape)
+    degen = np.broadcast_to(_degenerate(ab, ac), bu.shape)
     if np.any(degen):
         bu, bv, bw = _degenerate_bary(p, a, b, c, degen, bu, bv, bw)
 
     pos = bu[..., None] * a + bv[..., None] * b + bw[..., None] * c
     bary = np.stack([bu, bv, bw], axis=-1)
     return pos, bary
+
+
+def _degenerate(ab, ac):
+    """Whether each triangle with edge vectors ``ab`` and ``ac`` (..., 3) has
+    at most DEGENERATE_AREA, so that the kernel measures it on an edge."""
+    cross = np.cross(ab, ac)
+    return 0.5 * np.sqrt(_row_dot(cross, cross)) <= DEGENERATE_AREA
+
+
+def _longest_edge(a, b, c):
+    """0, 1 or 2 for each triangle whose longest edge is ab, bc or ca; ties
+    favour ab, then bc."""
+    lens = np.stack([_row_dot(b - a, b - a), _row_dot(c - b, c - b), _row_dot(a - c, a - c)],
+                    axis=-1)
+    return np.argmax(lens, axis=-1)
 
 
 def _degenerate_bary(p, a, b, c, degen, bu, bv, bw):
@@ -293,11 +297,7 @@ def _degenerate_bary(p, a, b, c, degen, bu, bv, bw):
     ad = np.broadcast_to(a, full)[degen]
     bd = np.broadcast_to(b, full)[degen]
     cd = np.broadcast_to(c, full)[degen]
-    lens = np.stack(
-        [_row_dot(bd - ad, bd - ad), _row_dot(cd - bd, cd - bd), _row_dot(ad - cd, ad - cd)],
-        axis=-1,
-    )
-    which = np.argmax(lens, axis=-1)
+    which = _longest_edge(ad, bd, cd)
     _, t_ab = _closest_on_segment(pd, ad, bd)
     _, t_bc = _closest_on_segment(pd, bd, cd)
     _, t_ca = _closest_on_segment(pd, cd, ad)
@@ -313,28 +313,14 @@ def _degenerate_bary(p, a, b, c, degen, bu, bv, bw):
     return bu, bv, bw
 
 
-def closest_point_on_triangle(p, tri, face: int = 0) -> SurfacePoint:
-    """Closest point on the closed triangle ``tri`` (three positions) to ``p``.
-
-    Degenerate triangles fall back to the closest point on their longest
-    edge. ``face`` only labels the returned SurfacePoint.
-    """
-    tri = np.asarray(tri, dtype=np.float64).reshape(3, 3)
-    p = np.asarray(p, dtype=np.float64).reshape(3)
-    pos, bary = _closest_point_kernel(
-        p[None, :], tri[0][None, :], tri[1][None, :], tri[2][None, :]
-    )
-    return SurfacePoint(pos[0], face, bary[0])
-
-
 # Inflation of the closest-point search bound, relative to the bound and to
-# the largest coordinate: it absorbs the rounding between the bound and the
-# kernel's own distances, like ``octree._PAD`` does for the octree's cube.
+# the largest coordinate, and the scale of each pair's rounding slack in the
+# prefilter: see ``closest_points_on_surface``.
 _PAD = 1e-9
 # (query, cell item) pairs a closest-point block may expand at once
 _BLOCK_PAIRS = 1 << 18
 # the 3 x 3 x 3 cell neighbourhood searched for a bounding vertex
-_NEIGHBOURS = np.stack(np.meshgrid(*[np.arange(-1, 2)] * 3, indexing="ij"), -1).reshape(-1, 3)
+_NEIGHBOURS = np.stack(np.meshgrid(*[np.arange(-1, 2)] * 3, indexing="ij")).reshape(3, -1)
 
 
 def _ranks(count):
@@ -354,14 +340,36 @@ def _blocks(cost, budget):
         start = stop
 
 
+def _run_starts(owner):
+    """Index of the first entry of each run of equal values in ``owner``."""
+    return np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
+
+
+def _run_minima(values, owner, n):
+    """Minimum of ``values`` for each owner in 0..n-1, with ``owner`` grouped
+    in runs; inf for an owner without values."""
+    out = np.full(n, np.inf)
+    if len(owner):
+        starts = _run_starts(owner)
+        out[owner[starts]] = np.minimum.reduceat(values, starts)
+    return out
+
+
 class _Bins:
     """Items binned by linear cell id, each cell's items in ascending order."""
 
     def __init__(self, cells, items, n_cells):
-        self.items = items[np.lexsort((items, cells))]
+        # items arrive ascending, so a stable sort by cell keeps each cell's
+        # items in order; numpy radix-sorts 16-bit keys
+        keys = cells.astype(np.uint16) if n_cells <= 1 << 16 else cells
+        self.items = items[np.argsort(keys, kind="stable")]
         counts = np.bincount(cells, minlength=n_cells)
         self.starts = np.concatenate([[0], np.cumsum(counts)])
         self.max_count = int(counts.max())
+
+    def count(self, cells):
+        """Number of items binned in each cell."""
+        return self.starts[cells + 1] - self.starts[cells]
 
     def gather(self, owner, cells):
         """``(owner, item)`` for every item binned in each entry's cell."""
@@ -376,33 +384,55 @@ class _FaceGrid:
 
     The cell size ``h`` starts at the mean face extent and doubles until the
     grid has at most eight cells, and the faces at most sixteen cell entries,
-    per face. Each face is binned in every cell its bounding box touches; each
-    face-referenced vertex in its own cell.
+    per face. Each face is binned in every cell its bounding box touches.
+    Each vertex that :func:`_closest_point_kernel` can return is binned in its
+    own cell: every corner of a face with area, and the ends of a degenerate
+    face's longest edge. The grid also keeps each face's
+    :func:`triangle_terms` and what the rounding slack of :meth:`measure`
+    needs. Points, cells and boxes are held coordinates first, (3, k).
     """
 
     def __init__(self, mesh: TriangleMesh):
-        self.tri = mesh.vertices[mesh.faces]
-        self.fmin = self.tri.min(axis=1)
-        self.fmax = self.tri.max(axis=1)
-        self.origin = self.fmin.min(axis=0)
-        extent = self.fmax.max(axis=0) - self.origin
+        self.mesh = mesh
+        cols = np.ascontiguousarray(mesh.vertices.T)
+        # np.take keeps gathered (rows, items) arrays contiguous; x[:, i] does not
+        a, b, c = (np.take(cols, mesh.faces[:, i], axis=1) for i in range(3))
+        fmin = np.minimum(np.minimum(a, b), c)
+        fmax = np.maximum(np.maximum(a, b), c)
+        self.origin = fmin.min(axis=1)[:, None]
+        extent = fmax.max(axis=1) - self.origin[:, 0]
         if not np.isfinite(extent).all():
             raise MeshValidationError("closest-point query requires finite coordinates")
-        h = float((self.fmax - self.fmin).max(axis=1).mean()) or float(extent.max()) or 1.0
+        h = float((fmax - fmin).max(axis=0).mean()) or float(extent.max()) or 1.0
         m = mesh.n_faces
         while True:
             inner = np.floor(extent / h) + 1.0
             if np.prod(inner) <= 8.0 * m:
-                self.h, self.dims = h, inner.astype(np.int64) + 2
-                lo, hi = self.cell(self.fmin), self.cell(self.fmax)
-                if (hi - lo + 1).prod(axis=1).sum() <= 16 * m:
+                self.h, self.dims = h, inner.astype(np.int64)[:, None] + 2
+                lo, hi = self.cell(fmin), self.cell(fmax)
+                if (hi - lo + 1).prod(axis=0).sum() <= 16 * m:
                     break
             h *= 2.0
         n_cells = int(self.dims.prod())
         face, cell = self.box_cells(lo, hi)
         self.faces = _Bins(cell, face, n_cells)
-        self.used = mesh.vertices[np.unique(mesh.faces)]
-        self.verts = _Bins(self.linear(self.cell(self.used)), np.arange(len(self.used)),
+
+        degen = _degenerate((b - a).T, (c - a).T)
+        self.terms = triangle_terms(a, b, c)
+        d00, d11, inv, flat = self.terms[[9, 11, 15, 16]]
+        # both measures see a triangle: only these faces bound a query
+        self.solid = ~degen & (flat != 0.0)
+        self.cond = d00 * d11 * inv  # 1 / sin^2 of the angle at a; 0 if flat
+        self.spread = self.cond * (d00 + d11)
+        self.mag = np.maximum(fmax, -fmin).max(axis=0)
+
+        returnable = np.zeros(mesh.n_vertices, dtype=bool)
+        returnable[mesh.faces[~degen]] = True
+        longest = _longest_edge(*(x[:, degen].T for x in (a, b, c)))
+        ends = np.stack([longest, (longest + 1) % 3], axis=1)
+        returnable[np.take_along_axis(mesh.faces[degen], ends, axis=1)] = True
+        self.used = np.take(cols, np.flatnonzero(returnable), axis=1)
+        self.verts = _Bins(self.linear(self.cell(self.used)), np.arange(self.used.shape[1]),
                            n_cells)
 
     def cell(self, points):
@@ -411,37 +441,72 @@ class _FaceGrid:
                        self.dims - 3).astype(np.int64) + 1
 
     def linear(self, cell):
-        return (cell[..., 0] * self.dims[1] + cell[..., 1]) * self.dims[2] + cell[..., 2]
+        return (cell[0] * self.dims[1] + cell[1]) * self.dims[2] + cell[2]
 
     def box_cells(self, lo, hi):
         """``(owner, cell)`` for every cell of each inclusive box [lo, hi]."""
         span = hi - lo + 1
-        owner = np.repeat(np.arange(len(span)), span.prod(axis=1))
-        rest = _ranks(span.prod(axis=1))
-        cell = np.empty((len(owner), 3), dtype=np.int64)
-        for axis in (2, 1, 0):
-            rest, cell[:, axis] = np.divmod(rest, span[owner, axis])
-            cell[:, axis] += lo[owner, axis]
-        return owner, self.linear(cell)
+        owner = np.arange(span.shape[1])
+        cell = self.linear(lo)
+        for axis, stride in enumerate((self.dims[1] * self.dims[2], self.dims[2], 1)):
+            count = span[axis, owner]
+            owner = np.repeat(owner, count)
+            cell = np.repeat(cell, count) + _ranks(count) * stride
+        return owner, cell
+
+    def measure(self, q, mag, face):
+        """Lower and upper bounds on the kernel's squared distance of each
+        (query, face) pair, from the query coordinates ``q`` (3, k) and their
+        largest magnitudes ``mag``: the :func:`sq_distances_to_terms` distance
+        less and plus its rounding slack. A face that is not solid gets
+        (-inf, inf): it bounds no query and no query rules it out."""
+        terms = np.take(self.terms, face, axis=1)
+        d2 = sq_distances_to_terms(q, terms)[0]
+        rel = q - terms[0:3]
+        e = _dot3(rel, rel)
+        mag = np.maximum(mag, self.mag[face])
+        slack = _PAD * (self.cond[face] * e + self.spread[face]
+                        + mag * (2.0 * np.sqrt(e) + _PAD * mag))
+        solid = self.solid[face]
+        return np.where(solid, d2 - slack, -np.inf), np.where(solid, d2 + slack, np.inf)
 
     def vertex_bounds(self, pts):
-        """Squared distance from each point to a face-referenced vertex: the
+        """Squared distance from each point to a returnable vertex: the
         nearest one in the point's 3 x 3 x 3 cell neighbourhood or, where that
         holds none, the nearest of all."""
-        r2 = np.full(len(pts), np.inf)
+        n = pts.shape[1]
+        r2 = np.full(n, np.inf)
         home = self.linear(self.cell(pts))
         around = self.linear(_NEIGHBOURS)
-        for s, e in _blocks(np.full(len(pts), len(around) * self.verts.max_count),
-                            _BLOCK_PAIRS):
-            owner, v = self.verts.gather(np.repeat(np.arange(s, e), len(around)),
+        for s, e in _blocks(np.full(n, len(around) * self.verts.max_count), _BLOCK_PAIRS):
+            owner, v = self.verts.gather(np.repeat(np.arange(e - s), len(around)),
                                          (home[s:e, None] + around).ravel())
-            diff = pts[owner] - self.used[v]
-            np.minimum.at(r2, owner, (diff * diff).sum(axis=-1))
+            diff = np.take(pts, s + owner, axis=1) - np.take(self.used, v, axis=1)
+            r2[s:e] = _run_minima(_dot3(diff, diff), owner, e - s)
         miss = np.flatnonzero(np.isinf(r2))
-        for s, e in _blocks(np.full(len(miss), len(self.used)), _BLOCK_PAIRS):
-            diff = pts[miss[s:e], None, :] - self.used
-            r2[miss[s:e]] = (diff * diff).sum(axis=-1).min(axis=1)
+        for s, e in _blocks(np.full(len(miss), self.used.shape[1]), _BLOCK_PAIRS):
+            diff = pts[:, miss[s:e], None] - self.used[:, None, :]
+            r2[miss[s:e]] = _dot3(diff, diff).min(axis=1)
         return r2
+
+    def settle(self, pts, query, face, out):
+        """Run the exact kernel on (query, face) pairs, grouped by query with
+        faces ascending in each group, and write each query's closest point
+        into ``out``: the first pair not above its group's minimum is the
+        lowest-index closest face."""
+        if not len(query):
+            return
+        q = pts[query]
+        corners = self.mesh.faces[face]
+        pos, bary = _closest_point_kernel(q, *(self.mesh.vertices[corners[:, i]] for i in range(3)))
+        diff = pos - q
+        d2 = (diff * diff).sum(axis=-1)
+        starts = _run_starts(query)
+        least = np.repeat(np.minimum.reduceat(d2, starts), np.diff(np.r_[starts, len(d2)]))
+        best = np.flatnonzero(~(d2 > least))
+        best = best[_run_starts(query[best])]
+        for array, value in zip(out, (pos, face, bary, d2)):
+            array[query[best]] = value[best]
 
 
 def closest_points_on_surface(mesh: TriangleMesh, points):
@@ -450,14 +515,54 @@ def closest_points_on_surface(mesh: TriangleMesh, points):
     Returns ``(positions, faces, bary, sq_dists)`` arrays: per query the
     minimum squared distance over all faces, with ties broken by lowest face
     index, exactly as a scan of every face with :func:`_closest_point_kernel`
-    finds it. A uniform grid over the faces' bounding boxes narrows that scan.
-    Each query ``q`` is bounded by its distance ``r`` to a nearby vertex that
-    some face references: no face farther than that holds the closest point.
-    The kernel then runs once per (query, face) pair on the faces binned in
-    the cells that ``q +- r`` covers whose bounding box lies within ``r`` of
-    ``q``. ``r`` is inflated by ``1e-9`` of itself and of the largest
-    coordinate, so rounding never prunes the minimum or a tie. Queries are
-    processed in blocks sized to bound memory. Raises
+    finds it. A uniform grid over the faces' bounding boxes narrows that scan
+    to few faces per query, and every step keeps each face whose kernel
+    distance could be the minimum or tie with it:
+
+    - *Measure.* Each (query, face) pair considered is first measured by
+      the cheaper :func:`sq_distances_to_terms`. A slack ``s`` covers the
+      rounding of both measures, so the kernel's squared distance lies in
+      ``[d2 - s, d2 + s]``. That holds only for a face that both measures
+      see as a triangle. The kernel measures a
+      degenerate face on its longest edge alone, where ``d2`` measures all
+      three edges and may come out lower. So a degenerate face never bounds
+      a query and is never ruled out.
+    - *Slack.* ``s = 1e-9 (k (e + |ab|^2 + |ac|^2) + M (2 sqrt(e) + 1e-9 M))``
+      for a pair with ``e = |q - a|^2``, condition number ``k = |ab|^2 |ac|^2
+      / |ab x ac|^2`` (1 / sin^2 of the angle at ``a``) and ``M`` the largest
+      coordinate magnitude of the query and the face. The first term covers
+      the cancellation in the dot-product expansion and in the kernel's
+      barycentric solve: both err relative to the squared lengths in the
+      pair's own terms, and the plane projection is amplified by ``k``. The
+      second covers the rounding of coordinates of magnitude ``M`` by some
+      ``d``: it moves a squared distance of at most ``e`` by at most
+      ``2 d sqrt(e) + d^2``. Both terms are about 1e6 times the double
+      rounding. They scale with the pair: one global constant would either
+      miss the rounding of a pair at 1e6 or blunt the filter on a small mesh
+      near the origin.
+    - *Bound.* A query ``q`` is measured against the faces binned in its own
+      cell. Each of those faces has kernel distance at most ``d2 + s``, and
+      the minimum is at most that, so the least ``d2 + s`` bounds it: ``r^2``.
+      Where the cell holds no face that both measures see as a triangle,
+      ``r^2`` is the squared distance to the nearest vertex the kernel can
+      return: a corner of a face with area, or an end of a degenerate
+      face's longest edge. The kernel's distance to that face is at most
+      ``r^2``. A vertex off that edge would bound nothing. ``r`` is then
+      inflated by ``1e-9`` of itself and of the largest face coordinate.
+    - *Gather.* A face within ``r`` of ``q`` has a bounding box that meets
+      the box ``q +- r``, so it is binned in a cell that the box covers. Where
+      the box lies in ``q``'s own cell, the faces measured for the bound are
+      all the candidates. Otherwise the faces of every covered cell are
+      gathered and measured, and ``r^2`` drops to their least ``d2 + s``
+      where that is lower.
+    - *Prefilter.* Only the pairs with ``d2 - s <= r^2`` go to the exact
+      kernel. The lowest-face tie survives this: a face whose kernel
+      distance is at most the minimum has ``d2 - s`` at most that distance,
+      hence at most ``r^2``. So the kernel sees the closest face and every
+      face tied with it, in ascending face order per query, and picks the
+      first at the minimum, as the scan does.
+
+    Queries are processed in blocks sized to bound memory. Raises
     :class:`MeshValidationError` for a mesh without faces and for non-finite
     coordinates.
     """
@@ -467,39 +572,42 @@ def closest_points_on_surface(mesh: TriangleMesh, points):
     if not np.isfinite(pts).all():
         raise MeshValidationError("closest-point query requires finite coordinates")
     grid = _FaceGrid(mesh)
-    tri = grid.tri
-    reach = np.sqrt(grid.vertex_bounds(pts)) * (1.0 + _PAD) + _PAD * float(np.abs(tri).max())
-    lo = grid.cell(pts - reach[:, None])
-    hi = grid.cell(pts + reach[:, None])
-    m = mesh.n_faces
+    pad = _PAD * float(grid.mag.max())
+    cols = np.ascontiguousarray(pts.T)
+    mag = np.abs(cols).max(axis=0)
     n = len(pts)
-    out_pos = np.empty((n, 3))
-    out_face = np.empty(n, dtype=np.int64)
-    out_bary = np.empty((n, 3))
-    out_d2 = np.empty(n)
-    cost = (hi - lo + 1).prod(axis=1) * grid.faces.max_count
-    for s, e in _blocks(cost, _BLOCK_PAIRS):
-        owner, face = grid.faces.gather(*grid.box_cells(lo[s:e], hi[s:e]))
+    out = (np.empty((n, 3)), np.empty(n, dtype=np.int64), np.empty((n, 3)), np.empty(n))
+    home = grid.linear(grid.cell(cols))
+    lo = np.empty((3, n), dtype=np.int64)
+    hi = np.empty((3, n), dtype=np.int64)
+    limit = np.empty(n)
+    for s, e in _blocks(grid.faces.count(home), _BLOCK_PAIRS):
+        owner, face = grid.faces.gather(np.arange(e - s), home[s:e])
+        low, high = grid.measure(np.take(cols, s + owner, axis=1), mag[s + owner], face)
+        bound = _run_minima(high, owner, e - s)
+        empty = np.isinf(bound)
+        if empty.any():
+            bound[empty] = grid.vertex_bounds(cols[:, s:e][:, empty])
+        reach = np.sqrt(bound) * (1.0 + _PAD) + pad
+        lo[:, s:e] = grid.cell(cols[:, s:e] - reach)
+        hi[:, s:e] = grid.cell(cols[:, s:e] + reach)
+        limit[s:e] = reach * reach
+        inside = (lo[:, s:e] == hi[:, s:e]).all(axis=0)
+        take = inside[owner] & (low <= limit[s:e][owner])
+        grid.settle(pts, s + owner[take], face[take], out)
+    far = np.flatnonzero((lo != hi).any(axis=0))
+    lo, hi, limit = np.take(lo, far, axis=1), np.take(hi, far, axis=1), limit[far]
+    m = mesh.n_faces
+    for s, e in _blocks((hi - lo + 1).prod(axis=0) * grid.faces.max_count, _BLOCK_PAIRS):
+        owner, face = grid.faces.gather(*grid.box_cells(lo[:, s:e], hi[:, s:e]))
         key = np.sort(owner * m + face)
         owner, face = np.divmod(key[np.r_[True, key[1:] != key[:-1]]], m)
-        q = pts[s:e][owner]
-        gap = np.maximum(grid.fmin[face] - q, 0.0) + np.maximum(q - grid.fmax[face], 0.0)
-        keep = (gap * gap).sum(axis=-1) <= reach[s:e][owner] ** 2
-        owner, face, q = owner[keep], face[keep], q[keep]
-        pos, bary = _closest_point_kernel(q, tri[face, 0], tri[face, 1], tri[face, 2])
-        diff = pos - q
-        d2 = (diff * diff).sum(axis=-1)
-        # pairs run by query, then by face: per query, the first pair not
-        # above the query's minimum is the lowest-index closest face
-        first = np.r_[True, owner[1:] != owner[:-1]]
-        low = np.minimum.reduceat(d2, np.flatnonzero(first))[np.cumsum(first) - 1]
-        best = np.flatnonzero(~(d2 > low))
-        best = best[np.r_[True, owner[best][1:] != owner[best][:-1]]]
-        out_pos[s:e] = pos[best]
-        out_face[s:e] = face[best]
-        out_bary[s:e] = bary[best]
-        out_d2[s:e] = d2[best]
-    return out_pos, out_face, out_bary, out_d2
+        query = far[s:e][owner]
+        low, high = grid.measure(np.take(cols, query, axis=1), mag[query], face)
+        bound = np.minimum(limit[s:e], _run_minima(high, owner, e - s))
+        take = low <= bound[owner]
+        grid.settle(pts, query[take], face[take], out)
+    return out
 
 
 def _dot3(u, v):
@@ -570,10 +678,3 @@ def sq_distances_to_terms(p, terms):
     v, w = np.where(inside, vi, v), np.where(inside, wi, w)
     d2 = np.where(inside, e - vi * d20 - wi * d21, d2)
     return np.maximum(d2, 0.0), v, w
-
-
-def closest_point_on_surface(mesh: TriangleMesh, p) -> SurfacePoint:
-    """Globally closest point on the mesh surface to ``p`` (lowest face index
-    wins ties)."""
-    pos, face, bary, _ = closest_points_on_surface(mesh, np.asarray(p).reshape(1, 3))
-    return SurfacePoint(pos[0], int(face[0]), bary[0])

@@ -24,6 +24,7 @@ from .mesh import (
     TriangleMesh,
     _blocks,
     _dot3,
+    _run_minima,
     sq_distances_to_terms,
     triangle_terms,
     unique_edges,
@@ -227,16 +228,6 @@ def _closest_of_pairs(points, pi, ti, tris):
     out_v[pi[first]] = v[first]
     out_w[pi[first]] = w[first]
     return best, tri, out_v, out_w
-
-
-def _run_minima(values, owner, n):
-    """Minimum of ``values`` per owner, for ``owner`` ascending; inf for an
-    owner without values."""
-    out = np.full(n, np.inf)
-    if len(owner):
-        starts = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
-        out[owner[starts]] = np.minimum.reduceat(values, starts)
-    return out
 
 
 def _ranges(starts, counts):

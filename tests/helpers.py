@@ -10,7 +10,7 @@ from anchormesh import (
     PayloadFormatError,
     TriangleMesh,
     build_adjacency,
-    closest_point_on_triangle,
+    closest_points_on_surface,
     make_sphere,
 )
 from anchormesh.mesh import DEGENERATE_AREA, _closest_point_kernel, triangle_sq_distances
@@ -74,6 +74,37 @@ def connectivity_cases():
         cases.append((f"random{k}", verts, faces))
     cases.append(("no faces", rng.normal(size=(5, 3)), np.zeros((0, 3), dtype=np.int64)))
     return cases
+
+
+@dataclass(frozen=True)
+class SurfacePoint:
+    """A point on a mesh surface: position, owning face, barycentric weights."""
+
+    position: np.ndarray
+    face: int
+    bary: np.ndarray
+
+
+def closest_point_on_triangle(p, tri, face: int = 0) -> SurfacePoint:
+    """Closest point on the closed triangle ``tri`` (three positions) to ``p``
+    by the library's exact kernel.
+
+    Degenerate triangles fall back to the closest point on their longest
+    edge. ``face`` only labels the returned SurfacePoint.
+    """
+    tri = np.asarray(tri, dtype=np.float64).reshape(3, 3)
+    p = np.asarray(p, dtype=np.float64).reshape(3)
+    pos, bary = _closest_point_kernel(
+        p[None, :], tri[0][None, :], tri[1][None, :], tri[2][None, :]
+    )
+    return SurfacePoint(pos[0], face, bary[0])
+
+
+def closest_point_on_surface(mesh: TriangleMesh, p) -> SurfacePoint:
+    """Globally closest point on the mesh surface to ``p`` (lowest face index
+    wins ties), by the library's batched query."""
+    pos, face, bary, _ = closest_points_on_surface(mesh, np.asarray(p).reshape(1, 3))
+    return SurfacePoint(pos[0], int(face[0]), bary[0])
 
 
 def brute_force_surface_point(mesh: TriangleMesh, p):

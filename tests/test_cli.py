@@ -1,0 +1,119 @@
+import csv
+import json
+import math
+import os
+
+import pytest
+
+import anchormesh as am
+from anchormesh import cli
+from anchormesh.cli import ABLATION_CONFIGS, main
+
+
+@pytest.fixture(scope="module")
+def sequence(tmp_path_factory):
+    """A two-frame jittered bend sphere written by ``anchormesh synth``."""
+    out = tmp_path_factory.mktemp("sequence")
+    assert main(["synth", str(out), "--resolution", "1", "--frames", "2", "--motion", "bend",
+                 "--rate", "0.1", "--jitter", "--seed", "3"]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def default_sweep(sequence, tmp_path_factory):
+    out = tmp_path_factory.mktemp("sweep")
+    assert main(["sweep", str(sequence), str(out)]) == 0
+    return out
+
+
+def _frames(sequence):
+    names = sorted(name for name in os.listdir(sequence) if name.endswith(".obj"))
+    return [am.load_mesh((sequence / name).read_bytes()) for name in names]
+
+
+def _csv_bytes(out):
+    return {label: (out / f"rd_{label}.csv").read_bytes() for label, _ in ABLATION_CONFIGS}
+
+
+def _sweep(sequence, out, *flags):
+    assert main(["sweep", str(sequence), str(out), *flags]) == 0
+    return _csv_bytes(out)
+
+
+def _psnr_cell(value):
+    return "inf" if math.isinf(value) else value
+
+
+def test_sweep_csv_bytes_match_a_direct_rendering(sequence, default_sweep, tmp_path):
+    # every row recomputed by encode, decode and eval with the default
+    # settings, then written by csv.writer to a text file
+    reference, target = _frames(sequence)
+    config = am.CodecConfig()
+    base = am.decimate_to_base(reference,
+                               max(4, round(config.base_fraction * reference.n_vertices)))
+    for label, switches in ABLATION_CONFIGS:
+        path = tmp_path / f"{label}.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["frame", "alpha", "bits", "d1_psnr", "d2_psnr"])
+            for alpha in config.alpha_ladder:
+                result = am.encode_pair(base, target, config.override(alpha=alpha, **switches))
+                data = am.write_payload(result.payload)
+                recon = am.decode_payload(am.read_payload(data, base.n_vertices), base)
+                report = am.distortion(target, recon)
+                writer.writerow([1, alpha, len(data) * 8, _psnr_cell(report.d1_psnr),
+                                 _psnr_cell(report.d2_psnr)])
+        assert (default_sweep / f"rd_{label}.csv").read_bytes() == path.read_bytes(), label
+    assert not [name for name in os.listdir(default_sweep) if name.startswith(".tmp-")]
+
+
+@pytest.fixture
+def job_configs(monkeypatch):
+    """The CodecConfig of every encode the CLI runs, in order."""
+    seen = []
+    encode_pair = cli.encode_pair
+
+    def spy(base, target, config):
+        seen.append(config)
+        return encode_pair(base, target, config)
+
+    monkeypatch.setattr(cli, "encode_pair", spy)
+    return seen
+
+
+def _expected_jobs(config):
+    return [config.override(alpha=alpha, **switches)
+            for _, switches in ABLATION_CONFIGS for alpha in config.alpha_ladder]
+
+
+def test_sweep_honours_delta_flag(sequence, default_sweep, tmp_path, job_configs):
+    got = _sweep(sequence, tmp_path, "--delta", "0.4")
+    assert job_configs == _expected_jobs(am.CodecConfig(delta=0.4))
+    assert all(got[label] != old for label, old in _csv_bytes(default_sweep).items())
+
+
+def test_sweep_honours_config_file(sequence, default_sweep, tmp_path, job_configs):
+    config_path = tmp_path / "codec.cfg"
+    config_path.write_text("delta = 0.4\ncollapses_per_anchor = 3\nalpha_ladder = 2,8\n")
+    got = _sweep(sequence, tmp_path / "out", "--config", str(config_path))
+    config = am.CodecConfig(delta=0.4, collapses_per_anchor=3, alpha_ladder=(2.0, 8.0))
+    assert job_configs == _expected_jobs(config)
+    rows = list(csv.DictReader(got["nns_ms_qem_aq"].decode().splitlines()))
+    assert [float(row["alpha"]) for row in rows] == [2.0, 8.0]
+    assert got != _csv_bytes(default_sweep)
+
+
+def test_decode_exits_3_on_a_bad_payload(sequence, tmp_path, capsys):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"not a payload")
+    out = tmp_path / "out.obj"
+    code = main(["decode", str(bad), str(sequence / "frame_0000.obj"), str(out)])
+    assert code == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "PayloadFormatError"
+    assert not out.exists()
+
+
+def test_eval_exits_2_on_a_missing_file(sequence, tmp_path, capsys):
+    code = main(["eval", str(sequence / "frame_0000.obj"), str(tmp_path / "missing.obj")])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"

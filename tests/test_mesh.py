@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from anchormesh import (
     DegenerateFaceError,
@@ -7,16 +9,17 @@ from anchormesh import (
     ObjParseError,
     TriangleMesh,
     build_adjacency,
-    closest_point_on_surface,
-    closest_point_on_triangle,
     closest_points_on_surface,
     load_mesh,
+    make_sphere,
     save_mesh,
 )
 from anchormesh.mesh import unique_edges
 from helpers import (
     brute_force_surface_point,
     brute_force_surface_points,
+    closest_point_on_surface,
+    closest_point_on_triangle,
     connectivity_cases,
     face_plane,
     icosahedron,
@@ -406,6 +409,118 @@ def test_surface_oracle_bend_sphere_clouds(monkeypatch):
     # blocks small enough that one query's pairs overflow a block
     monkeypatch.setattr(mesh_module, "_BLOCK_PAIRS", 16)
     assert_matches_oracle(target, clouds[3])
+
+
+def _oracle_queries(mesh, rng):
+    """Queries on every vertex, on edges, on planes the grid may cut cells
+    along, and far outside the mesh's bounding box."""
+    verts = mesh.vertices
+    tri = verts[mesh.faces]
+    lo, hi = tri.reshape(-1, 3).min(axis=0), tri.reshape(-1, 3).max(axis=0)
+    size = float((hi - lo).max()) or 1.0
+    picked = mesh.faces[rng.integers(0, mesh.n_faces, 30)]
+    t = rng.uniform(0.0, 1.0, size=(30, 1))
+    on_edges = verts[picked[:, 0]] + t * (verts[picked[:, 1]] - verts[picked[:, 0]])
+    # the grid's cell size is the mean face extent times a power of two, so
+    # its cell boundaries are among these planes
+    h = float((tri.max(axis=1) - tri.min(axis=1)).max(axis=1).mean()) or size
+    on_planes = rng.uniform(lo, hi, size=(30, 3))
+    axis = rng.integers(0, 3, 30)
+    on_planes[np.arange(30), axis] = lo[axis] + rng.integers(0, int(size / h) + 2, 30) * h
+    directions = rng.normal(size=(15, 3))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    far = 0.5 * (lo + hi) + directions * size * 10.0 ** rng.uniform(0.5, 3.0, size=(15, 1))
+    near = rng.uniform(lo - 0.2 * size, hi + 0.2 * size, size=(40, 3))
+    return np.vstack([verts, on_edges, on_planes, far, near])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(seed=st.integers(0, 2**32 - 1), exponent=st.integers(-6, 6),
+       shift=st.floats(-1e6, 1e6), collapsed=st.integers(0, 6), sphere=st.booleans())
+# every face degenerate: a query on a corner off a face's longest edge is
+# no bound on that face
+@example(seed=0, exponent=-6, shift=0.0, collapsed=1, sphere=True)
+# slivers: their plane projection errs in proportion to 1 / sin^2 of an angle
+@example(seed=8388607, exponent=3, shift=0.0, collapsed=3, sphere=False)
+def test_surface_oracle_random_meshes_at_any_scale(seed, exponent, shift, collapsed, sphere):
+    # soups of large faces, and jittered spheres of small ones, scaled from
+    # 1e-6 to 1e6 and moved by up to 1e6; ``collapsed`` corners are moved onto
+    # another vertex or an edge, which makes zero-area and sliver faces
+    rng = np.random.default_rng(seed)
+    if sphere:
+        base = make_sphere(2)
+        verts = base.vertices + rng.normal(scale=0.02, size=base.vertices.shape)
+    else:
+        base = random_mesh(rng, n_vertices=int(rng.integers(5, 30)),
+                           n_faces=int(rng.integers(1, 40)))
+        verts = base.vertices.copy()
+    for _ in range(collapsed):
+        i, j, k = rng.choice(len(verts), size=3, replace=False)
+        verts[k] = verts[i] + rng.integers(0, 2) * rng.uniform() * (verts[j] - verts[i])
+    mesh = TriangleMesh(verts * 10.0**exponent + shift * rng.uniform(-1.0, 1.0, 3), base.faces)
+    assert_matches_oracle(mesh, _oracle_queries(mesh, rng))
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-5])
+def test_surface_oracle_degenerate_faces_bound_only_by_their_longest_edge(scale):
+    # scaled down, most faces of this sphere have at most DEGENERATE_AREA, so
+    # the kernel measures each on its longest edge; a query on the third
+    # corner of such a face is no nearer to that face than the edge is
+    import anchormesh as am
+
+    spec = am.SequenceSpec(shape="sphere", resolution=3, frames=1, motion="bend",
+                           rate=0.1, region=0.4, topology_jitter=True, seed=9)
+    frame = am.generate_sequence(spec)[0]
+    mesh = TriangleMesh(frame.vertices * scale, frame.faces)
+    queries = am.midpoint_subdivide(mesh, 1).mesh.vertices
+    # every target vertex, and every eighth edge midpoint
+    assert_matches_oracle(mesh, np.vstack([queries[:mesh.n_vertices],
+                                           queries[mesh.n_vertices::8]]))
+
+
+def test_surface_oracle_degenerate_face_never_bounds_a_query():
+    # the kernel finds this face degenerate (area just at DEGENERATE_AREA)
+    # and measures it on edge 0-1, but triangle_terms sees a plane under the
+    # query; bounding by that plane would drop the flat face above, which is
+    # nearer than the edge
+    sliver = np.array([[0.0, 0.0, 0.0], [1.9686412131512877e-06, 0.0, 0.0],
+                       [1.462479731745416e-06, 1.015929152879267e-06, 0.0]])
+    center = sliver.mean(axis=0)
+    flat = center + np.array([[-2e-6, -2e-6, 0.0], [2e-6, -2e-6, 0.0], [0.0, 2e-6, 0.0]])
+    flat[:, 2] = 3.2e-7
+    mesh = TriangleMesh(np.vstack([sliver, flat]), [[0, 1, 2], [3, 4, 5]])
+    _, face, _, d2 = assert_matches_oracle(mesh, [center + [0.0, 0.0, 1e-7]])
+    assert face.tolist() == [1]
+    assert d2[0] == pytest.approx(0.22e-6**2, rel=1e-9)
+
+
+def test_surface_oracle_in_cell_and_gathered_queries(monkeypatch):
+    # queries next to the surface are answered from their own cell, and the
+    # ones inside the sphere or far off gather the cells around them
+    import anchormesh as am
+    from anchormesh import mesh as mesh_module
+
+    spec = am.SequenceSpec(shape="sphere", resolution=2, frames=1, motion="bend",
+                           rate=0.1, region=0.4, topology_jitter=True, seed=3)
+    target = am.generate_sequence(spec)[0]
+    rng = np.random.default_rng(47)
+    queries = np.vstack([target.vertices + rng.normal(scale=1e-3, size=target.vertices.shape),
+                         rng.uniform(-0.5, 0.5, size=(40, 3)),
+                         rng.normal(size=(20, 3)) * 5.0])
+    boxes = []
+    box_cells = mesh_module._FaceGrid.box_cells
+
+    def spy(self, lo, hi):
+        boxes.append(lo.shape[1])
+        return box_cells(self, lo, hi)
+
+    monkeypatch.setattr(mesh_module._FaceGrid, "box_cells", spy)
+    for block_pairs in (mesh_module._BLOCK_PAIRS, 16):
+        monkeypatch.setattr(mesh_module, "_BLOCK_PAIRS", block_pairs)
+        boxes.clear()
+        assert_matches_oracle(target, queries)
+        gathered = sum(boxes[1:])  # the first call bins the faces
+        assert 0 < gathered < len(queries) // 2
 
 
 def test_surface_non_finite_coordinates_raise():
