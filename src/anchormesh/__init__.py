@@ -18,7 +18,6 @@ from .coarse import (
 from .config import CodecConfig, load_config
 from .mesh import (
     AdjacencyMap,
-    DegenerateFaceError,
     MeshError,
     MeshValidationError,
     ObjParseError,

@@ -138,11 +138,9 @@ def cmd_synth(args) -> int:
 
 
 def _sweep_job(job):
-    """One (ablation, alpha, frame pair) encode/decode/eval; module-level so a
-    process pool can pickle it."""
-    label, config, pair_index, base_bytes, target_bytes = job
-    base = load_mesh(base_bytes)
-    target = load_mesh(target_bytes)
+    """One (ablation, alpha, frame pair) encode/decode/eval of a base and
+    target mesh; module-level so a process pool can pickle it."""
+    label, config, pair_index, base, target = job
     result = encode_pair(base, target, config)
     data = write_payload(result.payload)
     recon = decode_payload(read_payload(data, base.n_vertices), base)
@@ -175,8 +173,7 @@ def cmd_sweep(args) -> int:
             job_config = config.override(alpha=alpha, **switches)
             for pair_index in range(len(frames) - 1):
                 jobs.append((label, job_config, pair_index,
-                             save_mesh(bases[pair_index]),
-                             save_mesh(frames[pair_index + 1])))
+                             bases[pair_index], frames[pair_index + 1]))
     if config.threads > 1:
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
             results = list(pool.map(_sweep_job, jobs, chunksize=1))

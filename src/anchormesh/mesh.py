@@ -32,17 +32,13 @@ class MeshValidationError(MeshError):
     """Mesh violates a structural invariant (index out of range, repeated index)."""
 
 
-class DegenerateFaceError(MeshError):
-    """Face has (near) zero area, so it defines no plane."""
-
-
 @dataclass(frozen=True, eq=False)
 class TriangleMesh:
     """Indexed triangle soup: ``vertices`` (n, 3) float64, ``faces`` (m, 3) int64.
 
-    Arrays are copied and frozen on construction, so instances are safe to
-    share across threads. Face and vertex order is significant and preserved
-    by OBJ round trips.
+    Arrays are copied and frozen on construction and on unpickling, so
+    instances are safe to share across threads and processes. Face and vertex
+    order is significant and preserved by OBJ round trips.
     """
 
     vertices: np.ndarray
@@ -69,6 +65,11 @@ class TriangleMesh:
         faces.setflags(write=False)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "faces", faces)
+
+    def __reduce__(self):
+        # rebuilt through the constructor, which validates the arrays and
+        # freezes them again: unpickled arrays come back writeable
+        return TriangleMesh, (self.vertices, self.faces)
 
     @property
     def n_vertices(self) -> int:

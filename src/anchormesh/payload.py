@@ -4,7 +4,8 @@ Layout (little-endian throughout):
 
     magic  "ANCF" (4 bytes)
     version u8 (currently 1)
-    flags   u8 (bit 0: adaptive quantization was used)
+    flags   u8 (bit 0: adaptive quantization was used; every other bit must
+        be 0)
     base mesh identifier: SHA-256 of the base mesh's canonical OBJ
         serialization (32 bytes)
     anchor vertex positions: 3 * n finite float64, base-vertex order (n comes
@@ -126,6 +127,8 @@ def read_payload(data: bytes, n_anchor_vertices: int) -> Payload:
     if data[4] != VERSION:
         raise PayloadFormatError(f"unsupported payload version {data[4]}")
     flags = data[5]
+    if flags & ~FLAG_ADAPTIVE:
+        raise PayloadFormatError(f"unknown payload flags 0x{flags:02x}")
     offset = 6
     base_hash = data[offset : offset + 32]
     offset += 32

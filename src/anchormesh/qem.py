@@ -135,14 +135,19 @@ def _clamped_error(c, p):
 
 
 class _WorkingCopy:
-    """Mutable edge-collapse view of the target mesh.
+    """Mutable edge-collapse view of a mesh: the one collapse engine of the
+    base decimator and the fine stage.
 
-    Face membership (``vfaces``) only ever contains live faces, so incident
-    edges derived from it are always current.
+    It owns a copy of the vertex ``positions``, the per-vertex ``quadrics``
+    (n, 10) it is given (kept, not copied), the ``faces`` as lists rewired
+    in place, and the face incidence ``vfaces``. Incidence only ever holds
+    live faces, so edges derived from it are always current, and a collapsed
+    vertex has none.
     """
 
-    def __init__(self, mesh: TriangleMesh):
+    def __init__(self, mesh: TriangleMesh, quadrics: np.ndarray):
         self.positions = mesh.vertices.copy()
+        self.quadrics = quadrics
         self.faces = [list(f) for f in mesh.faces.tolist()]
         self.vfaces = [set() for _ in range(mesh.n_vertices)]
         for fi, (a, b, c) in enumerate(self.faces):
@@ -157,10 +162,24 @@ class _WorkingCopy:
         out.discard(v)
         return out
 
+    def has_edge(self, u: int, v: int) -> bool:
+        """Whether ``u`` and ``v`` share a live face."""
+        return not self.vfaces[u].isdisjoint(self.vfaces[v])
+
+    def mesh(self) -> TriangleMesh:
+        """The live faces in index order, compacted onto the vertices they
+        use (in index order)."""
+        faces = np.array([f for fi, f in enumerate(self.faces) if fi in self.vfaces[f[0]]],
+                         dtype=np.int64).reshape(-1, 3)
+        used = np.unique(faces)
+        return TriangleMesh(self.positions[used], np.searchsorted(used, faces))
+
     def collapse(self, keep: int, drop: int, position) -> None:
-        """Merge ``drop`` into ``keep`` and move ``keep`` to ``position``;
-        faces containing both endpoints are deleted."""
+        """Merge ``drop`` into ``keep``, move ``keep`` to ``position`` and
+        give it the sum of both quadrics; faces containing both endpoints are
+        deleted."""
         self.positions[keep] = position
+        self.quadrics[keep] = self.quadrics[keep] + self.quadrics[drop]
         for fi in list(self.vfaces[drop]):
             f = self.faces[fi]
             if keep in f:
@@ -407,24 +426,25 @@ def _best_collapses(quadrics, positions, c, nb) -> dict:
     return {int(c[i]): (int(nb[i]), points[i], qe[i], errors[i]) for i in best}
 
 
-def _best_collapse(work: _WorkingCopy, quadrics: np.ndarray, c: int, anchor_targets: set):
+def _best_collapse(work: _WorkingCopy, c: int, anchor_targets: set):
     """Minimal-error collapse of a working-copy edge at target vertex ``c``
     whose other end is not an anchor's correspondent, as ``(neighbor,
     point, edge quadric, error)``; ``None`` when there is no such edge."""
     nb = np.fromiter(work.neighbors_of(c) - anchor_targets, dtype=np.int64)
-    return _best_collapses(quadrics, work.positions, np.full(len(nb), c), nb).get(c)
+    return _best_collapses(work.quadrics, work.positions, np.full(len(nb), c), nb).get(c)
 
 
-def _first_collapses(target: TriangleMesh, quadrics: np.ndarray, corr: np.ndarray) -> dict:
-    """:func:`_best_collapse` on the untouched target of every correspondent
-    in ``corr`` that has a candidate edge, keyed by the correspondent."""
+def _first_collapses(target: TriangleMesh, work: _WorkingCopy, corr: np.ndarray) -> dict:
+    """:func:`_best_collapse` on the untouched working copy ``work`` of
+    ``target`` for every correspondent in ``corr`` that has a candidate edge,
+    keyed by the correspondent."""
     edges = unique_edges(target.faces, target.n_vertices)[0]
     held = np.zeros(target.n_vertices, dtype=bool)
     held[corr] = True
     edges = edges[held[edges[:, 0]] != held[edges[:, 1]]]
     flip = held[edges[:, 1]]
     edges[flip] = edges[flip, ::-1]  # correspondent first
-    return _best_collapses(quadrics, target.vertices, edges[:, 0], edges[:, 1])
+    return _best_collapses(work.quadrics, work.positions, edges[:, 0], edges[:, 1])
 
 
 def _refine_with_diagnostics(coarse: AnchorMesh, target: TriangleMesh,
@@ -436,8 +456,7 @@ def _refine_with_diagnostics(coarse: AnchorMesh, target: TriangleMesh,
     corr = coarse.correspondence
     if np.any(corr < 0) or np.any(corr >= target.n_vertices):
         raise ValueError("coarse anchor has invalid target correspondences")
-    work = _WorkingCopy(target)
-    quadrics = all_vertex_quadrics(target)
+    work = _WorkingCopy(target, all_vertex_quadrics(target))
     anchor_targets = set(corr.tolist())
     order = traversal_order(coarse.mesh)
     judge = _MoveJudge(coarse, target)
@@ -449,7 +468,7 @@ def _refine_with_diagnostics(coarse: AnchorMesh, target: TriangleMesh,
     # changed: the judge scores a point the same whatever the working copy.
     # An anchor without a first move never gets one, since a collapse only
     # ever replaces a non-correspondent by the correspondent that keeps it.
-    first = _first_collapses(target, quadrics, corr)
+    first = _first_collapses(target, work, corr)
     movable = [ai for ai in order if int(corr[ai]) in first]
     scores = judge.errors(
         np.r_[movable, movable],
@@ -467,7 +486,7 @@ def _refine_with_diagnostics(coarse: AnchorMesh, target: TriangleMesh,
             if step == 0 and c not in touched:
                 move = first.get(c)
             else:
-                move = _best_collapse(work, quadrics, c, anchor_targets)
+                move = _best_collapse(work, c, anchor_targets)
             if move is None:
                 break
             if step == 0 and c in first and np.array_equal(move[1], first[c][1]):
@@ -480,8 +499,7 @@ def _refine_with_diagnostics(coarse: AnchorMesh, target: TriangleMesh,
             touched |= {c, nb} | work.neighbors_of(c) | work.neighbors_of(nb)
             at_coarse = max(float(_evaluate_raw(qe, coarse.mesh.vertices[ai])), 0.0)
             diagnostics.append((ai, err, at_coarse))
-            work.collapse(c, nb, point)
-            quadrics[c] = qe
+            work.collapse(c, nb, point)  # c inherits the edge quadric qe
             fine_positions[ai] = point
             fine_errors[ai] = error
             out_corr[ai] = OFF_VERTEX

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import TriangleMesh, unique_edges
-from .qem import _optimal_points, all_vertex_quadrics, _TRIU_ROWS, _TRIU_COLS
+from .qem import _TRIU_COLS, _TRIU_ROWS, _optimal_points, _WorkingCopy, all_vertex_quadrics
 from .subdivide import midpoint_subdivide
 
 _MASK64 = (1 << 64) - 1
@@ -286,17 +286,16 @@ def generate_sequence(spec: SequenceSpec) -> list:
 def _boundary_quadrics(mesh: TriangleMesh, weight: float) -> np.ndarray:
     """Constraint quadrics pinning open boundaries: for each edge with exactly
     one incident face, a plane through the edge perpendicular to that face,
-    scaled by ``weight``. Returns (n, 10) coefficients to add."""
+    scaled by ``weight``. Returns (n, 10) coefficients to add.
+
+    Boundary edges are visited in face order, ab, bc, ca within a face, each
+    from its lower to its higher vertex index."""
     acc = np.zeros((mesh.n_vertices, 10))
-    edge_face = {}
-    for fi, (a, b, c) in enumerate(mesh.faces.tolist()):
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (u, v) if u < v else (v, u)
-            edge_face.setdefault(key, []).append(fi)
-    for (u, v), incident in edge_face.items():
-        if len(incident) != 1:
-            continue
-        fa, fb, fc = mesh.vertices[mesh.faces[incident[0]]]
+    edges, face_edges = unique_edges(mesh.faces, mesh.n_vertices)
+    once = np.bincount(face_edges.ravel(), minlength=len(edges)) == 1
+    for fi, corner in zip(*np.nonzero(once[face_edges])):
+        u, v = edges[face_edges[fi, corner]].tolist()
+        fa, fb, fc = mesh.vertices[mesh.faces[fi]]
         fn = np.cross(fb - fa, fc - fa)
         fn_norm = np.linalg.norm(fn)
         if 0.5 * fn_norm <= 1e-12:
@@ -329,23 +328,16 @@ def decimate_to_base(mesh: TriangleMesh, target_vertex_count: int,
     n = mesh.n_vertices
     if target_vertex_count >= n:
         return TriangleMesh(mesh.vertices, mesh.faces)
-    pos = mesh.vertices.copy()
-    quad = all_vertex_quadrics(mesh) + _boundary_quadrics(mesh, boundary_weight)
-    faces = [list(f) for f in mesh.faces.tolist()]
-    face_alive = [True] * len(faces)
-    vfaces = [set() for _ in range(n)]
-    for fi, (a, b, c) in enumerate(faces):
-        vfaces[a].add(fi)
-        vfaces[b].add(fi)
-        vfaces[c].add(fi)
-    alive = [True] * n
+    quadrics = all_vertex_quadrics(mesh) + _boundary_quadrics(mesh, boundary_weight)
+    work = _WorkingCopy(mesh, quadrics)
     stamps = [0] * n
     seq = 0
 
     def entries(lo, hi):
         """Heap entries of the edges (lo[i], hi[i]), numbered on from ``seq``."""
         nonlocal seq
-        points, errors = _optimal_points(quad[lo] + quad[hi], pos[lo], pos[hi])
+        points, errors = _optimal_points(work.quadrics[lo] + work.quadrics[hi],
+                                         work.positions[lo], work.positions[hi])
         out = [(err, u, v, stamps[u], stamps[v], seq + 1 + i, point) for i, (err, u, v, point)
                in enumerate(zip(errors.tolist(), lo.tolist(), hi.tolist(), points))]
         seq += len(out)
@@ -357,41 +349,16 @@ def decimate_to_base(mesh: TriangleMesh, target_vertex_count: int,
     remaining = n
     while remaining > target_vertex_count and heap:
         err, u, v, su, sv, _, point = heapq.heappop(heap)
-        if not (alive[u] and alive[v]):
-            continue
         if su != stamps[u] or sv != stamps[v]:
             continue
-        if not (vfaces[u] & vfaces[v]):
-            continue  # edge vanished
-        # collapse v into u
-        pos[u] = point
-        quad[u] = quad[u] + quad[v]
-        for fi in list(vfaces[v]):
-            f = faces[fi]
-            if u in f:
-                face_alive[fi] = False
-                for vv in f:
-                    vfaces[vv].discard(fi)
-            else:
-                f[f.index(v)] = u
-                vfaces[u].add(fi)
-                vfaces[v].discard(fi)
-        vfaces[v].clear()
-        alive[v] = False
+        # the edge vanished; a collapsed vertex has no faces left, so this
+        # also drops every entry of one
+        if not work.has_edge(u, v):
+            continue
+        work.collapse(u, v, point)
         stamps[u] += 1
         remaining -= 1
-        neighbors = set()
-        for fi in vfaces[u]:
-            neighbors.update(faces[fi])
-        neighbors.discard(u)
-        if neighbors:
-            nb = np.fromiter(neighbors, dtype=np.int64)
-            nb.sort()
-            for entry in entries(np.minimum(u, nb), np.maximum(u, nb)):
-                heapq.heappush(heap, entry)
-    out_faces = [tuple(faces[fi]) for fi in range(len(faces)) if face_alive[fi]]
-    used = sorted({v for f in out_faces for v in f})
-    remap = {old: new for new, old in enumerate(used)}
-    new_faces = np.array([[remap[a], remap[b], remap[c]] for a, b, c in out_faces],
-                         dtype=np.int64).reshape(-1, 3)
-    return TriangleMesh(pos[used], new_faces)
+        nb = np.sort(np.fromiter(work.neighbors_of(u), dtype=np.int64))
+        for entry in entries(np.minimum(u, nb), np.maximum(u, nb)):
+            heapq.heappush(heap, entry)
+    return work.mesh()

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from anchormesh import (
-    DegenerateFaceError,
+    MeshError,
     PayloadFormatError,
     TriangleMesh,
     build_adjacency,
@@ -15,7 +15,7 @@ from anchormesh import (
 )
 from anchormesh.mesh import DEGENERATE_AREA, _closest_point_kernel, triangle_sq_distances
 from anchormesh.qem import _TRIU_COLS, _TRIU_ROWS, CONDITION_LIMIT, _evaluate_raw, all_vertex_quadrics
-from anchormesh.synth import BOUNDARY_WEIGHT, _boundary_quadrics
+from anchormesh.synth import BOUNDARY_WEIGHT
 
 
 def random_mesh(rng, n_vertices=40, n_faces=60, scale=1.0) -> TriangleMesh:
@@ -251,6 +251,10 @@ def scalar_read_varints(data: bytes, offset: int):
 
 # --- scalar quadric API: the oracles for the batched quadric code -------------
 
+class DegenerateFaceError(MeshError):
+    """Face has (near) zero area, so it defines no plane."""
+
+
 @dataclass(frozen=True)
 class Plane:
     """Plane a*x + b*y + c*z + d = 0 with the full coefficient 4-vector
@@ -408,6 +412,40 @@ def scalar_best_collapse(work, quadrics: np.ndarray, c: int, anchor_targets: set
     return best
 
 
+def dict_boundary_quadrics(mesh: TriangleMesh, weight: float) -> np.ndarray:
+    """Constraint quadrics pinning open boundaries: for each edge with exactly
+    one incident face, a plane through the edge perpendicular to that face,
+    scaled by ``weight``. Returns (n, 10) coefficients to add. Boundary edges
+    come from a dict of edge -> faces; the oracle for
+    ``synth._boundary_quadrics``."""
+    acc = np.zeros((mesh.n_vertices, 10))
+    edge_face = {}
+    for fi, (a, b, c) in enumerate(mesh.faces.tolist()):
+        for u, v in ((a, b), (b, c), (c, a)):
+            key = (u, v) if u < v else (v, u)
+            edge_face.setdefault(key, []).append(fi)
+    for (u, v), incident in edge_face.items():
+        if len(incident) != 1:
+            continue
+        fa, fb, fc = mesh.vertices[mesh.faces[incident[0]]]
+        fn = np.cross(fb - fa, fc - fa)
+        fn_norm = np.linalg.norm(fn)
+        if 0.5 * fn_norm <= 1e-12:
+            continue
+        edge_dir = mesh.vertices[v] - mesh.vertices[u]
+        bn = np.cross(edge_dir, fn / fn_norm)
+        bn_norm = np.linalg.norm(bn)
+        if bn_norm == 0.0:
+            continue
+        bn = bn / bn_norm
+        p4 = np.array([bn[0], bn[1], bn[2], -float(bn @ mesh.vertices[u])])
+        p4 = p4 / np.linalg.norm(p4)
+        q = weight * (p4[_TRIU_ROWS] * p4[_TRIU_COLS])
+        acc[u] += q
+        acc[v] += q
+    return acc
+
+
 def scalar_decimate_to_base(mesh: TriangleMesh, target_vertex_count: int,
                             boundary_weight: float = BOUNDARY_WEIGHT) -> TriangleMesh:
     """``synth.decimate_to_base`` with one scalar solve per pushed edge; its
@@ -418,7 +456,7 @@ def scalar_decimate_to_base(mesh: TriangleMesh, target_vertex_count: int,
     if target_vertex_count >= n:
         return TriangleMesh(mesh.vertices, mesh.faces)
     pos = mesh.vertices.copy()
-    quad = all_vertex_quadrics(mesh) + _boundary_quadrics(mesh, boundary_weight)
+    quad = all_vertex_quadrics(mesh) + dict_boundary_quadrics(mesh, boundary_weight)
     faces = [list(f) for f in mesh.faces.tolist()]
     face_alive = [True] * len(faces)
     vfaces = [set() for _ in range(n)]

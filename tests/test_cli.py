@@ -67,6 +67,13 @@ def test_sweep_csv_bytes_match_a_direct_rendering(sequence, default_sweep, tmp_p
     assert not [name for name in os.listdir(default_sweep) if name.startswith(".tmp-")]
 
 
+def test_sweep_pool_writes_the_same_bytes_as_one_process(sequence, default_sweep, tmp_path):
+    # jobs pickled to two worker processes, meshes included, give the same files
+    _sweep(sequence, tmp_path, "--threads", "2")
+    for name in [f"rd_{label}.csv" for label, _ in ABLATION_CONFIGS] + ["bd_rates.json"]:
+        assert (tmp_path / name).read_bytes() == (default_sweep / name).read_bytes(), name
+
+
 @pytest.fixture
 def job_configs(monkeypatch):
     """The CodecConfig of every encode the CLI runs, in order."""

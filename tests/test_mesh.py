@@ -1,10 +1,11 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anchormesh import (
-    DegenerateFaceError,
     MeshValidationError,
     ObjParseError,
     TriangleMesh,
@@ -16,6 +17,7 @@ from anchormesh import (
 )
 from anchormesh.mesh import unique_edges
 from helpers import (
+    DegenerateFaceError,
     brute_force_surface_point,
     brute_force_surface_points,
     closest_point_on_surface,
@@ -44,6 +46,18 @@ def test_mesh_arrays_are_frozen():
     m = TriangleMesh(np.zeros((3, 3)), [[0, 1, 2]])
     with pytest.raises(ValueError):
         m.vertices[0, 0] = 1.0
+
+
+def test_pickled_mesh_is_equal_and_frozen():
+    # a mesh sent to a worker process comes back validated and read-only
+    sent = random_mesh(np.random.default_rng(21), n_vertices=30, n_faces=40)
+    got = pickle.loads(pickle.dumps(sent))
+    assert got.vertices.tobytes() == sent.vertices.tobytes()
+    assert np.array_equal(got.faces, sent.faces) and got.faces.dtype == np.int64
+    for array in (got.vertices, got.faces):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 1
 
 
 # --- OBJ I/O --------------------------------------------------------------

@@ -17,7 +17,7 @@ from anchormesh import (
     write_payload,
 )
 from anchormesh import cli, pipeline
-from anchormesh.payload import _read_varints, _write_varints
+from anchormesh.payload import FLAG_ADAPTIVE, _read_varints, _write_varints
 from helpers import scalar_read_varints, scalar_write_varints
 
 INT64 = np.iinfo(np.int64)
@@ -76,6 +76,19 @@ def test_level_byte_mismatch_raises_before_subdividing(encoded, monkeypatch):
         assert mutated.level == level
         with pytest.raises(PayloadFormatError):
             decode_payload(mutated, base)
+
+
+def test_unknown_flag_bits_raise():
+    rng = np.random.default_rng(9)
+    sent = _payload(rng)
+    data = bytearray(write_payload(sent))
+    for flags in (0x02, 0x80, 0xFF, 0xFE, 0x03):
+        data[5] = flags
+        with pytest.raises(PayloadFormatError):
+            read_payload(bytes(data), len(sent.anchor_positions))
+    for flags, adaptive in ((0x00, False), (FLAG_ADAPTIVE, True)):
+        data[5] = flags
+        assert read_payload(bytes(data), len(sent.anchor_positions)).adaptive == adaptive
 
 
 def test_overlong_varint_raises():

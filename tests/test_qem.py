@@ -455,7 +455,7 @@ def test_refine_matches_plain_sequential_search(level, seed, base_size, collapse
     fine = refine_anchor(coarse, target, collapses)
 
     corr = coarse.correspondence
-    work = _WorkingCopy(target)
+    work = _WorkingCopy(target, all_vertex_quadrics(target))
     quadrics = all_vertex_quadrics(target)
     judge = _MoveJudge(coarse, target)
     positions = coarse.mesh.vertices.copy()

@@ -4,6 +4,7 @@ import pytest
 from anchormesh import (
     SequenceSpec,
     SplitMix64,
+    TriangleMesh,
     decimate_to_base,
     distortion,
     generate_sequence,
@@ -12,7 +13,14 @@ from anchormesh import (
     make_sphere,
     save_mesh,
 )
-from helpers import icosahedron, loop_subdivide_once, scalar_decimate_to_base
+from anchormesh.synth import BOUNDARY_WEIGHT, _boundary_quadrics
+from helpers import (
+    connectivity_cases,
+    dict_boundary_quadrics,
+    icosahedron,
+    loop_subdivide_once,
+    scalar_decimate_to_base,
+)
 
 
 def test_splitmix_reference_values():
@@ -173,6 +181,55 @@ def test_decimate_deterministic():
     assert np.array_equal(a.faces, b.faces)
 
 
+def _jittered_grid_subset():
+    # 50 of the 72 faces of a 6x6 grid, shuffled, on jittered vertices
+    rng = np.random.default_rng(17)
+    grid = make_grid(6)
+    verts = grid.vertices + rng.normal(scale=0.03, size=grid.vertices.shape)
+    return TriangleMesh(verts, grid.faces[rng.permutation(grid.n_faces)[:50]])
+
+
+def _fin_grid():
+    # a fin face on the diagonal (0, 5) of a 3x3 grid: three faces share that edge
+    grid = make_grid(3)
+    verts = np.vstack([grid.vertices, [[0.2, 0.2, 0.5]]])
+    return TriangleMesh(verts, np.vstack([grid.faces, [[0, 5, grid.n_vertices]]]))
+
+
+@pytest.mark.parametrize("mesh,closed", [
+    pytest.param(make_grid(6), False, id="open-grid"),
+    pytest.param(_jittered_grid_subset(), False, id="jittered-shuffled-grid-subset"),
+    pytest.param(TriangleMesh(make_grid(4).vertices, make_grid(4).faces[:, ::-1]), False,
+                 id="reversed-windings"),
+    pytest.param(_fin_grid(), False, id="edge-of-three-faces"),
+    pytest.param(make_cube(3), True, id="cube"),
+    pytest.param(make_sphere(2), True, id="sphere"),
+])
+def test_boundary_quadrics_match_dict_oracle(mesh, closed):
+    # boundary edges from the shared edge table, visited in face order, must
+    # accumulate the same bits as a dict of edge -> faces in insertion order
+    got = _boundary_quadrics(mesh, BOUNDARY_WEIGHT)
+    want = dict_boundary_quadrics(mesh, BOUNDARY_WEIGHT)
+    assert got.tobytes() == want.tobytes()
+    assert want.any() != closed
+
+
+def _soups():
+    """Random soups with faces repeated in other windings and an isolated
+    vertex, decimated to 1/4 and 1/2 of their vertices."""
+    params = []
+    for name, verts, faces in connectivity_cases():
+        if not name.startswith("random"):
+            continue
+        distinct = (faces[:, 0] != faces[:, 1]) & (faces[:, 1] != faces[:, 2]) \
+            & (faces[:, 0] != faces[:, 2])
+        mesh = TriangleMesh(verts, faces[distinct])
+        for parts in (4, 2):
+            params.append(pytest.param(mesh, round(mesh.n_vertices / parts),
+                                       id=f"{name}-1/{parts}"))
+    return params
+
+
 @pytest.mark.parametrize("mesh,target", [
     pytest.param(make_sphere(3), 160, id="sphere"),
     pytest.param(make_grid(8), 30, id="open-grid"),
@@ -180,6 +237,7 @@ def test_decimate_deterministic():
     pytest.param(generate_sequence(SequenceSpec(
         resolution=3, frames=1, motion="bend", rate=0.1, region=0.4, topology_jitter=True,
         seed=5))[0], 184, id="jittered-sphere"),
+    *_soups(),
 ])
 def test_decimate_matches_scalar_oracle(mesh, target):
     # batched solves per heap refill must leave the base of one scalar solve
