@@ -11,7 +11,6 @@ from .coarse import (
     OFF_VERTEX,
     AnchorMesh,
     MotionField,
-    estimate_motion,
     generate_coarse_anchor,
     traversal_order,
 )

@@ -176,13 +176,35 @@ def unique_edges(faces, n_vertices: int):
     keys = np.minimum(a, b) * n_vertices + np.maximum(a, b)
     order = np.argsort(keys)
     sorted_keys = keys[order]
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    first = _first_of_runs(sorted_keys)
     index = np.empty(len(keys), dtype=np.int64)
     index[order] = np.cumsum(first) - 1
     unique = sorted_keys[first]
     edges = np.stack([unique // n_vertices, unique % n_vertices], axis=1)
     return edges, index.reshape(3, -1).T
+
+
+def directed_edges(edges):
+    """Both directions of the undirected ``edges`` (k, 2) as (source,
+    neighbor) rows, by source, then neighbor: the rows of a vertex list its
+    neighbors in ascending order."""
+    directed = np.concatenate([edges, edges[:, ::-1]])
+    return directed[np.lexsort((directed[:, 1], directed[:, 0]))]
+
+
+def sorted_unique(keys):
+    """The distinct values of the integer array ``keys``, ascending: a sort
+    and a mask, where ``np.unique`` may hash."""
+    keys = np.sort(keys)
+    return keys[_first_of_runs(keys)]
+
+
+def _first_of_runs(values):
+    """Mask of the entries that differ from the one before them."""
+    first = np.empty(len(values), dtype=bool)
+    first[:1] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return first
 
 
 def build_adjacency(mesh: TriangleMesh) -> AdjacencyMap:
@@ -329,6 +351,13 @@ def _ranks(count):
     return np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
 
 
+def _ranges(starts, counts):
+    """Concatenation of ``arange(s, s + c)`` over the pairs."""
+    counts = np.asarray(counts, dtype=np.int64)
+    offsets = np.repeat(np.asarray(starts, dtype=np.int64) - (np.cumsum(counts) - counts), counts)
+    return offsets + np.arange(counts.sum())
+
+
 def _blocks(cost, budget):
     """Consecutive [start, stop) runs whose summed ``cost`` stays within
     ``budget``; a run holds at least one item."""
@@ -343,7 +372,7 @@ def _blocks(cost, budget):
 
 def _run_starts(owner):
     """Index of the first entry of each run of equal values in ``owner``."""
-    return np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
+    return np.flatnonzero(_first_of_runs(owner))
 
 
 def _run_minima(values, owner, n):
@@ -601,8 +630,7 @@ def closest_points_on_surface(mesh: TriangleMesh, points):
     m = mesh.n_faces
     for s, e in _blocks((hi - lo + 1).prod(axis=0) * grid.faces.max_count, _BLOCK_PAIRS):
         owner, face = grid.faces.gather(*grid.box_cells(lo[:, s:e], hi[:, s:e]))
-        key = np.sort(owner * m + face)
-        owner, face = np.divmod(key[np.r_[True, key[1:] != key[:-1]]], m)
+        owner, face = np.divmod(sorted_unique(owner * m + face), m)
         query = far[s:e][owner]
         low, high = grid.measure(np.take(cols, query, axis=1), mag[query], face)
         bound = np.minimum(limit[s:e], _run_minima(high, owner, e - s))

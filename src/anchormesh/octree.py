@@ -1,140 +1,252 @@
-"""Exact nearest-neighbor search over a 3D point set via an octree.
+"""Exact nearest-neighbour and fixed-radius queries over a 3D point set.
 
-Queries return the true argmin of Euclidean distance with ties broken by
-lowest point index, so results are interchangeable with a linear scan.
+The index is a flattened ("linear") octree, after Gargantini, "An effective
+way to represent quadtrees" (CACM 1982): the points are binned into the
+cubic cells of one octree level and kept as arrays sorted by cell key, so a
+query gathers whole runs of points, a column of cells at a time, instead of
+walking nodes.
+
+It answers what the pointer octree of the paper's coarse stage answers. The
+cells are the nodes at one depth of the pointer octree over the same points:
+the points' bounding cube, inflated by 1e-9, split half-open (a coordinate
+equal to a node's center goes to the upper child) with the same arithmetic.
+The depth is the shallowest at which no cell holds more than
+``leaf_capacity`` points, so every leaf of the pointer octree is a cell or a
+union of cells (or part of one, where the depth cap of :func:`build_octree`
+stops the index first). Both searches are exact: they return what a linear
+scan returns, the minimum of ``((p - q) ** 2).sum()`` with ties to the
+lowest point index, and the pairs within a squared reach in the order of a
+scan. Only the order in which cells are visited differs, and no answer
+depends on it.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .mesh import _BLOCK_PAIRS, _PAD, MeshValidationError, _blocks, _ranges, _ranks, _run_starts
+
 DEFAULT_LEAF_CAPACITY = 16
 DEFAULT_MAX_DEPTH = 21
-_PAD = 1e-9  # inflation of the tight bounding cube
 
 
-class _Node:
-    __slots__ = ("center", "half", "depth", "children", "indices")
-
-    def __init__(self, center, half, depth):
-        self.center = center
-        self.half = half
-        self.depth = depth
-        self.children = None  # list of 8 (or None) when internal
-        self.indices = None  # ascending point indices when leaf
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Octree:
-    """Immutable octree over ``points`` with cubic node bounds.
+    """Points binned into the ``side ** 3`` cells of one octree level,
+    ``side = 2 ** depth``.
 
-    Child assignment is half-open per axis (coordinates equal to the center
-    go to the upper child), so every point lands in exactly one leaf. Leaves
-    exceeding ``leaf_capacity`` are only allowed at ``max_depth`` (duplicate
-    points cannot be separated).
+    ``cell`` holds each point's integer cell and ``order`` the point indices
+    sorted by cell :meth:`key`, ascending within a cell. Keys count the
+    cells of the grid padded by one empty cell on every side in x-major
+    order, so that the 3 x 3 x 3 block around a cell never leaves it;
+    ``starts[key]`` is the first slot of a cell in ``order`` and
+    ``starts[-1]`` the number of points. ``sorted_cols`` holds the points in
+    that order, coordinates first. A cell's box is ``low + cell * width`` to
+    ``low + (cell + 1) * width``, up to rounding.
     """
 
     points: np.ndarray
-    root: _Node
+    center: np.ndarray
+    half_width: float
+    depth: int
+    cell: np.ndarray
     leaf_capacity: int
     max_depth: int
+    side: int = field(init=False)
+    low: np.ndarray = field(init=False)
+    width: float = field(init=False)
+    order: np.ndarray = field(init=False)
+    starts: np.ndarray = field(init=False)
+    sorted_cols: np.ndarray = field(init=False)  # (3, n)
+    mag: float = field(init=False)  # largest coordinate magnitude
+    strides: np.ndarray = field(init=False)  # key = (cell + 1) @ strides
+    block: np.ndarray = field(init=False)  # key offsets of a block's nine z-columns
 
-    @property
-    def center(self) -> np.ndarray:
-        return self.root.center
+    def __post_init__(self):
+        side = 1 << self.depth
+        dims = side + 2
+        strides = np.array([dims * dims, dims, 1])
+        keys = (self.cell + 1) @ strides
+        order = np.argsort(keys, kind="stable")
+        dx, dy = np.divmod(np.arange(9), 3)
+        for name, value in (
+                ("side", side), ("low", self.center - self.half_width),
+                ("width", 2.0 * self.half_width / side), ("order", order),
+                ("starts", np.searchsorted(keys[order], np.arange(dims ** 3 + 1))),
+                ("sorted_cols", np.ascontiguousarray(self.points[order].T)),
+                ("mag", float(np.abs(self.points).max())), ("strides", strides),
+                # from a cell's key to the bottom cell of each column around it
+                ("block", (dx - 1) * strides[0] + (dy - 1) * strides[1] - 1)):
+            object.__setattr__(self, name, value)
 
-    @property
-    def half_width(self) -> float:
-        return self.root.half
+    def key(self, cell):
+        """Key of each cell of ``cell`` (..., 3)."""
+        return (cell + 1) @ self.strides
+
+    def cell_of(self, points):
+        """Cell of each of ``points`` (k, 3), clipped to the grid."""
+        return np.clip((points - self.low) / self.width, 0, self.side - 1).astype(np.int64)
 
 
 def build_octree(points, leaf_capacity: int = DEFAULT_LEAF_CAPACITY,
                  max_depth: int = DEFAULT_MAX_DEPTH) -> Octree:
-    """Build an octree over a non-empty point set (duplicates allowed)."""
+    """Index a non-empty point set (duplicates allowed).
+
+    The depth is the shallowest at which no cell holds more than
+    ``leaf_capacity`` points, as no leaf of the pointer octree does, but at
+    most ``max_depth`` and at most the depth where the grid would have more
+    than eight cells per point: duplicates, a flat or a clustered cloud
+    never ask for more cells than that. Raises
+    :class:`anchormesh.mesh.MeshValidationError` for non-finite coordinates.
+    """
     pts = np.array(points, dtype=np.float64, copy=True).reshape(-1, 3)
     if len(pts) == 0:
         raise ValueError("cannot build an octree over an empty point set")
     if leaf_capacity < 1:
         raise ValueError("leaf_capacity must be >= 1")
+    if not np.isfinite(pts).all():
+        raise MeshValidationError("point index requires finite coordinates")
     pts.setflags(write=False)
+    n = len(pts)
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     center = 0.5 * (lo + hi)
     half = float((hi - lo).max()) * 0.5 + _PAD
-    root = _build_node(pts, np.arange(len(pts)), center, half, 0,
-                       leaf_capacity, max_depth)
-    return Octree(pts, root, leaf_capacity, max_depth)
-
-
-def _build_node(pts, indices, center, half, depth, leaf_capacity, max_depth):
-    node = _Node(center, half, depth)
-    if len(indices) <= leaf_capacity or depth >= max_depth:
-        node.indices = indices
-        return node
-    sub = pts[indices]
-    hx = (sub[:, 0] >= center[0]).astype(np.int8)
-    hy = (sub[:, 1] >= center[1]).astype(np.int8)
-    hz = (sub[:, 2] >= center[2]).astype(np.int8)
-    cell = hx * 4 + hy * 2 + hz
-    quarter = half * 0.5
-    children = [None] * 8
-    for cid in range(8):
-        mask = cell == cid
-        if not mask.any():
-            continue
-        offset = np.array(
-            [quarter if cid & 4 else -quarter,
-             quarter if cid & 2 else -quarter,
-             quarter if cid & 1 else -quarter]
-        )
-        children[cid] = _build_node(pts, indices[mask], center + offset, quarter,
-                                    depth + 1, leaf_capacity, max_depth)
-    node.children = children
-    return node
-
-
-def _box_sq_distance(q, center, half):
-    dx = max(0.0, abs(q[0] - center[0]) - half)
-    dy = max(0.0, abs(q[1] - center[1]) - half)
-    dz = max(0.0, abs(q[2] - center[2]) - half)
-    return dx * dx + dy * dy + dz * dz
-
-
-def nearest(octree: Octree, query):
-    """Exact nearest neighbor: returns ``(index, distance)``.
-
-    Best-first traversal ordered by squared cube distance; nodes are pruned
-    only when strictly farther than the current best, which preserves the
-    lowest-index tie rule even across leaf boundaries.
-    """
-    q = np.asarray(query, dtype=np.float64).reshape(3)
-    best_d2 = math.inf
-    best_i = -1
-    seq = 0
-    heap = [(0.0, seq, octree.root)]
-    while heap:
-        box_d2, _, node = heapq.heappop(heap)
-        if box_d2 > best_d2:
+    cap = min(max_depth, (n.bit_length() - 1) // 3 + 1)  # deepest with 8 ** depth <= 8 n
+    cell = np.zeros((n, 3), dtype=np.int64)
+    node = np.broadcast_to(center, (n, 3))  # center of each point's node
+    quarter = half
+    depth = 0
+    while depth < cap:
+        side = 1 << depth
+        if np.bincount((cell[:, 0] * side + cell[:, 1]) * side + cell[:, 2]).max() <= leaf_capacity:
             break
-        if node.indices is not None:
-            diff = octree.points[node.indices] - q
-            d2 = (diff * diff).sum(axis=1)
-            j = int(np.argmin(d2))  # first minimum: lowest index in the leaf
-            dj = float(d2[j])
-            ij = int(node.indices[j])
-            if dj < best_d2 or (dj == best_d2 and ij < best_i):
-                best_d2 = dj
-                best_i = ij
-        else:
-            for child in node.children:
-                if child is None:
-                    continue
-                bd2 = _box_sq_distance(q, child.center, child.half)
-                if bd2 <= best_d2:
-                    seq += 1
-                    heapq.heappush(heap, (bd2, seq, child))
-    return best_i, math.sqrt(best_d2)
+        upper = pts >= node
+        quarter *= 0.5
+        node = node + np.where(upper, quarter, -quarter)
+        cell = 2 * cell + upper
+        depth += 1
+    return Octree(pts, center, half, depth, cell, leaf_capacity, max_depth)
+
+
+def _box_columns(index: Octree, lo, hi):
+    """``(owner, first slot, count)`` of the z-columns of cells in each
+    inclusive cell box ``[lo[i], hi[i]]``, by owner: a column's points are
+    ``order[first:first + count]``."""
+    span = hi - lo + 1
+    count = span[:, 0] * span[:, 1]
+    owner = np.repeat(np.arange(len(lo)), count)
+    rank = _ranks(count)
+    ny = span[owner, 1]
+    cell = lo[owner]
+    cell[:, 0] += rank // ny
+    cell[:, 1] += rank % ny
+    key = index.key(cell)
+    first = index.starts[key]
+    return owner, first, index.starts[key + span[owner, 2]] - first
+
+
+def _column_pairs(index: Octree, cols, owner, first, count):
+    """Every (query, point) pair of the queries ``cols`` (3, k) with the
+    points of their z-columns (``owner``, ascending, ``first`` slot and
+    ``count``), in blocks of whole queries sized to a pair budget. Yields
+    ``(owner, slot, d2)``: the query, the point's slot in ``order`` and the
+    squared distance ``((p - q) ** 2).sum()`` of each pair."""
+    cuts = [0, len(owner)]
+    if count.sum() > _BLOCK_PAIRS:
+        per_owner = np.bincount(owner, weights=count).astype(np.int64)
+        bounds = np.searchsorted(owner, np.arange(len(per_owner) + 1))
+        cuts = [int(bounds[s]) for s, _ in _blocks(per_owner, _BLOCK_PAIRS)] + [len(owner)]
+    for a, b in zip(cuts, cuts[1:]):
+        who = np.repeat(owner[a:b], count[a:b])
+        slot = _ranges(first[a:b], count[a:b])
+        diff = np.take(index.sorted_cols, slot, axis=1) - np.take(cols, who, axis=1)
+        yield who, slot, diff[0] * diff[0] + diff[1] * diff[1] + diff[2] * diff[2]
+
+
+def _nearest_in_columns(index: Octree, cols, owner, first, count):
+    """Least squared distance from each query of ``cols`` (3, k) to the
+    points of its columns (:func:`_column_pairs`) and the lowest point index
+    at it; ``inf`` and index ``n`` for a query without points."""
+    k = cols.shape[1]
+    n = len(index.points)
+    least = np.full(k, np.inf)
+    found = np.full(k, n)
+    for who, slot, d2 in _column_pairs(index, cols, owner, first, count):
+        if len(who):
+            starts = _run_starts(who)
+            runs = who[starts]
+            least[runs] = np.minimum.reduceat(d2, starts)
+            tied = np.where(d2 == least[who], index.order[slot], n)
+            found[runs] = np.minimum.reduceat(tied, starts)
+    return least, found
+
+
+def nearest(index: Octree, queries):
+    """Nearest indexed point to each query of ``queries`` (k, 3), as arrays
+    ``(indices, distances)``.
+
+    Each query searches the cube of cells within ``r`` cells of its own
+    (clipped to the grid), ``r`` = 1, 2, 4, ..., and its points are packed
+    query by query, each query's to its own count. The nearest point found
+    is final once it is strictly closer than every cell beyond the cube,
+    less a rounding pad of 1e-9 of the largest coordinate: for ``r = 1``
+    closer than one cell width, later closer than the cube's nearest face
+    with cells behind it. A cube that covers the grid is final. Raises
+    :class:`anchormesh.mesh.MeshValidationError` for non-finite queries.
+    """
+    q = np.asarray(queries, dtype=np.float64).reshape(-1, 3)
+    if not np.isfinite(q).all():
+        raise MeshValidationError("nearest-point query requires finite coordinates")
+    k = len(q)
+    cols = np.ascontiguousarray(q.T)
+    pad = _PAD * max(index.mag, float(np.abs(cols).max(initial=0.0)))
+    home = index.cell_of(q)
+    # every cell beyond the 3 x 3 x 3 block is a cell width or more from the
+    # query: on each axis the query lies in its block's middle layer or off
+    # the grid, past the block's margin side and two cells from the other
+    column = index.key(home)[:, None] + index.block
+    first = index.starts[column]
+    best_d2, best = _nearest_in_columns(index, cols, np.repeat(np.arange(k), 9), first.ravel(),
+                                        (index.starts[column + 3] - first).ravel())
+    todo = np.flatnonzero(~(best_d2 < max(index.width - pad, 0.0) ** 2))
+    last = index.side - 1
+    reach = 1
+    while len(todo):
+        reach *= 2
+        qt = q[todo]
+        lo = np.maximum(home[todo] - reach, 0)
+        hi = np.minimum(home[todo] + reach, last)
+        d2, found = _nearest_in_columns(index, np.ascontiguousarray(qt.T),
+                                        *_box_columns(index, lo, hi))
+        below = np.where(lo > 0, qt - (index.low + lo * index.width), np.inf)
+        above = np.where(hi < last, index.low + (hi + 1) * index.width - qt, np.inf)
+        gap = np.minimum(below, above).min(axis=1) - pad
+        done = (gap > 0.0) & (d2 < gap * gap)
+        best_d2[todo[done]] = d2[done]
+        best[todo[done]] = found[done]
+        todo = todo[~done]
+    return best, np.sqrt(best_d2)
+
+
+def within_reach(index: Octree, centers, reach2):
+    """``(center, point)`` index pairs whose squared distance
+    ``((center - point) ** 2).sum()`` is at most the center's ``reach2``,
+    ordered by center, then point.
+
+    Each center gathers the cells its reach touches, padded by ``1e-9`` of
+    itself and of the largest coordinate so that rounding never drops a
+    pair; the squared distance then decides.
+    """
+    centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
+    n = len(index.points)
+    pad = _PAD * max(index.mag, float(np.abs(centers).max(initial=0.0)))
+    reach = (np.sqrt(reach2) * (1.0 + _PAD) + pad)[:, None]
+    columns = _box_columns(index, index.cell_of(centers - reach), index.cell_of(centers + reach))
+    keys = [np.zeros(0, dtype=np.int64)]
+    for owner, slot, d2 in _column_pairs(index, np.ascontiguousarray(centers.T), *columns):
+        keep = d2 <= reach2[owner]
+        keys.append(np.sort(owner[keep] * n + index.order[slot[keep]]))
+    return np.divmod(np.concatenate(keys), n)

@@ -18,17 +18,18 @@ import numpy as np
 
 from .coarse import OFF_VERTEX, AnchorMesh, traversal_order
 from .mesh import (
-    _BLOCK_PAIRS,
-    _PAD,
     DEGENERATE_AREA,
     TriangleMesh,
-    _blocks,
     _dot3,
+    _ranges,
     _run_minima,
+    directed_edges,
+    sorted_unique,
     sq_distances_to_terms,
     triangle_terms,
     unique_edges,
 )
+from .octree import Octree, build_octree, within_reach
 
 # Upper-triangle layout of the symmetric 4x4 matrix:
 # indices 0..9 = xx, xy, xz, xw, yy, yz, yw, zz, zw, ww
@@ -174,15 +175,19 @@ class _WorkingCopy:
         used = np.unique(faces)
         return TriangleMesh(self.positions[used], np.searchsorted(used, faces))
 
-    def collapse(self, keep: int, drop: int, position) -> None:
+    def collapse(self, keep: int, drop: int, position) -> set:
         """Merge ``drop`` into ``keep``, move ``keep`` to ``position`` and
         give it the sum of both quadrics; faces containing both endpoints are
-        deleted."""
+        deleted. Returns the corners of the deleted faces other than
+        ``drop``: the only vertices besides it that can lose their last
+        face."""
         self.positions[keep] = position
         self.quadrics[keep] = self.quadrics[keep] + self.quadrics[drop]
+        corners = set()
         for fi in list(self.vfaces[drop]):
             f = self.faces[fi]
             if keep in f:
+                corners.update(f)
                 for v in f:
                     self.vfaces[v].discard(fi)
             else:
@@ -190,6 +195,8 @@ class _WorkingCopy:
                 self.vfaces[keep].add(fi)
                 self.vfaces[drop].discard(fi)
         self.vfaces[drop].clear()
+        corners.discard(drop)
+        return corners
 
 
 # 1-to-4 split of a fan face (x, u, w) with corners 3..5 at the midpoints of
@@ -249,38 +256,6 @@ def _closest_of_pairs(points, pi, ti, tris):
     return best, tri, out_v, out_w
 
 
-def _ranges(starts, counts):
-    """Concatenation of ``arange(s, s + c)`` over the pairs."""
-    counts = np.asarray(counts, dtype=np.int64)
-    offsets = np.repeat(np.asarray(starts, dtype=np.int64) - (np.cumsum(counts) - counts), counts)
-    return offsets + np.arange(counts.sum())
-
-
-def _within_reach(centers, reach2, points):
-    """``(center, point)`` index pairs whose squared distance
-    ``((center - point) ** 2).sum()`` is at most the center's ``reach2``,
-    ordered by center, then point.
-
-    A sweep over the points sorted by x narrows each center's candidates to
-    the x-window of its reach, padded by ``1e-9`` of itself and of the largest
-    x so that rounding never drops a pair; the squared distance then decides.
-    """
-    order = np.argsort(points[:, 0], kind="stable")
-    swept = points[order]
-    pad = _PAD * float(np.abs(swept[:, 0]).max(initial=0.0))
-    reach = np.sqrt(reach2) * (1.0 + _PAD) + pad
-    lo = np.searchsorted(swept[:, 0], centers[:, 0] - reach, side="left")
-    count = np.searchsorted(swept[:, 0], centers[:, 0] + reach, side="right") - lo
-    keys = [np.zeros(0, dtype=np.int64)]
-    for s, e in _blocks(count, _BLOCK_PAIRS):
-        near = _ranges(lo[s:e], count[s:e])
-        d2 = ((np.repeat(centers[s:e], count[s:e], axis=0) - swept[near]) ** 2).sum(axis=1)
-        keep = d2 <= np.repeat(reach2[s:e], count[s:e])
-        owner = np.repeat(np.arange(s, e), count[s:e])
-        keys.append(np.sort(owner[keep] * len(points) + order[near[keep]]))
-    return np.divmod(np.concatenate(keys), max(len(points), 1))
-
-
 class _MoveJudge:
     """Scores a move of one coarse anchor vertex by what the decoder rebuilds.
 
@@ -296,12 +271,14 @@ class _MoveJudge:
 
     The searches are local. The closest anchor face of a target vertex is
     searched among the fans of the anchors whose longest incident edge
-    reaches it, and the corners of an anchor's split fan are projected onto
-    its patch: the target faces that touch a target vertex it covers. An
-    anchor that covers no target vertex has error 0 wherever it goes.
+    reaches it, found in ``index``, the point index of the target's vertices
+    (built where not given), and the corners of an anchor's split fan are
+    projected onto its patch: the target faces that touch a target vertex it
+    covers. An anchor that covers no target vertex has error 0 wherever it
+    goes.
     """
 
-    def __init__(self, coarse: AnchorMesh, target: TriangleMesh):
+    def __init__(self, coarse: AnchorMesh, target: TriangleMesh, index: Octree = None):
         self.target = target
         self.positions = pos = coarse.mesh.vertices
         faces = coarse.mesh.faces
@@ -309,8 +286,7 @@ class _MoveJudge:
         edges = unique_edges(faces, n)[0]
         self.edge_keys = edges[:, 0] * n + edges[:, 1]
         # rim of every anchor: its neighbors, ascending, as directed edges
-        directed = np.concatenate([edges, edges[:, ::-1]])
-        directed = directed[np.lexsort((directed[:, 1], directed[:, 0]))]
+        directed = directed_edges(edges)
         self.rim = directed[:, 1]
         self.rim_count = np.bincount(directed[:, 0], minlength=n)
         self.rim_start = np.cumsum(self.rim_count) - self.rim_count
@@ -326,7 +302,9 @@ class _MoveJudge:
         reach2 = np.zeros(n)
         np.maximum.at(reach2, directed[:, 0],
                       ((pos[directed[:, 0]] - pos[self.rim]) ** 2).sum(axis=1))
-        owner, sample = _within_reach(pos, reach2, target.vertices)
+        if index is None:
+            index = build_octree(target.vertices)
+        owner, sample = within_reach(index, pos, reach2)
         # the pairs of a target vertex with the fan faces of each anchor that
         # reaches it, pruned fan by fan, are measured once per distinct face
         fan_face = by_anchor // 3
@@ -334,7 +312,7 @@ class _MoveJudge:
         pi, ti = _pairs_in_groups(target.vertices[sample], np.bincount(owner, minlength=n),
                                   np.take(face_tris, fan_face, axis=1), self.fan_count)
         m = max(len(faces), 1)
-        vertex, face = np.divmod(np.unique(sample[pi] * m + fan_face[ti]), m)
+        vertex, face = np.divmod(sorted_unique(sample[pi] * m + fan_face[ti]), m)
         _, face, _, _ = _closest_of_pairs(target.vertices, vertex, face, face_tris)
         covered_vertex = np.flatnonzero(face >= 0)
         covered_face = face[covered_vertex]
@@ -354,7 +332,8 @@ class _MoveJudge:
         tv_count = np.bincount(target.faces.ravel(), minlength=target.n_vertices)
         tv_start = np.cumsum(tv_count) - tv_count
         patch_face = tv_face[_ranges(tv_start[self.covered], tv_count[self.covered])]
-        key = np.unique(np.repeat(anchor[order], tv_count[self.covered]) * n_faces + patch_face)
+        key = sorted_unique(np.repeat(anchor[order], tv_count[self.covered]) * n_faces
+                            + patch_face)
         self.patch_face = key % n_faces
         self.patch_count = np.bincount(key // n_faces, minlength=n)
         self.patch_start = np.cumsum(self.patch_count) - self.patch_count
@@ -448,7 +427,7 @@ def _first_collapses(target: TriangleMesh, work: _WorkingCopy, corr: np.ndarray)
 
 
 def _refine_with_diagnostics(coarse: AnchorMesh, target: TriangleMesh,
-                             collapses_per_anchor: int = 1):
+                             collapses_per_anchor: int = 1, index: Octree = None):
     """:func:`refine_anchor`, plus one ``(anchor, selected quadric error,
     that edge quadric at the anchor's coarse position)`` per kept move."""
     if coarse.stage != "coarse":
@@ -458,8 +437,8 @@ def _refine_with_diagnostics(coarse: AnchorMesh, target: TriangleMesh,
         raise ValueError("coarse anchor has invalid target correspondences")
     work = _WorkingCopy(target, all_vertex_quadrics(target))
     anchor_targets = set(corr.tolist())
-    order = traversal_order(coarse.mesh)
-    judge = _MoveJudge(coarse, target)
+    order = traversal_order(coarse.mesh) if coarse.order is None else coarse.order.tolist()
+    judge = _MoveJudge(coarse, target, index)
     # Every anchor's first collapse is found up front, on the untouched
     # working copy, and judged in one batch with the anchor at its coarse
     # vertex. A kept collapse at c with neighbor nb changes the candidates of
@@ -503,12 +482,13 @@ def _refine_with_diagnostics(coarse: AnchorMesh, target: TriangleMesh,
             fine_positions[ai] = point
             fine_errors[ai] = error
             out_corr[ai] = OFF_VERTEX
-    anchor = AnchorMesh(TriangleMesh(fine_positions, coarse.mesh.faces), out_corr, "fine")
+    anchor = AnchorMesh(TriangleMesh(fine_positions, coarse.mesh.faces), out_corr, "fine",
+                        coarse.order)
     return anchor, diagnostics
 
 
 def refine_anchor(coarse: AnchorMesh, target: TriangleMesh,
-                  collapses_per_anchor: int = 1) -> AnchorMesh:
+                  collapses_per_anchor: int = 1, index: Octree = None) -> AnchorMesh:
     """Refine a coarse anchor by QEM edge collapses that lower its local
     reconstruction error.
 
@@ -532,7 +512,10 @@ def refine_anchor(coarse: AnchorMesh, target: TriangleMesh,
     corner projected onto the target, every other anchor vertex at its
     coarse position (:class:`_MoveJudge`). The paper leaves the acceptance
     rule open; this one is the codec's own. Connectivity is untouched, and
-    the result depends only on the arguments.
+    the result depends only on the arguments. ``index``, an
+    :func:`anchormesh.octree.build_octree` index of the target's vertices,
+    spares building one (the encoder shares the coarse stage's); it changes
+    no result.
     """
-    anchor, _ = _refine_with_diagnostics(coarse, target, collapses_per_anchor)
+    anchor, _ = _refine_with_diagnostics(coarse, target, collapses_per_anchor, index)
     return anchor

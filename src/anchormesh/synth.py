@@ -316,8 +316,9 @@ def _boundary_quadrics(mesh: TriangleMesh, weight: float) -> np.ndarray:
 
 def decimate_to_base(mesh: TriangleMesh, target_vertex_count: int,
                      boundary_weight: float = BOUNDARY_WEIGHT) -> TriangleMesh:
-    """Decimate by repeated minimal-error edge collapse down to at most
-    ``target_vertex_count`` vertices (global lazy priority queue).
+    """Decimate by repeated minimal-error edge collapse until at most
+    ``target_vertex_count`` vertices have a face (global lazy priority
+    queue); the result keeps only those.
 
     Boundary edges contribute weighted perpendicular-plane quadrics so open
     borders collapse along themselves instead of shrinking. A target at or
@@ -346,7 +347,7 @@ def decimate_to_base(mesh: TriangleMesh, target_vertex_count: int,
     edges = unique_edges(mesh.faces, n)[0]
     heap = entries(edges[:, 0], edges[:, 1])
     heapq.heapify(heap)  # seq makes every entry distinct, so pops follow the entries alone
-    remaining = n
+    remaining = int(np.count_nonzero(np.bincount(mesh.faces.ravel(), minlength=n)))  # with a face
     while remaining > target_vertex_count and heap:
         err, u, v, su, sv, _, point = heapq.heappop(heap)
         if su != stamps[u] or sv != stamps[v]:
@@ -355,9 +356,11 @@ def decimate_to_base(mesh: TriangleMesh, target_vertex_count: int,
         # also drops every entry of one
         if not work.has_edge(u, v):
             continue
-        work.collapse(u, v, point)
+        corners = work.collapse(u, v, point)
         stamps[u] += 1
-        remaining -= 1
+        # v lost its faces; u and the other corners of the deleted faces may
+        # have lost their last one
+        remaining -= 1 + sum(not work.vfaces[w] for w in corners)
         nb = np.sort(np.fromiter(work.neighbors_of(u), dtype=np.int64))
         for entry in entries(np.minimum(u, nb), np.maximum(u, nb)):
             heapq.heappush(heap, entry)

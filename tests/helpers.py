@@ -1,12 +1,18 @@
 """Shared fixtures and independent oracles for the test suite."""
 
 import heapq
+import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from anchormesh import (
+    OFF_VERTEX,
+    AdjacencyMap,
+    AnchorMesh,
     MeshError,
+    MotionField,
     PayloadFormatError,
     TriangleMesh,
     build_adjacency,
@@ -478,7 +484,7 @@ def scalar_decimate_to_base(mesh: TriangleMesh, target_vertex_count: int,
     adjacency = build_adjacency(mesh)
     for u, v in adjacency.edges:
         push(u, v)
-    remaining = n
+    remaining = sum(1 for fs in vfaces if fs)  # vertices with a live face
     while remaining > target_vertex_count and heap:
         err, u, v, su, sv, _, point = heapq.heappop(heap)
         if not (alive[u] and alive[v]):
@@ -490,6 +496,7 @@ def scalar_decimate_to_base(mesh: TriangleMesh, target_vertex_count: int,
         # collapse v into u
         pos[u] = point
         quad[u] = quad[u] + quad[v]
+        had_faces = [w for w in range(n) if vfaces[w]]
         for fi in list(vfaces[v]):
             f = faces[fi]
             if u in f:
@@ -503,7 +510,7 @@ def scalar_decimate_to_base(mesh: TriangleMesh, target_vertex_count: int,
         vfaces[v].clear()
         alive[v] = False
         stamps[u] += 1
-        remaining -= 1
+        remaining -= sum(1 for w in had_faces if not vfaces[w])
         neighbors = set()
         for fi in vfaces[u]:
             neighbors.update(faces[fi])
@@ -520,7 +527,7 @@ def scalar_decimate_to_base(mesh: TriangleMesh, target_vertex_count: int,
 
 def dense_within_reach(centers, reach2, points):
     """Every center against every point, 64 centers at a time; the oracle
-    for ``qem._within_reach``."""
+    for ``octree.within_reach``."""
     owner, sample = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for lo in range(0, len(centers), 64):
         d2 = ((centers[lo:lo + 64, None] - points[None]) ** 2).sum(axis=-1)
@@ -550,3 +557,218 @@ def covering_faces(anchor_mesh: TriangleMesh, target: TriangleMesh) -> dict:
             d2 = triangle_sq_distances(q[:, None], tri[:, 0], tri[:, 1], tri[:, 2])[0]
             out[v] = fan[int(np.argmin(d2))]  # first minimum: lowest face
     return out
+
+
+
+# The pointer octree, the queue BFS and the per-vertex coarse loop the
+# codec used before its flattened point index and wave-batched coarse stage:
+# the oracles for ``anchormesh.octree`` and ``anchormesh.coarse``.
+
+_OCTREE_PAD = 1e-9  # inflation of the tight bounding cube
+
+
+class _Node:
+    __slots__ = ("center", "half", "depth", "children", "indices")
+
+    def __init__(self, center, half, depth):
+        self.center = center
+        self.half = half
+        self.depth = depth
+        self.children = None  # list of 8 (or None) when internal
+        self.indices = None  # ascending point indices when leaf
+
+
+@dataclass
+class PointerOctree:
+    """Immutable octree over ``points`` with cubic node bounds.
+
+    Child assignment is half-open per axis (coordinates equal to the center
+    go to the upper child), so every point lands in exactly one leaf. Leaves
+    exceeding ``leaf_capacity`` are only allowed at ``max_depth`` (duplicate
+    points cannot be separated).
+    """
+
+    points: np.ndarray
+    root: _Node
+    leaf_capacity: int
+    max_depth: int
+
+    @property
+    def center(self) -> np.ndarray:
+        return self.root.center
+
+    @property
+    def half_width(self) -> float:
+        return self.root.half
+
+
+def pointer_octree(points, leaf_capacity: int = 16, max_depth: int = 21) -> PointerOctree:
+    """Build an octree over a non-empty point set (duplicates allowed)."""
+    pts = np.array(points, dtype=np.float64, copy=True).reshape(-1, 3)
+    if len(pts) == 0:
+        raise ValueError("cannot build an octree over an empty point set")
+    if leaf_capacity < 1:
+        raise ValueError("leaf_capacity must be >= 1")
+    pts.setflags(write=False)
+    lo = pts.min(axis=0)
+    hi = pts.max(axis=0)
+    center = 0.5 * (lo + hi)
+    half = float((hi - lo).max()) * 0.5 + _OCTREE_PAD
+    root = _build_node(pts, np.arange(len(pts)), center, half, 0,
+                       leaf_capacity, max_depth)
+    return PointerOctree(pts, root, leaf_capacity, max_depth)
+
+
+def _build_node(pts, indices, center, half, depth, leaf_capacity, max_depth):
+    node = _Node(center, half, depth)
+    if len(indices) <= leaf_capacity or depth >= max_depth:
+        node.indices = indices
+        return node
+    sub = pts[indices]
+    hx = (sub[:, 0] >= center[0]).astype(np.int8)
+    hy = (sub[:, 1] >= center[1]).astype(np.int8)
+    hz = (sub[:, 2] >= center[2]).astype(np.int8)
+    cell = hx * 4 + hy * 2 + hz
+    quarter = half * 0.5
+    children = [None] * 8
+    for cid in range(8):
+        mask = cell == cid
+        if not mask.any():
+            continue
+        offset = np.array(
+            [quarter if cid & 4 else -quarter,
+             quarter if cid & 2 else -quarter,
+             quarter if cid & 1 else -quarter]
+        )
+        children[cid] = _build_node(pts, indices[mask], center + offset, quarter,
+                                    depth + 1, leaf_capacity, max_depth)
+    node.children = children
+    return node
+
+
+def _box_sq_distance(q, center, half):
+    dx = max(0.0, abs(q[0] - center[0]) - half)
+    dy = max(0.0, abs(q[1] - center[1]) - half)
+    dz = max(0.0, abs(q[2] - center[2]) - half)
+    return dx * dx + dy * dy + dz * dz
+
+
+def pointer_nearest(octree: PointerOctree, query):
+    """Exact nearest neighbor: returns ``(index, distance)``.
+
+    Best-first traversal ordered by squared cube distance; nodes are pruned
+    only when strictly farther than the current best, which preserves the
+    lowest-index tie rule even across leaf boundaries.
+    """
+    q = np.asarray(query, dtype=np.float64).reshape(3)
+    best_d2 = math.inf
+    best_i = -1
+    seq = 0
+    heap = [(0.0, seq, octree.root)]
+    while heap:
+        box_d2, _, node = heapq.heappop(heap)
+        if box_d2 > best_d2:
+            break
+        if node.indices is not None:
+            diff = octree.points[node.indices] - q
+            d2 = (diff * diff).sum(axis=1)
+            j = int(np.argmin(d2))  # first minimum: lowest index in the leaf
+            dj = float(d2[j])
+            ij = int(node.indices[j])
+            if dj < best_d2 or (dj == best_d2 and ij < best_i):
+                best_d2 = dj
+                best_i = ij
+        else:
+            for child in node.children:
+                if child is None:
+                    continue
+                bd2 = _box_sq_distance(q, child.center, child.half)
+                if bd2 <= best_d2:
+                    seq += 1
+                    heapq.heappush(heap, (bd2, seq, child))
+    return best_i, math.sqrt(best_d2)
+
+
+def octree_leaves(node, out=None) -> list:
+    """The leaves under ``node``, depth first, children in octant order."""
+    out = [] if out is None else out
+    if node.indices is not None:
+        out.append(node)
+    else:
+        for child in node.children:
+            if child is not None:
+                octree_leaves(child, out)
+    return out
+
+
+def queue_traversal_order(base: TriangleMesh, adjacency: AdjacencyMap = None) -> list:
+    """Deterministic vertex processing order.
+
+    Breadth-first from vertex 0; each connected component is seeded at its
+    lowest unvisited index and neighbors expand in ascending index order.
+    """
+    if adjacency is None:
+        adjacency = build_adjacency(base)
+    n = base.n_vertices
+    visited = [False] * n
+    order = []
+    for seed in range(n):
+        if visited[seed]:
+            continue
+        visited[seed] = True
+        queue = deque([seed])
+        while queue:
+            v = queue.popleft()
+            order.append(v)
+            for u in sorted(adjacency.neighbors[v]):
+                if not visited[u]:
+                    visited[u] = True
+                    queue.append(u)
+    return order
+
+
+def estimate_motion(vertex: int, adjacency: AdjacencyMap, motion: MotionField) -> np.ndarray:
+    """Arithmetic mean of the motions of already-processed neighbors.
+
+    Returns the zero vector when no neighbor has been processed yet (seed
+    vertices fall back to plain nearest-neighbor matching).
+    """
+    rows = [u for u in sorted(adjacency.neighbors[vertex]) if motion.processed[u]]
+    if not rows:
+        return np.zeros(3)
+    return motion.vectors[rows].mean(axis=0)
+
+
+def sequential_coarse_anchor(base: TriangleMesh, target: TriangleMesh,
+                             index: PointerOctree = None,
+                             motion_estimation: bool = True):
+    """Match every base vertex to a target vertex, producing the coarse anchor.
+
+    For each vertex in traversal order: estimate its motion from processed
+    neighbors, query the octree at the offset position, snap the anchor
+    vertex to the returned target vertex (exact copy), and record the motion
+    as matched position minus reference position. The face list is copied
+    verbatim from ``base``. With ``motion_estimation=False`` every query uses
+    a zero offset (plain nearest-neighbor matching, the ablation baseline).
+
+    Returns ``(AnchorMesh, MotionField)``.
+    """
+    if index is None:
+        index = pointer_octree(target.vertices)
+    adjacency = build_adjacency(base)
+    n = base.n_vertices
+    vectors = np.zeros((n, 3))
+    processed = np.zeros(n, dtype=bool)
+    motion = MotionField(vectors, processed)
+    correspondence = np.full(n, OFF_VERTEX, dtype=np.int64)
+    anchor_positions = np.empty((n, 3))
+    zero = np.zeros(3)
+    for v in queue_traversal_order(base, adjacency):
+        est = estimate_motion(v, adjacency, motion) if motion_estimation else zero
+        j, _ = pointer_nearest(index, base.vertices[v] + est)
+        anchor_positions[v] = target.vertices[j]
+        correspondence[v] = j
+        vectors[v] = anchor_positions[v] - base.vertices[v]
+        processed[v] = True
+    anchor = AnchorMesh(TriangleMesh(anchor_positions, base.faces), correspondence, "coarse")
+    return anchor, motion

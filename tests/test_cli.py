@@ -124,3 +124,22 @@ def test_eval_exits_2_on_a_missing_file(sequence, tmp_path, capsys):
     code = main(["eval", str(sequence / "frame_0000.obj"), str(tmp_path / "missing.obj")])
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
+
+
+@pytest.mark.parametrize("flags", [["--no-qem"], []], ids=["coarse", "fine"])
+@pytest.mark.parametrize("frame,bad", [(0, "nan"), (1, "inf")])
+def test_encode_exits_2_on_a_non_finite_coordinate(sequence, tmp_path, capsys, frame, bad,
+                                                    flags):
+    # a NaN base vertex and an inf target vertex would otherwise be matched
+    # silently or never, and the fine stage failed on the result with a bare
+    # ValueError; both are input errors
+    paths = [sequence / "frame_0000.obj", sequence / "frame_0001.obj"]
+    lines = paths[frame].read_text().splitlines()
+    row = next(i for i, line in enumerate(lines) if line.startswith("v "))
+    lines[row + 3] = f"v 0.25 {bad} 0.5"
+    paths[frame] = tmp_path / "broken.obj"
+    paths[frame].write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out.bin"
+    assert main(["encode", *map(str, paths), str(out), *flags]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "MeshValidationError"
+    assert not out.exists()

@@ -1,18 +1,30 @@
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import anchormesh as am
 from anchormesh import (
     OFF_VERTEX,
     AdjacencyMap,
+    MeshValidationError,
     MotionField,
     TriangleMesh,
     build_adjacency,
     build_octree,
-    estimate_motion,
     generate_coarse_anchor,
     make_grid,
     traversal_order,
 )
-from helpers import icosahedron, random_mesh
+from anchormesh.coarse import dependency_waves, traversal
+from anchormesh.mesh import directed_edges, unique_edges
+from helpers import (
+    estimate_motion,
+    icosahedron,
+    queue_traversal_order,
+    random_mesh,
+    sequential_coarse_anchor,
+)
 
 
 def _vertex_only_mesh(n):
@@ -131,3 +143,127 @@ def test_coarse_anchor_deterministic():
     assert np.array_equal(a1.mesh.vertices, a2.mesh.vertices)
     assert np.array_equal(a1.correspondence, a2.correspondence)
     assert np.array_equal(m1.vectors, m2.vectors)
+
+
+def _traversal(mesh):
+    n = mesh.n_vertices
+    return traversal(directed_edges(unique_edges(mesh.faces, n)[0]), n)
+
+
+def test_traversal_matches_the_queue_oracle():
+    rng = np.random.default_rng(19)
+    meshes = [random_mesh(rng, n_vertices=k, n_faces=f)
+              for k, f in ((40, 60), (60, 20), (12, 4), (200, 150))]
+    meshes.append(_vertex_only_mesh(7))
+    for m in meshes:
+        order, predecessors = _traversal(m)
+        assert order.tolist() == traversal_order(m) == queue_traversal_order(m)
+        rank = np.argsort(order)
+        neighbors = build_adjacency(m).neighbors
+        want = [(v, u) for v in range(m.n_vertices) for u in sorted(neighbors[v])
+                if rank[u] < rank[v]]
+        assert predecessors.tolist() == [list(row) for row in want]
+
+
+def test_dependency_waves_follow_their_definition():
+    rng = np.random.default_rng(4)
+    for m in (random_mesh(rng, n_vertices=50, n_faces=70), icosahedron(), make_grid(6)):
+        order, predecessors = _traversal(m)
+        wave = dependency_waves(order, predecessors)
+        for v in range(m.n_vertices):
+            before = predecessors[predecessors[:, 0] == v, 1]
+            assert wave[v] == (1 + wave[before].max() if len(before) else 0)
+
+
+def _bend_pair(resolution, seed, base_size):
+    spec = am.SequenceSpec(shape="sphere", resolution=resolution, frames=2, motion="bend",
+                           rate=0.1, region=0.4, topology_jitter=True, seed=seed)
+    reference, target = am.generate_sequence(spec)
+    return am.decimate_to_base(reference, base_size), target
+
+
+def _assert_matches_sequential(base, target, motion_estimation):
+    anchor, motion = generate_coarse_anchor(base, target, motion_estimation=motion_estimation)
+    want, want_motion = sequential_coarse_anchor(base, target,
+                                                 motion_estimation=motion_estimation)
+    assert np.array_equal(anchor.correspondence, want.correspondence)
+    assert np.array_equal(anchor.mesh.vertices, want.mesh.vertices)
+    assert np.array_equal(anchor.mesh.faces, want.mesh.faces)
+    assert np.array_equal(motion.vectors, want_motion.vectors)
+    assert np.all(motion.processed)
+    if motion_estimation:  # the fine stage reuses the coarse stage's traversal
+        assert anchor.order.tolist() == queue_traversal_order(base)
+
+
+@pytest.mark.parametrize("motion_estimation", [True, False])
+def test_coarse_anchor_matches_the_sequential_oracle_on_a_bend_sphere(motion_estimation):
+    base, target = _bend_pair(3, 5, 184)
+    _assert_matches_sequential(base, target, motion_estimation)
+
+
+@st.composite
+def coarse_pairs(draw):
+    """A base of several components (random soups, a translated grid) and
+    isolated vertices, and a target near it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    parts = [random_mesh(rng, n_vertices=draw(st.integers(3, 25)),
+                         n_faces=draw(st.integers(1, 30)))
+             for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        parts.append(TriangleMesh(make_grid(3).vertices + 2.0, make_grid(3).faces))
+    vertices, faces, offset = [], [], 0
+    for part in parts:
+        vertices.append(part.vertices)
+        faces.append(part.faces + offset)
+        offset += part.n_vertices
+    isolated = draw(st.integers(0, 4))
+    vertices.append(rng.uniform(-1, 1, (isolated, 3)))
+    vertices = np.vstack(vertices)
+    perm = rng.permutation(len(vertices))  # interleave components and isolated vertices
+    rank = np.argsort(perm)
+    base = TriangleMesh(vertices[perm], rank[np.vstack(faces)])
+    moved = base.vertices + rng.normal(0, draw(st.sampled_from([0.0, 0.05, 0.3])),
+                                       base.vertices.shape)
+    # lattice targets make exact ties between candidate matches common
+    if draw(st.booleans()):
+        moved = np.round(moved * 4) / 4
+    target = TriangleMesh(np.vstack([moved, rng.uniform(-1.5, 1.5, (draw(st.integers(0, 30)), 3))]),
+                          np.zeros((0, 3), dtype=np.int64))
+    return base, target
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(coarse_pairs(), st.booleans())
+def test_coarse_anchor_matches_the_sequential_oracle(pair, motion_estimation):
+    _assert_matches_sequential(*pair, motion_estimation)
+
+
+def test_coarse_anchor_rejects_non_finite_coordinates():
+    base = icosahedron()
+    broken = base.vertices.copy()
+    broken[3, 1] = np.nan
+    with pytest.raises(MeshValidationError):
+        generate_coarse_anchor(TriangleMesh(broken, base.faces), base)
+    broken[3, 1] = np.inf
+    with pytest.raises(MeshValidationError):
+        generate_coarse_anchor(base, TriangleMesh(broken, base.faces))
+    with pytest.raises(MeshValidationError):
+        am.encode_pair(TriangleMesh(broken, base.faces), base,
+                       am.CodecConfig().override(qem_refine=False))
+
+
+@pytest.mark.parametrize("motion_estimation", [True, False])
+@pytest.mark.parametrize("qem_refine", [True, False])
+def test_a_nan_base_vertex_is_an_input_error(motion_estimation, qem_refine):
+    # a NaN base vertex once matched the last target vertex silently and,
+    # through the neighbour mean, poisoned the matches after it
+    base, target = _bend_pair(1, 3, 12)
+    broken = base.vertices.copy()
+    broken[0] = np.nan
+    broken = TriangleMesh(broken, base.faces)
+    with pytest.raises(MeshValidationError):
+        generate_coarse_anchor(broken, target, motion_estimation=motion_estimation)
+    config = am.CodecConfig().override(motion_estimation=motion_estimation,
+                                       qem_refine=qem_refine)
+    with pytest.raises(MeshValidationError):
+        am.encode_pair(broken, target, config)

@@ -293,12 +293,14 @@ def test_surface_empty_mesh_raises():
 
 
 def test_surface_matches_brute_force_scan():
+    # every query against the batched scan, every 10th also against the
+    # per-face scalar scan
     rng = np.random.default_rng(13)
     for _ in range(5):
         m = random_mesh(rng, n_vertices=30, n_faces=40)
         queries = rng.uniform(-1.5, 1.5, size=(200, 3))
-        pos, faces, bary, d2 = closest_points_on_surface(m, queries)
-        for qi in range(len(queries)):
+        pos, faces, bary, d2 = assert_matches_oracle(m, queries)
+        for qi in range(0, len(queries), 10):
             bf_d2, bf_face, bf_sp = brute_force_surface_point(m, queries[qi])
             assert faces[qi] == bf_face
             assert d2[qi] == bf_d2

@@ -1,8 +1,16 @@
+"""The pointer octree oracle (the tests down to ``test_build_is_deterministic``)
+and the flattened point index of ``anchormesh.octree`` checked against it and
+against a linear scan."""
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from anchormesh import build_octree, nearest
-from helpers import brute_force_nearest
+from anchormesh import MeshValidationError, octree
+from helpers import brute_force_nearest, dense_within_reach, octree_leaves
+from helpers import pointer_nearest as nearest
+from helpers import pointer_octree as build_octree
 
 
 def _collect_leaves(node, out):
@@ -122,3 +130,185 @@ def test_build_is_deterministic():
     queries = rng.uniform(-1, 1, size=(50, 3))
     for q in queries:
         assert nearest(t1, q) == nearest(t2, q)
+
+
+def _cell_points(index, cell):
+    """Indices binned in ``cell``, as the index stores them."""
+    key = int(index.key(np.asarray(cell)))
+    return index.order[index.starts[key]:index.starts[key + 1]].tolist()
+
+
+def test_index_single_point_single_cell():
+    index = octree.build_octree([[1.0, 2.0, 3.0]])
+    assert index.depth == 0 and index.side == 1
+    assert _cell_points(index, [0, 0, 0]) == [0]
+    assert index.starts[-1] == 1
+
+
+def test_index_rejects_what_the_oracle_rejects():
+    with pytest.raises(ValueError):
+        octree.build_octree(np.zeros((0, 3)))
+    with pytest.raises(ValueError):
+        octree.build_octree([[0, 0, 0]], leaf_capacity=0)
+
+
+def test_index_duplicates_stop_at_the_cell_cap():
+    pts = np.tile([[0.5, 0.5, 0.5]], (9, 1))
+    # no depth separates duplicates: the grid stops at its cell cap (8 ** 2
+    # cells for 9 points) or at max_depth, whichever comes first
+    index = octree.build_octree(pts, leaf_capacity=8)
+    assert index.depth == 2
+    assert _cell_points(index, index.cell[0]) == list(range(9))  # oversized cell permitted
+    assert octree.build_octree(pts, leaf_capacity=8, max_depth=1).depth == 1
+
+
+def test_index_cells_are_the_pointer_octree_nodes():
+    rng = np.random.default_rng(21)
+    pts = rng.uniform(-3, 3, size=(10_000, 3))
+    index = octree.build_octree(pts)
+    assert np.array_equal(np.sort(index.order), np.arange(len(pts)))
+    counts = np.diff(index.starts)
+    assert counts.max() <= index.leaf_capacity
+    assert index.side ** 3 <= 8 * len(pts)
+    # the shallowest such depth: one level up, some cell holds too many
+    parent = index.cell >> 1
+    assert np.unique(parent, axis=0, return_counts=True)[1].max() > index.leaf_capacity
+    keys = index.key(index.cell)
+    for key in np.flatnonzero(counts)[:200]:
+        members = index.order[index.starts[key]:index.starts[key + 1]]
+        assert np.all(keys[members] == key)
+        assert np.all(np.diff(members) > 0)  # ascending within a cell
+    lo = index.low + index.cell * index.width
+    assert np.all(pts >= lo - 1e-12) and np.all(pts <= lo + index.width + 1e-12)
+    tree = build_octree(pts, leaf_capacity=1, max_depth=index.depth + 2)
+    assert np.array_equal(tree.center, index.center) and tree.half_width == index.half_width
+    root_low = tree.center - tree.half_width
+    for leaf in octree_leaves(tree.root):
+        at = np.floor((leaf.center - root_low) / (2 * leaf.half)).astype(np.int64)
+        shift = leaf.depth - index.depth
+        want = at >> shift if shift >= 0 else at
+        got = index.cell[leaf.indices] >> max(-shift, 0)
+        assert np.all(got == want)
+
+
+def test_index_half_open_cell_assignment():
+    # a point exactly on the splitting plane goes to the upper cell
+    pts = np.array([[0.0, 0, 0], [2.0, 0, 0], [1.0, 0, 0]])  # center x = 1.0
+    index = octree.build_octree(pts, leaf_capacity=1)
+    assert index.center[0] == 1.0 and index.depth >= 1
+    assert index.cell[2, 0] == index.cell[1, 0] > index.cell[0, 0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_index_build_and_query_reject_non_finite_coordinates(bad):
+    pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0]])
+    broken = pts.copy()
+    broken[1, 2] = bad
+    with pytest.raises(MeshValidationError):
+        octree.build_octree(broken)
+    with pytest.raises(MeshValidationError):
+        octree.nearest(octree.build_octree(pts), broken)
+
+
+def test_index_nearest_answers_a_batch():
+    pts = np.array([[0, 0, 0], [10, 0, 0], [-10, 0, 0], [0, 9, 0]], dtype=float)
+    idx, dist = octree.nearest(octree.build_octree(pts), [[0, 9, 0], [4, 0, 0], [5, 0, 0]])
+    assert idx.tolist() == [3, 0, 0] and dist.tolist() == [0.0, 4.0, 5.0]  # a tie to the lowest
+    idx, dist = octree.nearest(octree.build_octree(pts), np.zeros((0, 3)))
+    assert len(idx) == len(dist) == 0
+
+
+def test_index_nearest_matches_linear_scan():
+    rng = np.random.default_rng(33)
+    pts = rng.uniform(-2, 2, size=(10_000, 3))
+    queries = rng.uniform(-2.5, 2.5, size=(1000, 3))
+    got_i, got_d = octree.nearest(octree.build_octree(pts), queries)
+    for q, gi, gd in zip(queries, got_i, got_d):
+        assert (gi, gd) == brute_force_nearest(pts, q)
+
+
+def test_index_nearest_matches_linear_scan_with_lattice_ties():
+    grid = np.stack(np.meshgrid(*[np.arange(4.0)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    rng = np.random.default_rng(5)
+    queries = np.vstack([
+        grid + 0.5,  # centers of cells: 8-way ties
+        grid[rng.choice(len(grid), 50)] + [0.5, 0, 0],  # edge midpoints: 2-way ties
+    ])
+    got_i, got_d = octree.nearest(octree.build_octree(grid, leaf_capacity=4), queries)
+    for q, gi, gd in zip(queries, got_i, got_d):
+        assert (gi, gd) == brute_force_nearest(grid, q)
+
+
+def test_index_flat_clouds_keep_the_cell_count_bounded():
+    # a cell size taken from the box volume would explode on a flat cloud;
+    # the index never has more than eight cells per point
+    rng = np.random.default_rng(3)
+    for pts in (np.c_[rng.uniform(-1, 1, (4000, 2)), np.zeros(4000)],
+                np.c_[rng.uniform(-1, 1, 4000), np.zeros((4000, 2))],
+                np.tile([[1e6, -1e6, 3.0]], (500, 1))):
+        index = octree.build_octree(pts, leaf_capacity=1)
+        assert index.side ** 3 <= 8 * len(pts)
+        assert len(index.starts) - 1 <= 27 * 8 * len(pts)  # with its margin
+        queries = pts[::50] + rng.normal(0, 1e-3, (len(pts[::50]), 3))
+        got_i, got_d = octree.nearest(index, queries)
+        for q, gi, gd in zip(queries, got_i, got_d):
+            assert (gi, gd) == brute_force_nearest(pts, q)
+
+
+_SHAPES = ("general", "duplicates", "planar", "collinear", "single")
+
+
+@st.composite
+def clouds(draw):
+    """``(points, queries, leaf_capacity)``: a point cloud of one of
+    ``_SHAPES`` at a scale from 1e-6 to 1e6, and queries on it, near it and
+    far outside its box."""
+    shape = draw(st.sampled_from(_SHAPES))
+    n = 1 if shape == "single" else draw(st.integers(2, 60))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    rng = np.random.default_rng(seed)
+    # small integer lattices make ties and duplicates common
+    pts = rng.integers(-3, 4, size=(n, 3)).astype(float)
+    if draw(st.booleans()):
+        pts += rng.uniform(-0.5, 0.5, size=(n, 3))
+    if shape == "duplicates":
+        pts = pts[rng.integers(0, max(1, n // 4), n)]
+    elif shape == "planar":
+        pts[:, draw(st.integers(0, 2))] = 1.0
+    elif shape == "collinear":
+        pts[:, 1:] = pts[:, :1] * [2.0, -1.0]
+    offset = rng.integers(-2, 3, size=3) * draw(st.sampled_from([0.0, 1.0, 100.0]))
+    pts = (pts + offset) * scale
+    k = draw(st.integers(1, 30))
+    queries = np.vstack([
+        pts[rng.integers(0, n, k)],  # on a point
+        (rng.integers(-4, 5, size=(k, 3)) * 0.5 + offset) * scale,  # lattice: ties
+        (rng.uniform(-4, 4, size=(k, 3)) + offset) * scale,
+        (rng.normal(0, 1, size=(k, 3)) * 1e3 + offset) * scale,  # far outside the box
+    ])
+    return pts, queries, draw(st.sampled_from([1, 2, 4, 16]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(clouds())
+def test_index_nearest_matches_the_pointer_octree_and_a_scan(cloud):
+    pts, queries, capacity = cloud
+    got_i, got_d = octree.nearest(octree.build_octree(pts, leaf_capacity=capacity), queries)
+    tree = build_octree(pts, leaf_capacity=capacity)
+    for q, gi, gd in zip(queries, got_i, got_d):
+        assert (gi, gd) == nearest(tree, q) == brute_force_nearest(pts, q)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(clouds(), st.sampled_from([0.0, 0.3, 1.0, 3.0]), st.booleans())
+def test_index_within_reach_matches_the_dense_search(cloud, reach, exact):
+    pts, queries, capacity = cloud
+    scale = float(np.abs(pts).max()) or 1.0
+    rng = np.random.default_rng(len(pts))
+    # exact reaches hit lattice points at exactly their distance
+    reach2 = ((rng.integers(0, 3, len(queries)) * 0.5 if exact
+               else rng.uniform(0, reach, len(queries))) * scale) ** 2
+    got = octree.within_reach(octree.build_octree(pts, leaf_capacity=capacity), queries, reach2)
+    want = dense_within_reach(queries, reach2, pts)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])

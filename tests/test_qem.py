@@ -23,6 +23,7 @@ from helpers import (
     edge_quadric,
     optimal_point,
     plane_quadric,
+    queue_traversal_order,
     random_mesh,
     scalar_best_collapse,
     scalar_optimal_point,
@@ -411,9 +412,9 @@ def test_move_judge_covers_what_an_exhaustive_search_finds(seed, base_size):
 
 
 def test_within_reach_matches_dense_search():
-    # the judge's sort-based sweep must find the pairs of the dense search it
-    # replaced, in the same order
-    from anchormesh.qem import _within_reach
+    # the judge's reach pairs, from the point index, must be the pairs of the
+    # dense search, in the same order
+    from anchormesh.octree import build_octree, within_reach
 
     rng = np.random.default_rng(71)
     grid = np.array([[i, j, k] for i in range(4) for j in range(4) for k in range(3)], float)
@@ -421,15 +422,16 @@ def test_within_reach_matches_dense_search():
         (rng.normal(size=(150, 3)), rng.uniform(0, 0.6, 150), rng.normal(size=(700, 3))),
         (grid[::2], np.r_[0.0, 1.0, 2.0, np.zeros(21)], grid),  # exact hits, shared x
         (rng.normal(size=(300, 3)), np.full(300, np.inf), rng.normal(size=(1000, 3))),  # 2 blocks
-        (rng.normal(size=(5, 3)), np.ones(5), np.zeros((0, 3))),
         (np.zeros((0, 3)), np.zeros(0), rng.normal(size=(8, 3))),
     ]
     for centers, reach, points in cases:
-        owner, sample = _within_reach(centers, reach ** 2, points)
+        owner, sample = within_reach(build_octree(points), centers, reach ** 2)
         want_owner, want_sample = dense_within_reach(centers, reach ** 2, points)
         assert np.array_equal(owner, want_owner) and np.array_equal(sample, want_sample)
     centers, reach, points = cases[0]
-    assert len(_within_reach(centers, reach ** 2, points)[0]) > 150  # not a trivial case
+    assert len(within_reach(build_octree(points), centers, reach ** 2)[0]) > 150  # not trivial
+    with pytest.raises(ValueError):  # no index over no points: a target has vertices
+        build_octree(np.zeros((0, 3)))
 
 
 @pytest.mark.parametrize("level,seed,base_size,collapses", [
@@ -445,7 +447,6 @@ def test_refine_matches_plain_sequential_search(level, seed, base_size, collapse
     # judges it alone must give the same anchor (seed 3 with 120 base vertices
     # has 12 duplicate correspondences; level 3 with 184 is the benchmark's size)
     import anchormesh as am
-    from anchormesh.coarse import traversal_order
     from anchormesh.qem import _MoveJudge, _WorkingCopy
 
     spec = am.SequenceSpec(shape="sphere", resolution=level, frames=2, motion="bend",
@@ -460,7 +461,7 @@ def test_refine_matches_plain_sequential_search(level, seed, base_size, collapse
     judge = _MoveJudge(coarse, target)
     positions = coarse.mesh.vertices.copy()
     errors = judge.errors(np.arange(len(positions)), positions)
-    for ai in traversal_order(coarse.mesh):
+    for ai in queue_traversal_order(coarse.mesh):
         c = int(corr[ai])
         for _ in range(collapses):
             move = scalar_best_collapse(work, quadrics, c, set(corr.tolist()))
@@ -477,6 +478,27 @@ def test_refine_matches_plain_sequential_search(level, seed, base_size, collapse
     assert np.array_equal(fine.mesh.vertices, positions)
     assert np.array_equal(fine.correspondence == OFF_VERTEX,
                           np.any(positions != coarse.mesh.vertices, axis=1))
+
+
+def test_refine_with_a_shared_index_and_traversal_matches_refine_alone():
+    # the encoder hands the fine stage the coarse stage's point index and
+    # traversal; neither may change the anchor
+    import anchormesh as am
+    from anchormesh.coarse import AnchorMesh
+    from anchormesh.octree import build_octree
+
+    spec = am.SequenceSpec(shape="sphere", resolution=3, frames=2, motion="bend",
+                           rate=0.1, region=0.4, topology_jitter=True, seed=5)
+    reference, target = am.generate_sequence(spec)
+    coarse, _ = generate_coarse_anchor(decimate_to_base(reference, 184), target)
+    assert coarse.order is not None
+    bare = AnchorMesh(coarse.mesh, coarse.correspondence, "coarse")
+    want = refine_anchor(bare, target)
+    for capacity in (1, 16, 1000):
+        got = refine_anchor(coarse, target, 1, build_octree(target.vertices, capacity))
+        assert np.array_equal(got.mesh.vertices, want.mesh.vertices)
+        assert np.array_equal(got.correspondence, want.correspondence)
+        assert np.array_equal(got.order, coarse.order)
 
 
 def test_refine_requires_coarse_stage():

@@ -246,3 +246,15 @@ def test_decimate_matches_scalar_oracle(mesh, target):
     want = scalar_decimate_to_base(mesh, target)
     assert got.vertices.tobytes() == want.vertices.tobytes()
     assert np.array_equal(got.faces, want.faces)
+
+
+@pytest.mark.parametrize("mesh,target", _soups())
+def test_decimate_counts_only_vertices_with_a_face(mesh, target):
+    # an isolated vertex, and a vertex whose last face a collapse deleted,
+    # are not base vertices: they never count toward the target, so no soup
+    # decimates to nothing and each reaches half its vertices exactly
+    got = decimate_to_base(mesh, target)
+    assert got.n_faces > 0
+    assert len(np.unique(got.faces)) == got.n_vertices <= target
+    if target == round(mesh.n_vertices / 2):
+        assert got.n_vertices == target
