@@ -16,12 +16,10 @@ from .coarse import (
 )
 from .config import CodecConfig, load_config
 from .mesh import (
-    AdjacencyMap,
     MeshError,
     MeshValidationError,
     ObjParseError,
     TriangleMesh,
-    build_adjacency,
     closest_points_on_surface,
     load_mesh,
     save_mesh,

@@ -174,8 +174,10 @@ def cmd_sweep(args) -> int:
             for pair_index in range(len(frames) - 1):
                 jobs.append((label, job_config, pair_index,
                              bases[pair_index], frames[pair_index + 1]))
-    if config.threads > 1:
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
+    # a fork pool starts all its workers at once: never more than the jobs
+    workers = min(config.threads, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_job, jobs, chunksize=1))
     else:
         results = [_sweep_job(job) for job in jobs]

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import (
-    AdjacencyMap,
     TriangleMesh,
     _first_of_runs,
     _ranges,
@@ -88,15 +87,11 @@ def traversal(directed, n: int):
     return order, directed[rank[neighbor] < rank[source]]
 
 
-def traversal_order(base: TriangleMesh, adjacency: AdjacencyMap = None) -> list:
+def traversal_order(base: TriangleMesh) -> list:
     """Deterministic vertex processing order (:func:`traversal`) of the
-    base's edges, or of ``adjacency.neighbors`` where given."""
+    base's edges."""
     n = base.n_vertices
-    if adjacency is None:
-        directed = directed_edges(unique_edges(base.faces, n)[0])
-    else:
-        directed = [(v, u) for v, around in enumerate(adjacency.neighbors) for u in sorted(around)]
-    return traversal(directed, n)[0].tolist()
+    return traversal(directed_edges(unique_edges(base.faces, n)[0]), n)[0].tolist()
 
 
 def dependency_waves(order, predecessors) -> np.ndarray:

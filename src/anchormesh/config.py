@@ -23,7 +23,11 @@ class CodecConfig:
     max_depth: int = DEFAULT_MAX_DEPTH
     base_fraction: float = 0.25        # decimation ratio for sweep base meshes
     alpha_ladder: tuple = (1.0, 2.0, 4.0, 8.0, 16.0)
-    threads: int = 1
+    threads: int = 1                   # sweep worker processes
+
+    def __post_init__(self):
+        if self.threads < 1:
+            raise ValueError(f"threads must be at least 1, got {self.threads}")
 
     def override(self, **kwargs) -> "CodecConfig":
         return replace(self, **kwargs)

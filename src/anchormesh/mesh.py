@@ -80,21 +80,6 @@ class TriangleMesh:
         return len(self.faces)
 
 
-@dataclass
-class AdjacencyMap:
-    """Combinatorial adjacency of a mesh.
-
-    ``neighbors[v]`` is the set of vertices sharing an edge with ``v``,
-    ``vertex_faces[v]`` the set of incident face indices, and ``edges`` the
-    unique undirected edges as (lo, hi) pairs in lexicographic order.
-    Treat instances as read-only once built.
-    """
-
-    neighbors: list
-    vertex_faces: list
-    edges: list
-
-
 def load_mesh(data) -> TriangleMesh:
     """Parse an ASCII OBJ (``v``/``f`` records only) into a TriangleMesh.
 
@@ -184,6 +169,15 @@ def unique_edges(faces, n_vertices: int):
     return edges, index.reshape(3, -1).T
 
 
+def vertex_corners(faces, n_vertices: int):
+    """Face incidence of every vertex, as ``(corners, count, start)``:
+    ``corners`` holds the slots ``3 * face + i`` of ``faces.ravel()`` by
+    vertex, then face, and a vertex's are ``corners[start:start + count]``."""
+    flat = faces.ravel()
+    count = np.bincount(flat, minlength=n_vertices)
+    return np.argsort(flat, kind="stable"), count, np.cumsum(count) - count
+
+
 def directed_edges(edges):
     """Both directions of the undirected ``edges`` (k, 2) as (source,
     neighbor) rows, by source, then neighbor: the rows of a vertex list its
@@ -205,22 +199,6 @@ def _first_of_runs(values):
     first[:1] = True
     np.not_equal(values[1:], values[:-1], out=first[1:])
     return first
-
-
-def build_adjacency(mesh: TriangleMesh) -> AdjacencyMap:
-    """Vertex neighbors, incident faces and the unique undirected edge list."""
-    n = mesh.n_vertices
-    neighbors = [set() for _ in range(n)]
-    vertex_faces = [set() for _ in range(n)]
-    for fi, (a, b, c) in enumerate(mesh.faces.tolist()):
-        neighbors[a].update((b, c))
-        neighbors[b].update((a, c))
-        neighbors[c].update((a, b))
-        vertex_faces[a].add(fi)
-        vertex_faces[b].add(fi)
-        vertex_faces[c].add(fi)
-    edges = [tuple(e) for e in unique_edges(mesh.faces, n)[0].tolist()]
-    return AdjacencyMap(neighbors, vertex_faces, edges)
 
 
 def _row_dot(u, v):
@@ -342,8 +320,6 @@ def _degenerate_bary(p, a, b, c, degen, bu, bv, bw):
 _PAD = 1e-9
 # (query, cell item) pairs a closest-point block may expand at once
 _BLOCK_PAIRS = 1 << 18
-# the 3 x 3 x 3 cell neighbourhood searched for a bounding vertex
-_NEIGHBOURS = np.stack(np.meshgrid(*[np.arange(-1, 2)] * 3, indexing="ij")).reshape(3, -1)
 
 
 def _ranks(count):
@@ -385,41 +361,91 @@ def _run_minima(values, owner, n):
     return out
 
 
-class _Bins:
-    """Items binned by linear cell id, each cell's items in ascending order."""
+def _cell_of(points, low, width, last):
+    """Cell of each of ``points`` (k, 3) in a grid of cells ``width`` wide
+    from ``low``, clipped to ``0..last`` (floats) on every axis."""
+    cell = (points - low) / width
+    return np.clip(cell, 0.0, last, out=cell).astype(np.int64)
 
-    def __init__(self, cells, items, n_cells):
-        # items arrive ascending, so a stable sort by cell keeps each cell's
+
+class _CellBins:
+    """Items binned in the ``shape`` (3,) cells of a uniform grid, each cell
+    ``width`` wide from ``low``.
+
+    Keys count the cells of the grid padded by one empty cell on every side
+    in x-major order, so that the 3 x 3 x 3 block around a cell never leaves
+    it. Item ``i`` is binned in cell ``lo[i]`` or, where ``hi`` is given, in
+    every cell of the inclusive cell box ``[lo[i], hi[i]]``: ``order`` holds
+    the items sorted by cell key, ascending within a cell, ``starts[key]`` is
+    the first slot of a cell in ``order`` and ``starts[-1]`` the number of
+    entries.
+    """
+
+    def __init__(self, low, width, shape, lo, hi=None):
+        self.low, self.width, self.last = low, width, shape - 1.0
+        dims = shape + 2
+        self.strides = np.array([dims[1] * dims[2], dims[2], 1])
+        if hi is None:
+            owner, keys = np.arange(len(lo)), self.key(lo)
+        else:
+            owner, key, height = self._columns(lo, hi)
+            owner, keys = np.repeat(owner, height), np.repeat(key, height) + _ranks(height)
+        n_keys = int(dims.prod())
+        # items arrive ascending, so a stable sort by key keeps each cell's
         # items in order; numpy radix-sorts 16-bit keys
-        keys = cells.astype(np.uint16) if n_cells <= 1 << 16 else cells
-        self.items = items[np.argsort(keys, kind="stable")]
-        counts = np.bincount(cells, minlength=n_cells)
+        by_key = np.argsort(keys.astype(np.uint16) if n_keys <= 1 << 16 else keys, kind="stable")
+        self.order = owner[by_key]
+        counts = np.bincount(keys, minlength=n_keys)
         self.starts = np.concatenate([[0], np.cumsum(counts)])
         self.max_count = int(counts.max())
 
-    def count(self, cells):
-        """Number of items binned in each cell."""
-        return self.starts[cells + 1] - self.starts[cells]
+    def key(self, cell):
+        """Key of each cell of ``cell`` (..., 3)."""
+        return (cell + 1) @ self.strides
 
-    def gather(self, owner, cells):
-        """``(owner, item)`` for every item binned in each entry's cell."""
-        start = self.starts[cells]
-        count = self.starts[cells + 1] - start
-        return np.repeat(owner, count), self.items[np.repeat(start, count) + _ranks(count)]
+    def cell_of(self, points):
+        """Cell of each of ``points`` (k, 3), clipped to the grid. The
+        transposed view of a (3, k) array is several times faster here than
+        a (k, 3) array, whose short rows make numpy broadcast slowly."""
+        return _cell_of(points, self.low, self.width, self.last)
+
+    def _columns(self, lo, hi):
+        """``(owner, key, height)`` of the z-columns of cells in each
+        inclusive cell box ``[lo[i], hi[i]]``, by owner: the key of a
+        column's bottom cell and its number of cells."""
+        span = hi - lo + 1
+        count = span[:, 0] * span[:, 1]
+        owner = np.repeat(np.arange(len(lo)), count)
+        rank = _ranks(count)
+        ny = span[owner, 1]
+        cell = lo[owner]
+        cell[:, 0] += rank // ny
+        cell[:, 1] += rank % ny
+        return owner, self.key(cell), span[owner, 2]
+
+    def columns(self, lo, hi):
+        """``(owner, first slot, count)`` of the z-columns of cells in each
+        inclusive cell box ``[lo[i], hi[i]]``, by owner: a column's entries
+        are ``order[first:first + count]``."""
+        owner, key, height = self._columns(lo, hi)
+        first = self.starts[key]
+        return owner, first, self.starts[key + height] - first
+
+    def entries(self, owner, first, count):
+        """``(owner, item)`` for every entry of each run
+        ``order[first:first + count]``."""
+        return np.repeat(owner, count), self.order[_ranges(first, count)]
 
 
 class _FaceGrid:
-    """Uniform grid over a mesh's faces, with one empty cell of margin on
-    every side so that a cell's 3 x 3 x 3 neighbourhood never leaves it.
+    """The faces of a mesh binned in a :class:`_CellBins` grid, each in every
+    cell its bounding box touches.
 
-    The cell size ``h`` starts at the mean face extent and doubles until the
-    grid has at most eight cells, and the faces at most sixteen cell entries,
-    per face. Each face is binned in every cell its bounding box touches.
-    Each vertex that :func:`_closest_point_kernel` can return is binned in its
-    own cell: every corner of a face with area, and the ends of a degenerate
-    face's longest edge. The grid also keeps each face's
-    :func:`triangle_terms` and what the rounding slack of :meth:`measure`
-    needs. Points, cells and boxes are held coordinates first, (3, k).
+    The cell size starts at the mean face extent and doubles until the grid
+    has at most eight cells, and the faces at most sixteen cell entries, per
+    face. The grid also keeps each face's :func:`triangle_terms` and what
+    the rounding slack of :meth:`measure` needs. Query coordinates and face
+    terms are held coordinates first, (3, k).
     """
 
     def __init__(self, mesh: TriangleMesh):
@@ -429,8 +455,8 @@ class _FaceGrid:
         a, b, c = (np.take(cols, mesh.faces[:, i], axis=1) for i in range(3))
         fmin = np.minimum(np.minimum(a, b), c)
         fmax = np.maximum(np.maximum(a, b), c)
-        self.origin = fmin.min(axis=1)[:, None]
-        extent = fmax.max(axis=1) - self.origin[:, 0]
+        low = fmin.min(axis=1)
+        extent = fmax.max(axis=1) - low
         if not np.isfinite(extent).all():
             raise MeshValidationError("closest-point query requires finite coordinates")
         h = float((fmax - fmin).max(axis=0).mean()) or float(extent.max()) or 1.0
@@ -438,51 +464,21 @@ class _FaceGrid:
         while True:
             inner = np.floor(extent / h) + 1.0
             if np.prod(inner) <= 8.0 * m:
-                self.h, self.dims = h, inner.astype(np.int64)[:, None] + 2
-                lo, hi = self.cell(fmin), self.cell(fmax)
-                if (hi - lo + 1).prod(axis=0).sum() <= 16 * m:
+                lo, hi = (_cell_of(x.T, low, h, inner - 1.0) for x in (fmin, fmax))
+                if (hi - lo + 1).prod(axis=1).sum() <= 16 * m:
                     break
             h *= 2.0
-        n_cells = int(self.dims.prod())
-        face, cell = self.box_cells(lo, hi)
-        self.faces = _Bins(cell, face, n_cells)
+        self.cells = _CellBins(low, h, inner.astype(np.int64), lo, hi)
 
-        degen = _degenerate((b - a).T, (c - a).T)
+        self.degen = _degenerate((b - a).T, (c - a).T)
         self.terms = triangle_terms(a, b, c)
         d00, d11, inv, flat = self.terms[[9, 11, 15, 16]]
         # both measures see a triangle: only these faces bound a query
-        self.solid = ~degen & (flat != 0.0)
+        self.solid = ~self.degen & (flat != 0.0)
         self.cond = d00 * d11 * inv  # 1 / sin^2 of the angle at a; 0 if flat
         self.spread = self.cond * (d00 + d11)
         self.mag = np.maximum(fmax, -fmin).max(axis=0)
-
-        returnable = np.zeros(mesh.n_vertices, dtype=bool)
-        returnable[mesh.faces[~degen]] = True
-        longest = _longest_edge(*(x[:, degen].T for x in (a, b, c)))
-        ends = np.stack([longest, (longest + 1) % 3], axis=1)
-        returnable[np.take_along_axis(mesh.faces[degen], ends, axis=1)] = True
-        self.used = np.take(cols, np.flatnonzero(returnable), axis=1)
-        self.verts = _Bins(self.linear(self.cell(self.used)), np.arange(self.used.shape[1]),
-                           n_cells)
-
-    def cell(self, points):
-        """Integer cell of each point, clipped to the grid inside the margin."""
-        return np.clip(np.floor((points - self.origin) / self.h), 0,
-                       self.dims - 3).astype(np.int64) + 1
-
-    def linear(self, cell):
-        return (cell[0] * self.dims[1] + cell[1]) * self.dims[2] + cell[2]
-
-    def box_cells(self, lo, hi):
-        """``(owner, cell)`` for every cell of each inclusive box [lo, hi]."""
-        span = hi - lo + 1
-        owner = np.arange(span.shape[1])
-        cell = self.linear(lo)
-        for axis, stride in enumerate((self.dims[1] * self.dims[2], self.dims[2], 1)):
-            count = span[axis, owner]
-            owner = np.repeat(owner, count)
-            cell = np.repeat(cell, count) + _ranks(count) * stride
-        return owner, cell
+        self.vertex_index = None  # of the returnable vertices, built on demand
 
     def measure(self, q, mag, face):
         """Lower and upper bounds on the kernel's squared distance of each
@@ -501,23 +497,22 @@ class _FaceGrid:
         return np.where(solid, d2 - slack, -np.inf), np.where(solid, d2 + slack, np.inf)
 
     def vertex_bounds(self, pts):
-        """Squared distance from each point to a returnable vertex: the
-        nearest one in the point's 3 x 3 x 3 cell neighbourhood or, where that
-        holds none, the nearest of all."""
-        n = pts.shape[1]
-        r2 = np.full(n, np.inf)
-        home = self.linear(self.cell(pts))
-        around = self.linear(_NEIGHBOURS)
-        for s, e in _blocks(np.full(n, len(around) * self.verts.max_count), _BLOCK_PAIRS):
-            owner, v = self.verts.gather(np.repeat(np.arange(e - s), len(around)),
-                                         (home[s:e, None] + around).ravel())
-            diff = np.take(pts, s + owner, axis=1) - np.take(self.used, v, axis=1)
-            r2[s:e] = _run_minima(_dot3(diff, diff), owner, e - s)
-        miss = np.flatnonzero(np.isinf(r2))
-        for s, e in _blocks(np.full(len(miss), self.used.shape[1]), _BLOCK_PAIRS):
-            diff = pts[:, miss[s:e], None] - self.used[:, None, :]
-            r2[miss[s:e]] = _dot3(diff, diff).min(axis=1)
-        return r2
+        """Squared distance from each of ``pts`` (k, 3) to the nearest vertex
+        that :func:`_closest_point_kernel` can return: a corner of a face
+        with area or an end of a degenerate face's longest edge."""
+        from .octree import build_octree, nearest  # octree imports this module
+
+        if self.vertex_index is None:
+            # np.compress selects rows several times faster than a boolean index
+            faces, verts = self.mesh.faces, self.mesh.vertices
+            returnable = np.zeros(len(verts), dtype=bool)
+            returnable[np.compress(~self.degen, faces, axis=0)] = True
+            degen = np.compress(self.degen, faces, axis=0)
+            longest = _longest_edge(*(verts[degen[:, i]] for i in range(3)))
+            ends = np.stack([longest, (longest + 1) % 3], axis=1)
+            returnable[np.take_along_axis(degen, ends, axis=1)] = True
+            self.vertex_index = build_octree(np.compress(returnable, verts, axis=0))
+        return nearest(self.vertex_index, pts)[1] ** 2
 
     def settle(self, pts, query, face, out):
         """Run the exact kernel on (query, face) pairs, grouped by query with
@@ -574,11 +569,14 @@ def closest_points_on_surface(mesh: TriangleMesh, points):
       cell. Each of those faces has kernel distance at most ``d2 + s``, and
       the minimum is at most that, so the least ``d2 + s`` bounds it: ``r^2``.
       Where the cell holds no face that both measures see as a triangle,
-      ``r^2`` is the squared distance to the nearest vertex the kernel can
-      return: a corner of a face with area, or an end of a degenerate
-      face's longest edge. The kernel's distance to that face is at most
-      ``r^2``. A vertex off that edge would bound nothing. ``r`` is then
-      inflated by ``1e-9`` of itself and of the largest face coordinate.
+      ``r`` is the distance to the nearest vertex the kernel can return (a
+      corner of a face with area, or an end of a degenerate face's longest
+      edge), from :func:`anchormesh.octree.nearest` over a point index of
+      those vertices that the first such query builds. The kernel's
+      distance to that vertex's face is at most ``r^2``. A vertex off that
+      edge would bound nothing. ``r`` is then inflated by ``1e-9`` of
+      itself and of the largest face coordinate, which also covers the
+      rounding of the distance.
     - *Gather.* A face within ``r`` of ``q`` has a bounding box that meets
       the box ``q +- r``, so it is binned in a cell that the box covers. Where
       the box lies in ``q``'s own cell, the faces measured for the bound are
@@ -602,34 +600,37 @@ def closest_points_on_surface(mesh: TriangleMesh, points):
     if not np.isfinite(pts).all():
         raise MeshValidationError("closest-point query requires finite coordinates")
     grid = _FaceGrid(mesh)
+    cells = grid.cells
     pad = _PAD * float(grid.mag.max())
     cols = np.ascontiguousarray(pts.T)
     mag = np.abs(cols).max(axis=0)
     n = len(pts)
     out = (np.empty((n, 3)), np.empty(n, dtype=np.int64), np.empty((n, 3)), np.empty(n))
-    home = grid.linear(grid.cell(cols))
-    lo = np.empty((3, n), dtype=np.int64)
-    hi = np.empty((3, n), dtype=np.int64)
+    home = cells.key(cells.cell_of(cols.T))
+    first = cells.starts[home]
+    count = cells.starts[home + 1] - first
+    lo = np.empty((n, 3), dtype=np.int64)
+    hi = np.empty((n, 3), dtype=np.int64)
     limit = np.empty(n)
-    for s, e in _blocks(grid.faces.count(home), _BLOCK_PAIRS):
-        owner, face = grid.faces.gather(np.arange(e - s), home[s:e])
+    for s, e in _blocks(count, _BLOCK_PAIRS):
+        owner, face = cells.entries(np.arange(e - s), first[s:e], count[s:e])
         low, high = grid.measure(np.take(cols, s + owner, axis=1), mag[s + owner], face)
         bound = _run_minima(high, owner, e - s)
         empty = np.isinf(bound)
         if empty.any():
-            bound[empty] = grid.vertex_bounds(cols[:, s:e][:, empty])
+            bound[empty] = grid.vertex_bounds(pts[s:e][empty])
         reach = np.sqrt(bound) * (1.0 + _PAD) + pad
-        lo[:, s:e] = grid.cell(cols[:, s:e] - reach)
-        hi[:, s:e] = grid.cell(cols[:, s:e] + reach)
+        lo[s:e] = cells.cell_of((cols[:, s:e] - reach).T)
+        hi[s:e] = cells.cell_of((cols[:, s:e] + reach).T)
         limit[s:e] = reach * reach
-        inside = (lo[:, s:e] == hi[:, s:e]).all(axis=0)
+        inside = (lo[s:e] == hi[s:e]).all(axis=1)
         take = inside[owner] & (low <= limit[s:e][owner])
         grid.settle(pts, s + owner[take], face[take], out)
-    far = np.flatnonzero((lo != hi).any(axis=0))
-    lo, hi, limit = np.take(lo, far, axis=1), np.take(hi, far, axis=1), limit[far]
+    far = np.flatnonzero((lo != hi).any(axis=1))
+    lo, hi, limit = lo[far], hi[far], limit[far]
     m = mesh.n_faces
-    for s, e in _blocks((hi - lo + 1).prod(axis=0) * grid.faces.max_count, _BLOCK_PAIRS):
-        owner, face = grid.faces.gather(*grid.box_cells(lo[:, s:e], hi[:, s:e]))
+    for s, e in _blocks((hi - lo + 1).prod(axis=1) * cells.max_count, _BLOCK_PAIRS):
+        owner, face = cells.entries(*cells.columns(lo[s:e], hi[s:e]))
         owner, face = np.divmod(sorted_unique(owner * m + face), m)
         query = far[s:e][owner]
         low, high = grid.measure(np.take(cols, query, axis=1), mag[query], face)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import _BLOCK_PAIRS, _PAD, MeshValidationError, _blocks, _ranges, _ranks, _run_starts
+from .mesh import _BLOCK_PAIRS, _PAD, MeshValidationError, _blocks, _CellBins, _ranges, _run_starts
 
 DEFAULT_LEAF_CAPACITY = 16
 DEFAULT_MAX_DEPTH = 21
@@ -37,13 +37,13 @@ class Octree:
     """Points binned into the ``side ** 3`` cells of one octree level,
     ``side = 2 ** depth``.
 
-    ``cell`` holds each point's integer cell and ``order`` the point indices
-    sorted by cell :meth:`key`, ascending within a cell. Keys count the
-    cells of the grid padded by one empty cell on every side in x-major
-    order, so that the 3 x 3 x 3 block around a cell never leaves it;
-    ``starts[key]`` is the first slot of a cell in ``order`` and
-    ``starts[-1]`` the number of points. ``sorted_cols`` holds the points in
-    that order, coordinates first. A cell's box is ``low + cell * width`` to
+    ``cell`` holds each point's integer cell and ``bins`` the points binned
+    by it in a :class:`anchormesh.mesh._CellBins` grid, the structure the
+    closest-point face grid uses too: ``order`` holds the point indices
+    sorted by cell :meth:`key`, ascending within a cell, ``starts[key]`` the
+    first slot of a cell in ``order`` and ``starts[-1]`` the number of
+    points. ``sorted_cols`` holds the points in that order, coordinates
+    first. A cell's box is ``low + cell * width`` to
     ``low + (cell + 1) * width``, up to rounding.
     """
 
@@ -57,37 +57,31 @@ class Octree:
     side: int = field(init=False)
     low: np.ndarray = field(init=False)
     width: float = field(init=False)
+    bins: _CellBins = field(init=False)
     order: np.ndarray = field(init=False)
     starts: np.ndarray = field(init=False)
     sorted_cols: np.ndarray = field(init=False)  # (3, n)
     mag: float = field(init=False)  # largest coordinate magnitude
-    strides: np.ndarray = field(init=False)  # key = (cell + 1) @ strides
     block: np.ndarray = field(init=False)  # key offsets of a block's nine z-columns
 
     def __post_init__(self):
         side = 1 << self.depth
-        dims = side + 2
-        strides = np.array([dims * dims, dims, 1])
-        keys = (self.cell + 1) @ strides
-        order = np.argsort(keys, kind="stable")
+        low = self.center - self.half_width
+        width = 2.0 * self.half_width / side
+        bins = _CellBins(low, width, np.full(3, side), self.cell)
         dx, dy = np.divmod(np.arange(9), 3)
         for name, value in (
-                ("side", side), ("low", self.center - self.half_width),
-                ("width", 2.0 * self.half_width / side), ("order", order),
-                ("starts", np.searchsorted(keys[order], np.arange(dims ** 3 + 1))),
-                ("sorted_cols", np.ascontiguousarray(self.points[order].T)),
-                ("mag", float(np.abs(self.points).max())), ("strides", strides),
+                ("side", side), ("low", low), ("width", width), ("bins", bins),
+                ("order", bins.order), ("starts", bins.starts),
+                ("sorted_cols", np.ascontiguousarray(np.take(self.points, bins.order, axis=0).T)),
+                ("mag", float(np.abs(self.points).max())),
                 # from a cell's key to the bottom cell of each column around it
-                ("block", (dx - 1) * strides[0] + (dy - 1) * strides[1] - 1)):
+                ("block", (dx - 1) * bins.strides[0] + (dy - 1) * bins.strides[1] - 1)):
             object.__setattr__(self, name, value)
 
     def key(self, cell):
         """Key of each cell of ``cell`` (..., 3)."""
-        return (cell + 1) @ self.strides
-
-    def cell_of(self, points):
-        """Cell of each of ``points`` (k, 3), clipped to the grid."""
-        return np.clip((points - self.low) / self.width, 0, self.side - 1).astype(np.int64)
+        return self.bins.key(cell)
 
 
 def build_octree(points, leaf_capacity: int = DEFAULT_LEAF_CAPACITY,
@@ -110,8 +104,9 @@ def build_octree(points, leaf_capacity: int = DEFAULT_LEAF_CAPACITY,
         raise MeshValidationError("point index requires finite coordinates")
     pts.setflags(write=False)
     n = len(pts)
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
+    cols = np.ascontiguousarray(pts.T)  # reductions along a length-3 axis are slow
+    lo = cols.min(axis=1)
+    hi = cols.max(axis=1)
     center = 0.5 * (lo + hi)
     half = float((hi - lo).max()) * 0.5 + _PAD
     cap = min(max_depth, (n.bit_length() - 1) // 3 + 1)  # deepest with 8 ** depth <= 8 n
@@ -129,23 +124,6 @@ def build_octree(points, leaf_capacity: int = DEFAULT_LEAF_CAPACITY,
         cell = 2 * cell + upper
         depth += 1
     return Octree(pts, center, half, depth, cell, leaf_capacity, max_depth)
-
-
-def _box_columns(index: Octree, lo, hi):
-    """``(owner, first slot, count)`` of the z-columns of cells in each
-    inclusive cell box ``[lo[i], hi[i]]``, by owner: a column's points are
-    ``order[first:first + count]``."""
-    span = hi - lo + 1
-    count = span[:, 0] * span[:, 1]
-    owner = np.repeat(np.arange(len(lo)), count)
-    rank = _ranks(count)
-    ny = span[owner, 1]
-    cell = lo[owner]
-    cell[:, 0] += rank // ny
-    cell[:, 1] += rank % ny
-    key = index.key(cell)
-    first = index.starts[key]
-    return owner, first, index.starts[key + span[owner, 2]] - first
 
 
 def _column_pairs(index: Octree, cols, owner, first, count):
@@ -203,7 +181,7 @@ def nearest(index: Octree, queries):
     k = len(q)
     cols = np.ascontiguousarray(q.T)
     pad = _PAD * max(index.mag, float(np.abs(cols).max(initial=0.0)))
-    home = index.cell_of(q)
+    home = index.bins.cell_of(cols.T)
     # every cell beyond the 3 x 3 x 3 block is a cell width or more from the
     # query: on each axis the query lies in its block's middle layer or off
     # the grid, past the block's margin side and two cells from the other
@@ -220,7 +198,7 @@ def nearest(index: Octree, queries):
         lo = np.maximum(home[todo] - reach, 0)
         hi = np.minimum(home[todo] + reach, last)
         d2, found = _nearest_in_columns(index, np.ascontiguousarray(qt.T),
-                                        *_box_columns(index, lo, hi))
+                                        *index.bins.columns(lo, hi))
         below = np.where(lo > 0, qt - (index.low + lo * index.width), np.inf)
         above = np.where(hi < last, index.low + (hi + 1) * index.width - qt, np.inf)
         gap = np.minimum(below, above).min(axis=1) - pad
@@ -240,13 +218,14 @@ def within_reach(index: Octree, centers, reach2):
     itself and of the largest coordinate so that rounding never drops a
     pair; the squared distance then decides.
     """
-    centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
+    cols = np.ascontiguousarray(np.asarray(centers, dtype=np.float64).reshape(-1, 3).T)
     n = len(index.points)
-    pad = _PAD * max(index.mag, float(np.abs(centers).max(initial=0.0)))
-    reach = (np.sqrt(reach2) * (1.0 + _PAD) + pad)[:, None]
-    columns = _box_columns(index, index.cell_of(centers - reach), index.cell_of(centers + reach))
+    pad = _PAD * max(index.mag, float(np.abs(cols).max(initial=0.0)))
+    reach = np.sqrt(reach2) * (1.0 + _PAD) + pad
+    bins = index.bins
+    columns = bins.columns(bins.cell_of((cols - reach).T), bins.cell_of((cols + reach).T))
     keys = [np.zeros(0, dtype=np.int64)]
-    for owner, slot, d2 in _column_pairs(index, np.ascontiguousarray(centers.T), *columns):
+    for owner, slot, d2 in _column_pairs(index, cols, *columns):
         keep = d2 <= reach2[owner]
         keys.append(np.sort(owner[keep] * n + index.order[slot[keep]]))
     return np.divmod(np.concatenate(keys), n)

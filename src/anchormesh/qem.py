@@ -28,6 +28,7 @@ from .mesh import (
     sq_distances_to_terms,
     triangle_terms,
     unique_edges,
+    vertex_corners,
 )
 from .octree import Octree, build_octree, within_reach
 
@@ -292,11 +293,9 @@ class _MoveJudge:
         self.rim_start = np.cumsum(self.rim_count) - self.rim_count
         self.rim_keys = directed[:, 0] * n + directed[:, 1]
         # fan of every anchor: its faces turned to start at it, by face index
-        by_anchor = np.argsort(faces.ravel(), kind="stable")
+        by_anchor, self.fan_count, self.fan_start = vertex_corners(faces, n)
         turn = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
         self.fan = faces[:, turn].reshape(-1, 3)[by_anchor]
-        self.fan_count = np.bincount(faces.ravel(), minlength=n)
-        self.fan_start = np.cumsum(self.fan_count) - self.fan_count
 
         # closest coarse face of each target vertex within reach of a fan
         reach2 = np.zeros(n)
@@ -328,10 +327,8 @@ class _MoveJudge:
         # patch of every anchor: the target faces touching a vertex it covers
         self.target_tris = _triangles(target.vertices[target.faces])
         n_faces = max(target.n_faces, 1)
-        tv_face = np.argsort(target.faces.ravel(), kind="stable") // 3
-        tv_count = np.bincount(target.faces.ravel(), minlength=target.n_vertices)
-        tv_start = np.cumsum(tv_count) - tv_count
-        patch_face = tv_face[_ranges(tv_start[self.covered], tv_count[self.covered])]
+        tv_corner, tv_count, tv_start = vertex_corners(target.faces, target.n_vertices)
+        patch_face = tv_corner[_ranges(tv_start[self.covered], tv_count[self.covered])] // 3
         key = sorted_unique(np.repeat(anchor[order], tv_count[self.covered]) * n_faces
                             + patch_face)
         self.patch_face = key % n_faces

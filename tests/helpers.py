@@ -9,19 +9,53 @@ import numpy as np
 
 from anchormesh import (
     OFF_VERTEX,
-    AdjacencyMap,
     AnchorMesh,
     MeshError,
     MotionField,
     PayloadFormatError,
     TriangleMesh,
-    build_adjacency,
     closest_points_on_surface,
     make_sphere,
 )
-from anchormesh.mesh import DEGENERATE_AREA, _closest_point_kernel, triangle_sq_distances
+from anchormesh.mesh import (
+    DEGENERATE_AREA,
+    _closest_point_kernel,
+    triangle_sq_distances,
+    unique_edges,
+)
 from anchormesh.qem import _TRIU_COLS, _TRIU_ROWS, CONDITION_LIMIT, _evaluate_raw, all_vertex_quadrics
 from anchormesh.synth import BOUNDARY_WEIGHT
+
+
+@dataclass
+class AdjacencyMap:
+    """Combinatorial adjacency of a mesh.
+
+    ``neighbors[v]`` is the set of vertices sharing an edge with ``v``,
+    ``vertex_faces[v]`` the set of incident face indices, and ``edges`` the
+    unique undirected edges as (lo, hi) pairs in lexicographic order.
+    Treat instances as read-only once built.
+    """
+
+    neighbors: list
+    vertex_faces: list
+    edges: list
+
+
+def build_adjacency(mesh: TriangleMesh) -> AdjacencyMap:
+    """Vertex neighbors, incident faces and the unique undirected edge list."""
+    n = mesh.n_vertices
+    neighbors = [set() for _ in range(n)]
+    vertex_faces = [set() for _ in range(n)]
+    for fi, (a, b, c) in enumerate(mesh.faces.tolist()):
+        neighbors[a].update((b, c))
+        neighbors[b].update((a, c))
+        neighbors[c].update((a, b))
+        vertex_faces[a].add(fi)
+        vertex_faces[b].add(fi)
+        vertex_faces[c].add(fi)
+    edges = [tuple(e) for e in unique_edges(mesh.faces, n)[0].tolist()]
+    return AdjacencyMap(neighbors, vertex_faces, edges)
 
 
 def random_mesh(rng, n_vertices=40, n_faces=60, scale=1.0) -> TriangleMesh:

@@ -74,6 +74,45 @@ def test_sweep_pool_writes_the_same_bytes_as_one_process(sequence, default_sweep
         assert (tmp_path / name).read_bytes() == (default_sweep / name).read_bytes(), name
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size and runs the jobs
+    in this process, so that no worker is ever started."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize=1):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("threads,workers", [("3", [3]), ("5000", [8]), ("1", [])],
+                         ids=["three", "more-than-jobs", "one"])
+def test_sweep_pool_is_bounded_by_the_jobs(sequence, tmp_path, monkeypatch, threads, workers):
+    # 4 ablations x 2 alphas x 1 frame pair = 8 jobs
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    _sweep(sequence, tmp_path, "--alphas", "2,8", "--threads", threads)
+    assert _RecordingPool.sizes == workers
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_sweep_exits_2_on_threads_below_one(sequence, tmp_path, capsys, threads):
+    out = tmp_path / "out"
+    assert main(["sweep", str(sequence), str(out), "--threads", threads]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+    assert not out.exists()
+    with pytest.raises(ValueError):
+        am.CodecConfig(threads=int(threads))
+
+
 @pytest.fixture
 def job_configs(monkeypatch):
     """The CodecConfig of every encode the CLI runs, in order."""

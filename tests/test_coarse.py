@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 import anchormesh as am
 from anchormesh import (
     OFF_VERTEX,
-    AdjacencyMap,
     MeshValidationError,
     MotionField,
     TriangleMesh,
-    build_adjacency,
     build_octree,
     generate_coarse_anchor,
     make_grid,
@@ -19,6 +17,8 @@ from anchormesh import (
 from anchormesh.coarse import dependency_waves, traversal
 from anchormesh.mesh import directed_edges, unique_edges
 from helpers import (
+    AdjacencyMap,
+    build_adjacency,
     estimate_motion,
     icosahedron,
     queue_traversal_order,
@@ -32,32 +32,32 @@ def _vertex_only_mesh(n):
                         np.zeros((0, 3), dtype=np.int64))
 
 
+def _graph_order(neighbors):
+    """Traversal order of a hand-made graph: the directed edges (v, u) of
+    every vertex ``v`` and each ``u`` of ``neighbors[v]``, ascending."""
+    directed = [(v, u) for v, around in enumerate(neighbors) for u in sorted(around)]
+    return traversal(directed, len(neighbors))[0].tolist()
+
+
 def test_traversal_path_graph():
-    mesh = _vertex_only_mesh(3)
-    adj = AdjacencyMap([{1}, {0, 2}, {1}], [set(), set(), set()], [(0, 1), (1, 2)])
-    assert traversal_order(mesh, adj) == [0, 1, 2]
+    assert _graph_order([{1}, {0, 2}, {1}]) == [0, 1, 2]
 
 
 def test_traversal_two_components():
-    mesh = _vertex_only_mesh(6)
     neighbors = [{1, 2}, {0, 2}, {0, 1}, {4, 5}, {3, 5}, {3, 4}]
-    adj = AdjacencyMap(neighbors, [set()] * 6, [])
-    assert traversal_order(mesh, adj) == [0, 1, 2, 3, 4, 5]
+    assert _graph_order(neighbors) == [0, 1, 2, 3, 4, 5]
 
 
 def test_traversal_bfs_expands_ascending():
     # star around vertex 0: neighbors visited in ascending index order
-    mesh = _vertex_only_mesh(5)
-    neighbors = [{4, 2, 3, 1}, {0}, {0}, {0}, {0}]
-    adj = AdjacencyMap(neighbors, [set()] * 5, [])
-    assert traversal_order(mesh, adj) == [0, 1, 2, 3, 4]
+    assert _graph_order([{4, 2, 3, 1}, {0}, {0}, {0}, {0}]) == [0, 1, 2, 3, 4]
 
 
 def test_traversal_is_permutation_random():
     rng = np.random.default_rng(17)
     for _ in range(10):
         m = random_mesh(rng)
-        order = traversal_order(m, build_adjacency(m))
+        order = traversal_order(m)
         assert sorted(order) == list(range(m.n_vertices))
 
 

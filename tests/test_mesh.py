@@ -1,4 +1,6 @@
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,17 +11,17 @@ from anchormesh import (
     MeshValidationError,
     ObjParseError,
     TriangleMesh,
-    build_adjacency,
     closest_points_on_surface,
     load_mesh,
     make_sphere,
     save_mesh,
 )
-from anchormesh.mesh import unique_edges
+from anchormesh.mesh import unique_edges, vertex_corners
 from helpers import (
     DegenerateFaceError,
     brute_force_surface_point,
     brute_force_surface_points,
+    build_adjacency,
     closest_point_on_surface,
     closest_point_on_triangle,
     connectivity_cases,
@@ -153,6 +155,18 @@ def test_unique_edges_match_unique_rows(name, verts, faces):
     assert edges.dtype == face_edges.dtype == np.int64
     assert np.array_equal(edges, np.unique(pairs.reshape(-1, 2), axis=0))
     assert np.array_equal(edges[face_edges], pairs)
+
+
+@pytest.mark.parametrize("name, verts, faces", connectivity_cases())
+def test_vertex_corners_list_each_vertex_faces_ascending(name, verts, faces):
+    # faces with a repeated index list that face once per corner
+    corners, count, start = vertex_corners(faces, len(verts))
+    for v in range(len(verts)):
+        mine = corners[start[v]:start[v] + count[v]]
+        assert faces.ravel()[mine].tolist() == [v] * count[v]
+        assert (mine // 3).tolist() == [f for f, row in enumerate(faces.tolist())
+                                        for corner in row if corner == v]
+    assert count.sum() == faces.size
 
 
 def test_adjacency_properties_random():
@@ -512,7 +526,8 @@ def test_surface_oracle_degenerate_face_never_bounds_a_query():
 
 def test_surface_oracle_in_cell_and_gathered_queries(monkeypatch):
     # queries next to the surface are answered from their own cell, and the
-    # ones inside the sphere or far off gather the cells around them
+    # ones inside the sphere or far off gather the cells around them, for
+    # their face bound or for their nearest returnable vertex
     import anchormesh as am
     from anchormesh import mesh as mesh_module
 
@@ -524,19 +539,44 @@ def test_surface_oracle_in_cell_and_gathered_queries(monkeypatch):
                          rng.uniform(-0.5, 0.5, size=(40, 3)),
                          rng.normal(size=(20, 3)) * 5.0])
     boxes = []
-    box_cells = mesh_module._FaceGrid.box_cells
+    columns = mesh_module._CellBins.columns
 
     def spy(self, lo, hi):
-        boxes.append(lo.shape[1])
-        return box_cells(self, lo, hi)
+        boxes.append(len(lo))
+        return columns(self, lo, hi)
 
-    monkeypatch.setattr(mesh_module._FaceGrid, "box_cells", spy)
+    monkeypatch.setattr(mesh_module._CellBins, "columns", spy)
     for block_pairs in (mesh_module._BLOCK_PAIRS, 16):
         monkeypatch.setattr(mesh_module, "_BLOCK_PAIRS", block_pairs)
         boxes.clear()
         assert_matches_oracle(target, queries)
-        gathered = sum(boxes[1:])  # the first call bins the faces
+        gathered = sum(boxes)
         assert 0 < gathered < len(queries) // 2
+
+
+
+@pytest.mark.parametrize("first", ["anchormesh.mesh", "anchormesh.octree"])
+def test_mesh_and_octree_import_in_either_order(first):
+    # octree imports mesh when it loads and mesh imports octree inside the
+    # vertex bound, so either module loads first in a fresh interpreter. The
+    # package's __init__ would fix one order: a bare package stands in for it.
+    import anchormesh
+
+    code = "\n".join([
+        "import sys, types",
+        "package = types.ModuleType('anchormesh')",
+        f"package.__path__ = {list(anchormesh.__path__)!r}",
+        "sys.modules['anchormesh'] = package",
+        f"import {first}",
+        "from anchormesh.mesh import TriangleMesh, closest_points_on_surface",
+        # a sliver bounds no query: the bound is the nearest returnable vertex
+        "mesh = TriangleMesh([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [[0, 1, 2]])",
+        "print(closest_points_on_surface(mesh, [[1.0, 1.0, 0.0]])[3][0])",
+    ])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["1.0"]
 
 
 def test_surface_non_finite_coordinates_raise():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from anchormesh import (
     OFF_VERTEX,
     TriangleMesh,
-    build_adjacency,
     decimate_to_base,
     distortion,
     generate_coarse_anchor,
@@ -18,6 +17,7 @@ from anchormesh.qem import _TRIU_COLS, _TRIU_ROWS, _optimal_points, all_vertex_q
 from helpers import (
     Plane,
     Quadric,
+    build_adjacency,
     covering_faces,
     dense_within_reach,
     edge_quadric,

@@ -6,7 +6,6 @@ import pytest
 from anchormesh import (
     TriangleMesh,
     apply_displacements,
-    build_adjacency,
     closest_points_on_surface,
     compute_displacements,
     make_grid,
@@ -17,6 +16,7 @@ from anchormesh.quantize import neighbor_counts
 from anchormesh.subdivide import DisplacementField, _subdivide_once, subdivided_vertex_count
 from helpers import (
     brute_force_surface_point,
+    build_adjacency,
     connectivity_cases,
     loop_subdivide_once,
     random_mesh,
