@@ -201,122 +201,8 @@ def _first_of_runs(values):
     return first
 
 
-def _row_dot(u, v):
-    return (u * v).sum(axis=-1)
-
-
-def _closest_on_segment(p, s0, s1):
-    """Closest point on segment [s0, s1] for each broadcast row. Returns
-    (position, t) with t clipped to [0, 1]."""
-    d = s1 - s0
-    denom = _row_dot(d, d)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = _row_dot(p - s0, d) / denom
-    t = np.where(denom > 0.0, t, 0.0)
-    t = np.clip(t, 0.0, 1.0)
-    return s0 + t[..., None] * d, t
-
-
-def _closest_point_kernel(p, a, b, c):
-    """Closest point on triangle (a, b, c) for query p, elementwise over any
-    broadcast shape (..., 3). Returns (position, bary).
-
-    Standard closest-point region classification; positions are reconstituted
-    from the barycentric weights so the SurfacePoint invariant holds to
-    rounding. Degenerate triangles fall back to the longest edge segment.
-    """
-    ab = b - a
-    ac = c - a
-    ap = p - a
-    d1 = _row_dot(ab, ap)
-    d2 = _row_dot(ac, ap)
-    bp = p - b
-    d3 = _row_dot(ab, bp)
-    d4 = _row_dot(ac, bp)
-    cp = p - c
-    d5 = _row_dot(ab, cp)
-    d6 = _row_dot(ac, cp)
-
-    vc = d1 * d4 - d3 * d2
-    vb = d5 * d2 - d1 * d6
-    va = d3 * d6 - d5 * d4
-
-    cond_a = (d1 <= 0.0) & (d2 <= 0.0)
-    cond_b = (d3 >= 0.0) & (d4 <= d3)
-    cond_c = (d6 >= 0.0) & (d5 <= d6)
-    cond_ab = (vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0)
-    cond_ac = (vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0)
-    cond_bc = (va <= 0.0) & (d4 - d3 >= 0.0) & (d5 - d6 >= 0.0)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_ab = d1 / (d1 - d3)
-        t_ac = d2 / (d2 - d6)
-        t_bc = (d4 - d3) / ((d4 - d3) + (d5 - d6))
-        denom = va + vb + vc
-        v_in = vb / denom
-        w_in = vc / denom
-
-        zeros = np.zeros_like(d1)
-        ones = np.ones_like(d1)
-        conds = [cond_a, cond_b, cond_c, cond_ab, cond_ac, cond_bc]
-        bu = np.select(conds, [ones, zeros, zeros, 1.0 - t_ab, 1.0 - t_ac, zeros],
-                       default=1.0 - v_in - w_in)
-        bv = np.select(conds, [zeros, ones, zeros, t_ab, zeros, 1.0 - t_bc],
-                       default=v_in)
-        bw = np.select(conds, [zeros, zeros, ones, zeros, t_ac, t_bc],
-                       default=w_in)
-
-    degen = np.broadcast_to(_degenerate(ab, ac), bu.shape)
-    if np.any(degen):
-        bu, bv, bw = _degenerate_bary(p, a, b, c, degen, bu, bv, bw)
-
-    pos = bu[..., None] * a + bv[..., None] * b + bw[..., None] * c
-    bary = np.stack([bu, bv, bw], axis=-1)
-    return pos, bary
-
-
-def _degenerate(ab, ac):
-    """Whether each triangle with edge vectors ``ab`` and ``ac`` (..., 3) has
-    at most DEGENERATE_AREA, so that the kernel measures it on an edge."""
-    cross = np.cross(ab, ac)
-    return 0.5 * np.sqrt(_row_dot(cross, cross)) <= DEGENERATE_AREA
-
-
-def _longest_edge(a, b, c):
-    """0, 1 or 2 for each triangle whose longest edge is ab, bc or ca; ties
-    favour ab, then bc."""
-    lens = np.stack([_row_dot(b - a, b - a), _row_dot(c - b, c - b), _row_dot(a - c, a - c)],
-                    axis=-1)
-    return np.argmax(lens, axis=-1)
-
-
-def _degenerate_bary(p, a, b, c, degen, bu, bv, bw):
-    """Replace barycentric weights on degenerate lanes with the closest point
-    on the longest edge (ties favor ab, then bc, then ca)."""
-    full = degen.shape + (3,)
-    pd = np.broadcast_to(p, full)[degen]
-    ad = np.broadcast_to(a, full)[degen]
-    bd = np.broadcast_to(b, full)[degen]
-    cd = np.broadcast_to(c, full)[degen]
-    which = _longest_edge(ad, bd, cd)
-    _, t_ab = _closest_on_segment(pd, ad, bd)
-    _, t_bc = _closest_on_segment(pd, bd, cd)
-    _, t_ca = _closest_on_segment(pd, cd, ad)
-    du = np.select([which == 0, which == 1], [1.0 - t_ab, np.zeros_like(t_ab)], default=t_ca)
-    dv = np.select([which == 0, which == 1], [t_ab, 1.0 - t_bc], default=np.zeros_like(t_ab))
-    dw = np.select([which == 0, which == 1], [np.zeros_like(t_ab), t_bc], default=1.0 - t_ca)
-    bu = bu.copy()
-    bv = bv.copy()
-    bw = bw.copy()
-    bu[degen] = du
-    bv[degen] = dv
-    bw[degen] = dw
-    return bu, bv, bw
-
-
-# Inflation of the closest-point search bound, relative to the bound and to
-# the largest coordinate, and the scale of each pair's rounding slack in the
-# prefilter: see ``closest_points_on_surface``.
+# Inflation of the closest-point search reach, relative to the reach and to
+# the largest coordinate: see ``closest_points_on_surface``.
 _PAD = 1e-9
 # (query, cell item) pairs a closest-point block may expand at once
 _BLOCK_PAIRS = 1 << 18
@@ -443,9 +329,9 @@ class _FaceGrid:
 
     The cell size starts at the mean face extent and doubles until the grid
     has at most eight cells, and the faces at most sixteen cell entries, per
-    face. The grid also keeps each face's :func:`triangle_terms` and what
-    the rounding slack of :meth:`measure` needs. Query coordinates and face
-    terms are held coordinates first, (3, k).
+    face. The grid also keeps each face's :func:`triangle_terms` and the
+    reach padding of :func:`closest_points_on_surface`. Query coordinates
+    and face terms are held coordinates first, (3, k).
     """
 
     def __init__(self, mesh: TriangleMesh):
@@ -469,126 +355,64 @@ class _FaceGrid:
                     break
             h *= 2.0
         self.cells = _CellBins(low, h, inner.astype(np.int64), lo, hi)
-
-        self.degen = _degenerate((b - a).T, (c - a).T)
         self.terms = triangle_terms(a, b, c)
-        d00, d11, inv, flat = self.terms[[9, 11, 15, 16]]
-        # both measures see a triangle: only these faces bound a query
-        self.solid = ~self.degen & (flat != 0.0)
-        self.cond = d00 * d11 * inv  # 1 / sin^2 of the angle at a; 0 if flat
-        self.spread = self.cond * (d00 + d11)
-        self.mag = np.maximum(fmax, -fmin).max(axis=0)
-        self.vertex_index = None  # of the returnable vertices, built on demand
+        self.pad = _PAD * max(float(fmax.max()), -float(low.min()))  # of the largest coordinate
+        self.corners = None  # point index of the face corners and a face of each, on demand
 
-    def measure(self, q, mag, face):
-        """Lower and upper bounds on the kernel's squared distance of each
-        (query, face) pair, from the query coordinates ``q`` (3, k) and their
-        largest magnitudes ``mag``: the :func:`sq_distances_to_terms` distance
-        less and plus its rounding slack. A face that is not solid gets
-        (-inf, inf): it bounds no query and no query rules it out."""
+    def measure(self, q, face):
+        """``(point, v, w, d2)`` of each (query, face) pair, from the query
+        coordinates ``q`` (3, k): the face's point ``a + v ab + w ac`` (3, k)
+        by :func:`sq_distances_to_terms` and its squared distance from the
+        query."""
         terms = np.take(self.terms, face, axis=1)
-        d2 = sq_distances_to_terms(q, terms)[0]
-        rel = q - terms[0:3]
-        e = _dot3(rel, rel)
-        mag = np.maximum(mag, self.mag[face])
-        slack = _PAD * (self.cond[face] * e + self.spread[face]
-                        + mag * (2.0 * np.sqrt(e) + _PAD * mag))
-        solid = self.solid[face]
-        return np.where(solid, d2 - slack, -np.inf), np.where(solid, d2 + slack, np.inf)
+        _, v, w = sq_distances_to_terms(q, terms)
+        point = terms[0:3] + v * terms[3:6] + w * terms[6:9]
+        diff = point - q
+        return point, v, w, _dot3(diff, diff)
 
-    def vertex_bounds(self, pts):
-        """Squared distance from each of ``pts`` (k, 3) to the nearest vertex
-        that :func:`_closest_point_kernel` can return: a corner of a face
-        with area or an end of a degenerate face's longest edge."""
+    def corner_bounds(self, q):
+        """Squared distance, as :meth:`measure` gives it, from each query of
+        ``q`` (3, k) to the lowest face of its nearest face corner. The
+        corner comes from :func:`anchormesh.octree.nearest` over a point
+        index of the face corners, which the first call builds."""
         from .octree import build_octree, nearest  # octree imports this module
 
-        if self.vertex_index is None:
-            # np.compress selects rows several times faster than a boolean index
-            faces, verts = self.mesh.faces, self.mesh.vertices
-            returnable = np.zeros(len(verts), dtype=bool)
-            returnable[np.compress(~self.degen, faces, axis=0)] = True
-            degen = np.compress(self.degen, faces, axis=0)
-            longest = _longest_edge(*(verts[degen[:, i]] for i in range(3)))
-            ends = np.stack([longest, (longest + 1) % 3], axis=1)
-            returnable[np.take_along_axis(degen, ends, axis=1)] = True
-            self.vertex_index = build_octree(np.compress(returnable, verts, axis=0))
-        return nearest(self.vertex_index, pts)[1] ** 2
-
-    def settle(self, pts, query, face, out):
-        """Run the exact kernel on (query, face) pairs, grouped by query with
-        faces ascending in each group, and write each query's closest point
-        into ``out``: the first pair not above its group's minimum is the
-        lowest-index closest face."""
-        if not len(query):
-            return
-        q = pts[query]
-        corners = self.mesh.faces[face]
-        pos, bary = _closest_point_kernel(q, *(self.mesh.vertices[corners[:, i]] for i in range(3)))
-        diff = pos - q
-        d2 = (diff * diff).sum(axis=-1)
-        starts = _run_starts(query)
-        least = np.repeat(np.minimum.reduceat(d2, starts), np.diff(np.r_[starts, len(d2)]))
-        best = np.flatnonzero(~(d2 > least))
-        best = best[_run_starts(query[best])]
-        for array, value in zip(out, (pos, face, bary, d2)):
-            array[query[best]] = value[best]
+        if self.corners is None:
+            corners, count, start = vertex_corners(self.mesh.faces, self.mesh.n_vertices)
+            used = count > 0
+            self.corners = (build_octree(np.compress(used, self.mesh.vertices, axis=0)),
+                            corners[start[used]] // 3)
+        index, face = self.corners
+        return self.measure(q, face[nearest(index, q.T)[0]])[3]
 
 
 def closest_points_on_surface(mesh: TriangleMesh, points):
-    """Batched exact closest-surface-point query.
+    """Batched closest-surface-point query.
 
-    Returns ``(positions, faces, bary, sq_dists)`` arrays: per query the
-    minimum squared distance over all faces, with ties broken by lowest face
-    index, exactly as a scan of every face with :func:`_closest_point_kernel`
-    finds it. A uniform grid over the faces' bounding boxes narrows that scan
-    to few faces per query, and every step keeps each face whose kernel
-    distance could be the minimum or tie with it:
+    Returns ``(positions, faces, bary, sq_dists)`` arrays. Each (query, face)
+    pair is measured by :func:`sq_distances_to_terms`: its ``(v, w)`` give
+    the face's point ``a + v (b - a) + w (c - a)`` with barycentric weights
+    ``(1 - v - w, v, w)``, and the pair's distance is the squared length of
+    that point minus the query. Per query the least distance wins, with
+    ties to the lowest face index, exactly as a scan of every face finds it.
+    A uniform grid over the faces' bounding boxes narrows that scan to few
+    faces per query:
 
-    - *Measure.* Each (query, face) pair considered is first measured by
-      the cheaper :func:`sq_distances_to_terms`. A slack ``s`` covers the
-      rounding of both measures, so the kernel's squared distance lies in
-      ``[d2 - s, d2 + s]``. That holds only for a face that both measures
-      see as a triangle. The kernel measures a
-      degenerate face on its longest edge alone, where ``d2`` measures all
-      three edges and may come out lower. So a degenerate face never bounds
-      a query and is never ruled out.
-    - *Slack.* ``s = 1e-9 (k (e + |ab|^2 + |ac|^2) + M (2 sqrt(e) + 1e-9 M))``
-      for a pair with ``e = |q - a|^2``, condition number ``k = |ab|^2 |ac|^2
-      / |ab x ac|^2`` (1 / sin^2 of the angle at ``a``) and ``M`` the largest
-      coordinate magnitude of the query and the face. The first term covers
-      the cancellation in the dot-product expansion and in the kernel's
-      barycentric solve: both err relative to the squared lengths in the
-      pair's own terms, and the plane projection is amplified by ``k``. The
-      second covers the rounding of coordinates of magnitude ``M`` by some
-      ``d``: it moves a squared distance of at most ``e`` by at most
-      ``2 d sqrt(e) + d^2``. Both terms are about 1e6 times the double
-      rounding. They scale with the pair: one global constant would either
-      miss the rounding of a pair at 1e6 or blunt the filter on a small mesh
-      near the origin.
     - *Bound.* A query ``q`` is measured against the faces binned in its own
-      cell. Each of those faces has kernel distance at most ``d2 + s``, and
-      the minimum is at most that, so the least ``d2 + s`` bounds it: ``r^2``.
-      Where the cell holds no face that both measures see as a triangle,
-      ``r`` is the distance to the nearest vertex the kernel can return (a
-      corner of a face with area, or an end of a degenerate face's longest
-      edge), from :func:`anchormesh.octree.nearest` over a point index of
-      those vertices that the first such query builds. The kernel's
-      distance to that vertex's face is at most ``r^2``. A vertex off that
-      edge would bound nothing. ``r`` is then inflated by ``1e-9`` of
-      itself and of the largest face coordinate, which also covers the
-      rounding of the distance.
-    - *Gather.* A face within ``r`` of ``q`` has a bounding box that meets
-      the box ``q +- r``, so it is binned in a cell that the box covers. Where
-      the box lies in ``q``'s own cell, the faces measured for the bound are
-      all the candidates. Otherwise the faces of every covered cell are
-      gathered and measured, and ``r^2`` drops to their least ``d2 + s``
-      where that is lower.
-    - *Prefilter.* Only the pairs with ``d2 - s <= r^2`` go to the exact
-      kernel. The lowest-face tie survives this: a face whose kernel
-      distance is at most the minimum has ``d2 - s`` at most that distance,
-      hence at most ``r^2``. So the kernel sees the closest face and every
-      face tied with it, in ascending face order per query, and picks the
-      first at the minimum, as the scan does.
+      cell, and the least of those distances bounds its minimum: ``r^2``.
+      Where the cell holds no face, ``r^2`` is the distance to the lowest
+      face of the nearest face corner, from :func:`anchormesh.octree.nearest`
+      over a point index of the face corners that the first such query
+      builds. Either way some face's point lies ``r`` from ``q``.
+    - *Gather.* A face's point is a convex combination of its corners, up to
+      rounding, so a face whose point is within ``r`` of ``q`` has a bounding
+      box that meets the box ``q +- r`` and is binned in a cell that the box
+      covers. ``r`` is inflated by ``1e-9`` of itself and of the largest face
+      coordinate, which covers the rounding of the point and its distance.
+      Where the box lies in ``q``'s own cell, the faces measured for the
+      bound are all the candidates. Otherwise the faces of every covered
+      cell are gathered and measured. Either way every face at the minimum
+      is measured, in ascending order per query, and the first one wins.
 
     Queries are processed in blocks sized to bound memory. Raises
     :class:`MeshValidationError` for a mesh without faces and for non-finite
@@ -601,9 +425,7 @@ def closest_points_on_surface(mesh: TriangleMesh, points):
         raise MeshValidationError("closest-point query requires finite coordinates")
     grid = _FaceGrid(mesh)
     cells = grid.cells
-    pad = _PAD * float(grid.mag.max())
     cols = np.ascontiguousarray(pts.T)
-    mag = np.abs(cols).max(axis=0)
     n = len(pts)
     out = (np.empty((n, 3)), np.empty(n, dtype=np.int64), np.empty((n, 3)), np.empty(n))
     home = cells.key(cells.cell_of(cols.T))
@@ -611,56 +433,48 @@ def closest_points_on_surface(mesh: TriangleMesh, points):
     count = cells.starts[home + 1] - first
     lo = np.empty((n, 3), dtype=np.int64)
     hi = np.empty((n, 3), dtype=np.int64)
-    limit = np.empty(n)
     for s, e in _blocks(count, _BLOCK_PAIRS):
         owner, face = cells.entries(np.arange(e - s), first[s:e], count[s:e])
-        low, high = grid.measure(np.take(cols, s + owner, axis=1), mag[s + owner], face)
-        bound = _run_minima(high, owner, e - s)
+        measured = grid.measure(np.take(cols, s + owner, axis=1), face)
+        bound = _run_minima(measured[3], owner, e - s)
         empty = np.isinf(bound)
         if empty.any():
-            bound[empty] = grid.vertex_bounds(pts[s:e][empty])
-        reach = np.sqrt(bound) * (1.0 + _PAD) + pad
+            bound[empty] = grid.corner_bounds(cols[:, s:e][:, empty])
+        reach = np.sqrt(bound) * (1.0 + _PAD) + grid.pad
         lo[s:e] = cells.cell_of((cols[:, s:e] - reach).T)
         hi[s:e] = cells.cell_of((cols[:, s:e] + reach).T)
-        limit[s:e] = reach * reach
         inside = (lo[s:e] == hi[s:e]).all(axis=1)
-        take = inside[owner] & (low <= limit[s:e][owner])
-        grid.settle(pts, s + owner[take], face[take], out)
+        _settle(out, s + owner, face, measured, inside[owner] & (measured[3] <= bound[owner]))
     far = np.flatnonzero((lo != hi).any(axis=1))
-    lo, hi, limit = lo[far], hi[far], limit[far]
+    lo, hi = lo[far], hi[far]
     m = mesh.n_faces
     for s, e in _blocks((hi - lo + 1).prod(axis=1) * cells.max_count, _BLOCK_PAIRS):
         owner, face = cells.entries(*cells.columns(lo[s:e], hi[s:e]))
         owner, face = np.divmod(sorted_unique(owner * m + face), m)
         query = far[s:e][owner]
-        low, high = grid.measure(np.take(cols, query, axis=1), mag[query], face)
-        bound = np.minimum(limit[s:e], _run_minima(high, owner, e - s))
-        take = low <= bound[owner]
-        grid.settle(pts, query[take], face[take], out)
+        measured = grid.measure(np.take(cols, query, axis=1), face)
+        least = _run_minima(measured[3], owner, e - s)
+        _settle(out, query, face, measured, measured[3] <= least[owner])
     return out
+
+
+def _settle(out, query, face, measured, least):
+    """Write into ``out`` the first pair marked ``least`` of each query, from
+    the :meth:`_FaceGrid.measure` of (query, face) pairs grouped by query
+    with faces ascending."""
+    take = np.flatnonzero(least)
+    take = take[_run_starts(query[take])]
+    point, v, w, d2 = (x[..., take] for x in measured)
+    for array, value in zip(out, (point.T, face[take], np.stack([1.0 - v - w, v, w], axis=1), d2)):
+        array[query[take]] = value
 
 
 def _dot3(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def triangle_sq_distances(p, a, b, c):
-    """Squared distance from points to triangles, elementwise.
-
-    Each argument holds coordinates first: shape (3, ...), with the trailing
-    shapes broadcasting against each other. Returns ``(d2, v, w)`` of the
-    broadcast shape: the closest point on triangle (a, b, c) is
-    ``a + v (b - a) + w (c - a)``. Unlike :func:`_closest_point_kernel` this
-    works on dot products alone, which makes it two to five times cheaper per
-    pair. ``d2`` is expanded from those dot products and so carries rounding
-    of the order of the squared distance to ``a`` times the machine epsilon.
-    Degenerate triangles are measured by their edges.
-    """
-    return sq_distances_to_terms(p, triangle_terms(*np.broadcast_arrays(a, b, c)))
-
-
 def triangle_terms(a, b, c):
-    """What :func:`triangle_sq_distances` needs of each triangle, as rows
+    """What :func:`sq_distances_to_terms` needs of each triangle, as rows
     stacked along a new first axis: ``a`` (3 rows), ``b - a`` (3), ``c - a``
     (3), then ``|ab|^2``, ``ab.ac``, ``|ac|^2``, the divisors of the
     projections onto edges ab, ac and bc (inf for a zero-length edge), the
@@ -681,7 +495,19 @@ def triangle_terms(a, b, c):
 
 
 def sq_distances_to_terms(p, terms):
-    """:func:`triangle_sq_distances` from the :func:`triangle_terms` rows."""
+    """Squared distance from points to triangles, elementwise, and where on
+    the triangle it is reached.
+
+    ``p`` holds coordinates first, shape (3, ...), and ``terms`` the
+    :func:`triangle_terms` rows of the triangles, (17, ...), with the
+    trailing shapes broadcasting against each other. Returns ``(d2, v, w)``
+    of the broadcast shape: the closest point on triangle (a, b, c) is
+    ``a + v (b - a) + w (c - a)``. The search uses dot products alone, and
+    ``d2`` is expanded from them, so it carries rounding of the order of the
+    squared distance to ``a`` times the machine epsilon. Degenerate
+    triangles are measured by their edges; of equally near edges, the first
+    of ab, ac and bc wins.
+    """
     a, ab, ac = terms[0:3], terms[3:6], terms[6:9]
     d00, d01, d11, div_ab, div_ac, div_bc, inv, flat = terms[9:17]
     rel = p - a

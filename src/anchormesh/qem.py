@@ -239,7 +239,7 @@ def _closest_of_pairs(points, pi, ti, tris):
     the :func:`_triangles` columns ``tris``, for ``pi`` ascending.
 
     Returns ``(d2, tri, v, w)`` per point as in
-    :func:`anchormesh.mesh.triangle_sq_distances`, with ``tri`` the column of
+    :func:`anchormesh.mesh.sq_distances_to_terms`, with ``tri`` the column of
     the earliest closest pair and ``d2 = inf``, ``tri = -1`` for a point
     without pairs.
     """

@@ -19,8 +19,8 @@ from anchormesh import (
 )
 from anchormesh.mesh import (
     DEGENERATE_AREA,
-    _closest_point_kernel,
-    triangle_sq_distances,
+    sq_distances_to_terms,
+    triangle_terms,
     unique_edges,
 )
 from anchormesh.qem import _TRIU_COLS, _TRIU_ROWS, CONDITION_LIMIT, _evaluate_raw, all_vertex_quadrics
@@ -125,19 +125,29 @@ class SurfacePoint:
     bary: np.ndarray
 
 
+def measure_pairs(q, terms):
+    """``(point, v, w, d2)`` of queries ``q`` (3, ...) against the
+    :func:`anchormesh.mesh.triangle_terms` rows ``terms`` (17, ...), as
+    ``closest_points_on_surface`` measures each (query, face) pair: the
+    point ``a + v ab + w ac`` of :func:`sq_distances_to_terms` and its
+    squared distance from explicit differences."""
+    _, v, w = sq_distances_to_terms(q, terms)
+    point = terms[0:3] + v * terms[3:6] + w * terms[6:9]
+    diff = point - q
+    return point, v, w, diff[0] * diff[0] + diff[1] * diff[1] + diff[2] * diff[2]
+
+
 def closest_point_on_triangle(p, tri, face: int = 0) -> SurfacePoint:
     """Closest point on the closed triangle ``tri`` (three positions) to ``p``
-    by the library's exact kernel.
+    by the library's measure, with weights ``(1 - v - w, v, w)``.
 
-    Degenerate triangles fall back to the closest point on their longest
-    edge. ``face`` only labels the returned SurfacePoint.
+    Degenerate triangles are measured on their edges. ``face`` only labels
+    the returned SurfacePoint.
     """
     tri = np.asarray(tri, dtype=np.float64).reshape(3, 3)
-    p = np.asarray(p, dtype=np.float64).reshape(3)
-    pos, bary = _closest_point_kernel(
-        p[None, :], tri[0][None, :], tri[1][None, :], tri[2][None, :]
-    )
-    return SurfacePoint(pos[0], face, bary[0])
+    p = np.asarray(p, dtype=np.float64).reshape(3, 1)
+    point, v, w, _ = measure_pairs(p, triangle_terms(*(corner[:, None] for corner in tri)))
+    return SurfacePoint(point[:, 0], face, np.array([1.0 - v[0] - w[0], v[0], w[0]]))
 
 
 def closest_point_on_surface(mesh: TriangleMesh, p) -> SurfacePoint:
@@ -154,21 +164,20 @@ def brute_force_surface_point(mesh: TriangleMesh, p):
     for fi in range(mesh.n_faces):
         sp = closest_point_on_triangle(p, mesh.vertices[mesh.faces[fi]], face=fi)
         diff = sp.position - np.asarray(p, dtype=np.float64)
-        d2 = float((diff * diff).sum())
+        d2 = float(diff[0] * diff[0] + diff[1] * diff[1] + diff[2] * diff[2])
         if best is None or d2 < best[0]:
             best = (d2, fi, sp)
     return best  # (sq_dist, face, SurfacePoint)
 
 
 def brute_force_surface_points(mesh: TriangleMesh, points):
-    """Batched exhaustive scan of every face for every query, in query chunks
-    sized to bound memory, with the lowest-face-index tie rule. Returns
-    ``(positions, faces, bary, sq_dists)`` like ``closest_points_on_surface``,
-    which must match it exactly."""
+    """Batched exhaustive scan of every face for every query with
+    :func:`measure_pairs`, in query chunks sized to bound memory, with the
+    lowest-face-index tie rule. Returns ``(positions, faces, bary,
+    sq_dists)`` like ``closest_points_on_surface``, which must match it
+    exactly."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    va = mesh.vertices[mesh.faces[:, 0]]
-    vb = mesh.vertices[mesh.faces[:, 1]]
-    vc = mesh.vertices[mesh.faces[:, 2]]
+    terms = triangle_terms(*(mesh.vertices[mesh.faces[:, i]].T for i in range(3)))[:, None, :]
     n = len(pts)
     out_pos = np.empty((n, 3))
     out_face = np.empty(n, dtype=np.int64)
@@ -177,18 +186,127 @@ def brute_force_surface_points(mesh: TriangleMesh, points):
     chunk = max(1, int(400_000 // mesh.n_faces))
     for start in range(0, n, chunk):
         q = pts[start : start + chunk]
-        pos, bary = _closest_point_kernel(
-            q[:, None, :], va[None, :, :], vb[None, :, :], vc[None, :, :]
-        )
-        diff = pos - q[:, None, :]
-        d2 = (diff * diff).sum(axis=-1)
+        point, v, w, d2 = measure_pairs(q.T[:, :, None], terms)
         best = np.argmin(d2, axis=1)  # first minimum == lowest face index
         rows = np.arange(len(q))
-        out_pos[start : start + chunk] = pos[rows, best]
+        v, w = v[rows, best], w[rows, best]
+        out_pos[start : start + chunk] = point[:, rows, best].T
         out_face[start : start + chunk] = best
-        out_bary[start : start + chunk] = bary[rows, best]
+        out_bary[start : start + chunk] = np.stack([1.0 - v - w, v, w], axis=1)
         out_d2[start : start + chunk] = d2[rows, best]
     return out_pos, out_face, out_bary, out_d2
+
+
+def triangle_sq_distances(p, a, b, c):
+    """:func:`sq_distances_to_terms` of points ``p`` against triangles
+    (a, b, c), elementwise: every argument coordinates first, (3, ...),
+    with the trailing shapes broadcasting. Returns ``(d2, v, w)``."""
+    return sq_distances_to_terms(p, triangle_terms(*np.broadcast_arrays(a, b, c)))
+
+
+# A six-region closest-point kernel (Ericson, "Real-Time Collision
+# Detection", 2004, section 5.1.5): an oracle, to a stated tolerance, for
+# :func:`triangle_sq_distances`, independent of its dot-product expansion.
+
+def _row_dot(u, v):
+    return (u * v).sum(axis=-1)
+
+
+def _closest_on_segment(p, s0, s1):
+    """Closest point on segment [s0, s1] for each broadcast row. Returns
+    (position, t) with t clipped to [0, 1]."""
+    d = s1 - s0
+    denom = _row_dot(d, d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = _row_dot(p - s0, d) / denom
+    t = np.where(denom > 0.0, t, 0.0)
+    t = np.clip(t, 0.0, 1.0)
+    return s0 + t[..., None] * d, t
+
+
+def region_closest_point(p, a, b, c):
+    """Closest point on triangle (a, b, c) for query p, elementwise over any
+    broadcast shape (..., 3). Returns (position, bary).
+
+    Standard closest-point region classification; positions are reconstituted
+    from the barycentric weights. Triangles with at most DEGENERATE_AREA fall
+    back to their longest edge.
+    """
+    ab = b - a
+    ac = c - a
+    ap = p - a
+    d1 = _row_dot(ab, ap)
+    d2 = _row_dot(ac, ap)
+    bp = p - b
+    d3 = _row_dot(ab, bp)
+    d4 = _row_dot(ac, bp)
+    cp = p - c
+    d5 = _row_dot(ab, cp)
+    d6 = _row_dot(ac, cp)
+
+    vc = d1 * d4 - d3 * d2
+    vb = d5 * d2 - d1 * d6
+    va = d3 * d6 - d5 * d4
+
+    cond_a = (d1 <= 0.0) & (d2 <= 0.0)
+    cond_b = (d3 >= 0.0) & (d4 <= d3)
+    cond_c = (d6 >= 0.0) & (d5 <= d6)
+    cond_ab = (vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0)
+    cond_ac = (vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0)
+    cond_bc = (va <= 0.0) & (d4 - d3 >= 0.0) & (d5 - d6 >= 0.0)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_ab = d1 / (d1 - d3)
+        t_ac = d2 / (d2 - d6)
+        t_bc = (d4 - d3) / ((d4 - d3) + (d5 - d6))
+        denom = va + vb + vc
+        v_in = vb / denom
+        w_in = vc / denom
+
+        zeros = np.zeros_like(d1)
+        ones = np.ones_like(d1)
+        conds = [cond_a, cond_b, cond_c, cond_ab, cond_ac, cond_bc]
+        bu = np.select(conds, [ones, zeros, zeros, 1.0 - t_ab, 1.0 - t_ac, zeros],
+                       default=1.0 - v_in - w_in)
+        bv = np.select(conds, [zeros, ones, zeros, t_ab, zeros, 1.0 - t_bc],
+                       default=v_in)
+        bw = np.select(conds, [zeros, zeros, ones, zeros, t_ac, t_bc],
+                       default=w_in)
+
+    cross = np.cross(ab, ac)
+    degen = np.broadcast_to(0.5 * np.sqrt(_row_dot(cross, cross)) <= DEGENERATE_AREA, bu.shape)
+    if np.any(degen):
+        bu, bv, bw = _degenerate_bary(p, a, b, c, degen, bu, bv, bw)
+
+    pos = bu[..., None] * a + bv[..., None] * b + bw[..., None] * c
+    bary = np.stack([bu, bv, bw], axis=-1)
+    return pos, bary
+
+
+def _degenerate_bary(p, a, b, c, degen, bu, bv, bw):
+    """Replace barycentric weights on degenerate lanes with the closest point
+    on the longest edge (ties favor ab, then bc, then ca)."""
+    full = degen.shape + (3,)
+    pd = np.broadcast_to(p, full)[degen]
+    ad = np.broadcast_to(a, full)[degen]
+    bd = np.broadcast_to(b, full)[degen]
+    cd = np.broadcast_to(c, full)[degen]
+    lens = np.stack([_row_dot(bd - ad, bd - ad), _row_dot(cd - bd, cd - bd),
+                     _row_dot(ad - cd, ad - cd)], axis=-1)
+    which = np.argmax(lens, axis=-1)
+    _, t_ab = _closest_on_segment(pd, ad, bd)
+    _, t_bc = _closest_on_segment(pd, bd, cd)
+    _, t_ca = _closest_on_segment(pd, cd, ad)
+    du = np.select([which == 0, which == 1], [1.0 - t_ab, np.zeros_like(t_ab)], default=t_ca)
+    dv = np.select([which == 0, which == 1], [t_ab, 1.0 - t_bc], default=np.zeros_like(t_ab))
+    dw = np.select([which == 0, which == 1], [np.zeros_like(t_ab), t_bc], default=1.0 - t_ca)
+    bu = bu.copy()
+    bv = bv.copy()
+    bw = bw.copy()
+    bu[degen] = du
+    bv[degen] = dv
+    bw[degen] = dw
+    return bu, bv, bw
 
 
 def brute_force_nearest(points, q):

@@ -28,6 +28,8 @@ from helpers import (
     face_plane,
     icosahedron,
     random_mesh,
+    region_closest_point,
+    triangle_sq_distances,
     unit_cube,
 )
 
@@ -281,8 +283,10 @@ def test_closest_point_degenerate_falls_back_to_longest_edge():
     tri = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]], dtype=float)  # collinear
     sp = closest_point_on_triangle([0.7, 1.0, 0.0], tri)
     assert np.allclose(sp.position, [0.7, 0, 0], atol=1e-12)
-    # longest edge is (0, 2): weight on vertex 1 must be zero
-    assert sp.bary[1] == 0.0
+    # a degenerate triangle is measured on its edges; ab and ac are equally
+    # near, and the first nearest edge in the order ab, ac, bc wins
+    assert np.allclose(sp.bary, [0.3, 0.7, 0.0], atol=1e-12)
+    assert sp.bary[2] == 0.0
 
 
 # --- closest point on surface ---------------------------------------------
@@ -411,8 +415,8 @@ def test_surface_oracle_single_face_and_planar_mesh():
 
 
 def test_surface_oracle_distant_parts_use_the_dense_bound():
-    # two triangles far apart: a query midway has no vertex in its cell
-    # neighbourhood, so its bound comes from the nearest of all vertices
+    # two triangles far apart: a query midway has no face in its cell, so
+    # its bound comes from a face of the nearest face corner
     verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0],
                       [100, 0, 0], [101, 0, 0], [100, 1, 0]], dtype=float)
     m = TriangleMesh(verts, [[0, 1, 2], [3, 4, 5]])
@@ -467,8 +471,7 @@ def _oracle_queries(mesh, rng):
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)
 @given(seed=st.integers(0, 2**32 - 1), exponent=st.integers(-6, 6),
        shift=st.floats(-1e6, 1e6), collapsed=st.integers(0, 6), sphere=st.booleans())
-# every face degenerate: a query on a corner off a face's longest edge is
-# no bound on that face
+# every face degenerate, so measured on its edges alone
 @example(seed=0, exponent=-6, shift=0.0, collapsed=1, sphere=True)
 # slivers: their plane projection errs in proportion to 1 / sin^2 of an angle
 @example(seed=8388607, exponent=3, shift=0.0, collapsed=3, sphere=False)
@@ -492,10 +495,10 @@ def test_surface_oracle_random_meshes_at_any_scale(seed, exponent, shift, collap
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1e-5])
-def test_surface_oracle_degenerate_faces_bound_only_by_their_longest_edge(scale):
+def test_surface_oracle_sphere_scaled_below_degenerate_area(scale):
     # scaled down, most faces of this sphere have at most DEGENERATE_AREA, so
-    # the kernel measures each on its longest edge; a query on the third
-    # corner of such a face is no nearer to that face than the edge is
+    # triangle_terms measures each on its edges alone, while its corners
+    # and edge midpoints are queried at distance zero or near it
     import anchormesh as am
 
     spec = am.SequenceSpec(shape="sphere", resolution=3, frames=1, motion="bend",
@@ -508,11 +511,10 @@ def test_surface_oracle_degenerate_faces_bound_only_by_their_longest_edge(scale)
                                            queries[mesh.n_vertices::8]]))
 
 
-def test_surface_oracle_degenerate_face_never_bounds_a_query():
-    # the kernel finds this face degenerate (area just at DEGENERATE_AREA)
-    # and measures it on edge 0-1, but triangle_terms sees a plane under the
-    # query; bounding by that plane would drop the flat face above, which is
-    # nearer than the edge
+def test_surface_oracle_sliver_face_wins_by_its_plane():
+    # a cross product puts this sliver's area just at DEGENERATE_AREA, but
+    # triangle_terms finds it above and measures it as a plane 1e-7 under the
+    # query, nearer than the flat face 2.2e-7 above it
     sliver = np.array([[0.0, 0.0, 0.0], [1.9686412131512877e-06, 0.0, 0.0],
                        [1.462479731745416e-06, 1.015929152879267e-06, 0.0]])
     center = sliver.mean(axis=0)
@@ -520,14 +522,14 @@ def test_surface_oracle_degenerate_face_never_bounds_a_query():
     flat[:, 2] = 3.2e-7
     mesh = TriangleMesh(np.vstack([sliver, flat]), [[0, 1, 2], [3, 4, 5]])
     _, face, _, d2 = assert_matches_oracle(mesh, [center + [0.0, 0.0, 1e-7]])
-    assert face.tolist() == [1]
-    assert d2[0] == pytest.approx(0.22e-6**2, rel=1e-9)
+    assert face.tolist() == [0]
+    assert d2[0] == pytest.approx(1e-7**2, rel=1e-6)
 
 
 def test_surface_oracle_in_cell_and_gathered_queries(monkeypatch):
     # queries next to the surface are answered from their own cell, and the
     # ones inside the sphere or far off gather the cells around them, for
-    # their face bound or for their nearest returnable vertex
+    # their candidate faces or for their nearest face corner
     import anchormesh as am
     from anchormesh import mesh as mesh_module
 
@@ -558,7 +560,7 @@ def test_surface_oracle_in_cell_and_gathered_queries(monkeypatch):
 @pytest.mark.parametrize("first", ["anchormesh.mesh", "anchormesh.octree"])
 def test_mesh_and_octree_import_in_either_order(first):
     # octree imports mesh when it loads and mesh imports octree inside the
-    # vertex bound, so either module loads first in a fresh interpreter. The
+    # corner bound, so either module loads first in a fresh interpreter. The
     # package's __init__ would fix one order: a bare package stands in for it.
     import anchormesh
 
@@ -569,14 +571,16 @@ def test_mesh_and_octree_import_in_either_order(first):
         "sys.modules['anchormesh'] = package",
         f"import {first}",
         "from anchormesh.mesh import TriangleMesh, closest_points_on_surface",
-        # a sliver bounds no query: the bound is the nearest returnable vertex
-        "mesh = TriangleMesh([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [[0, 1, 2]])",
-        "print(closest_points_on_surface(mesh, [[1.0, 1.0, 0.0]])[3][0])",
+        # the query's cell between two far faces is empty: the bound comes
+        # from the face of the nearest face corner, (1, 0, 0)
+        "mesh = TriangleMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0], [100, 0, 0], [101, 0, 0],"
+        " [100, 1, 0]], [[0, 1, 2], [3, 4, 5]])",
+        "print(closest_points_on_surface(mesh, [[50.0, 0.0, 0.0]])[3][0])",
     ])
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=60)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["1.0"]
+    assert run.stdout.split() == ["2401.0"]
 
 
 def test_surface_non_finite_coordinates_raise():
@@ -588,8 +592,7 @@ def test_surface_non_finite_coordinates_raise():
 
 
 def test_triangle_sq_distances_match_exact_kernel():
-    from anchormesh.mesh import triangle_sq_distances
-
+    # against the six-region kernel, to the tolerances below
     rng = np.random.default_rng(19)
     tris = rng.uniform(-1, 1, size=(20, 3, 3))
     tris[0, 2] = 0.5 * (tris[0, 0] + tris[0, 1])  # collinear corners
@@ -601,7 +604,7 @@ def test_triangle_sq_distances_match_exact_kernel():
     assert d2.shape == v.shape == w.shape == (30, 20)
     for qi, q in enumerate(queries):
         for fi, tri in enumerate(tris):
-            sp = closest_point_on_triangle(q, tri, face=fi)
-            assert d2[qi, fi] == pytest.approx(((sp.position - q) ** 2).sum(), abs=1e-12)
+            pos, _ = region_closest_point(q, *tri)
+            assert d2[qi, fi] == pytest.approx(((pos - q) ** 2).sum(), abs=1e-12)
             got = tri[0] + v[qi, fi] * (tri[1] - tri[0]) + w[qi, fi] * (tri[2] - tri[0])
-            assert np.allclose(got, sp.position, atol=1e-9)
+            assert np.allclose(got, pos, atol=1e-9)
