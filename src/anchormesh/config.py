@@ -3,6 +3,7 @@ flat key=value config files and CLI flags."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from .octree import DEFAULT_LEAF_CAPACITY, DEFAULT_MAX_DEPTH
@@ -28,6 +29,11 @@ class CodecConfig:
     def __post_init__(self):
         if self.threads < 1:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
+        if not all(0.0 < alpha < math.inf for alpha in self.alpha_ladder):
+            raise ValueError(f"every alpha of the ladder must be positive and finite, "
+                             f"got {self.alpha_ladder}")
+        if len(set(self.alpha_ladder)) != len(self.alpha_ladder):
+            raise ValueError(f"the alpha ladder repeats an alpha: {self.alpha_ladder}")
 
     def override(self, **kwargs) -> "CodecConfig":
         return replace(self, **kwargs)

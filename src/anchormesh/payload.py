@@ -3,11 +3,12 @@
 Layout (little-endian throughout):
 
     magic  "ANCF" (4 bytes)
-    version u8 (currently 1)
+    version u8 (currently 2)
     flags   u8 (bit 0: adaptive quantization was used; every other bit must
         be 0)
-    base mesh identifier: SHA-256 of the base mesh's canonical OBJ
-        serialization (32 bytes)
+    base mesh identifier: SHA-256 over the base mesh's vertex and face counts
+        as 2 int64, its vertices as float64 and its faces as int64, row-major
+        (32 bytes)
     anchor vertex positions: 3 * n finite float64, base-vertex order (n comes
         from the base mesh supplied at decode time)
     subdivision level: u8
@@ -15,9 +16,9 @@ Layout (little-endian throughout):
     quantized displacements: zigzag varints in vertex order, x,y,z interleaved;
         each holds an int64, so it is at most 10 bytes long
 
-The decoder reproduces the reconstruction bit-exactly given the same base
-mesh file; the payload's bit size (file size * 8) is the rate figure used in
-R-D curves.
+The decoder reproduces the reconstruction bit-exactly given a base mesh with
+the same vertex and face arrays; the payload's bit size (file size * 8) is
+the rate figure used in R-D curves.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import TriangleMesh, save_mesh
+from .mesh import TriangleMesh
 from .quantize import QuantizationParams
 
 MAGIC = b"ANCF"
-VERSION = 1
+VERSION = 2
 FLAG_ADAPTIVE = 0x01
 
 
@@ -59,9 +60,13 @@ class Payload:
 
 
 def mesh_content_hash(mesh: TriangleMesh) -> bytes:
-    """SHA-256 of the canonical OBJ serialization (whitespace-insensitive
-    identity for the parsed mesh)."""
-    return hashlib.sha256(save_mesh(mesh)).digest()
+    """SHA-256 over the vertex and face counts, the vertices and the faces,
+    little-endian: the identity of the parsed mesh, whatever its file's
+    whitespace or number formatting."""
+    digest = hashlib.sha256(np.array([mesh.n_vertices, mesh.n_faces], dtype="<i8").tobytes())
+    digest.update(np.ascontiguousarray(mesh.vertices, dtype="<f8").tobytes())
+    digest.update(np.ascontiguousarray(mesh.faces, dtype="<i8").tobytes())
+    return digest.digest()
 
 
 def _write_varints(values, out: bytearray) -> None:

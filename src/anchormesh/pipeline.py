@@ -110,4 +110,11 @@ def decode_payload(payload: Payload, base: TriangleMesh) -> TriangleMesh:
         weights = np.ones(sub.mesh.n_vertices)
     quantized = QuantizedDisplacementField(payload.quantized, payload.params,
                                            weights, payload.level)
-    return apply_displacements(sub, dequantize_field(quantized))
+    try:
+        with np.errstate(over="ignore"):
+            recon = apply_displacements(sub, dequantize_field(quantized))
+    except ValueError as exc:  # alpha * weight underflowed to zero
+        raise PayloadFormatError(f"bad quantization params: {exc}") from exc
+    if not np.isfinite(recon.vertices).all():
+        raise PayloadFormatError("quantization params overflow the reconstruction")
+    return recon

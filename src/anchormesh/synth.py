@@ -227,40 +227,37 @@ def _split_edges(mesh: TriangleMesh, rng: SplitMix64, count: int) -> TriangleMes
     """Split ``count`` distinct random edges at their midpoints (random
     re-triangulation with byte-identical surface geometry).
 
-    Edges are drawn from the input mesh's edge list; splits never remove
-    other original edges, so applying them sequentially is well defined.
+    Edges are drawn from the input mesh's edge list; vertex ``n + r`` is the
+    midpoint of the r-th drawn edge. A split replaces each face on its edge,
+    in place, by the half keeping the edge's lower vertex, then the half
+    keeping its higher one. Halves keep only edges of their parent, so each
+    input face is cut by its own drawn edges alone, in draw order.
     """
-    edges = unique_edges(mesh.faces, mesh.n_vertices)[0].tolist()
+    n = mesh.n_vertices
+    edges, face_edges = unique_edges(mesh.faces, n)
     count = min(count, len(edges))
-    chosen = []
-    taken = set()
-    while len(chosen) < count:
+    rank = np.full(len(edges), -1, dtype=np.int64)  # draw order of each drawn edge
+    drawn = []
+    while len(drawn) < count:
         k = rng.randint(len(edges))
-        if k not in taken:
-            taken.add(k)
-            chosen.append(edges[k])
-    verts = [tuple(v) for v in mesh.vertices.tolist()]
-    faces = [tuple(f) for f in mesh.faces.tolist()]
-    for u, v in chosen:
-        w = len(verts)
-        pu = np.array(verts[u])
-        pv = np.array(verts[v])
-        verts.append(tuple(0.5 * (pu + pv)))
-        new_faces = []
-        for f in faces:
-            if u in f and v in f:
-                iu = f.index(u)
-                iv = f.index(v)
-                f1 = list(f)
-                f1[iv] = w
-                f2 = list(f)
-                f2[iu] = w
-                new_faces.append(tuple(f1))
-                new_faces.append(tuple(f2))
-            else:
-                new_faces.append(f)
-        faces = new_faces
-    return TriangleMesh(np.array(verts), np.array(faces, dtype=np.int64))
+        if rank[k] < 0:
+            rank[k] = len(drawn)
+            drawn.append(k)
+    lo, hi = edges[drawn].T
+    verts = np.concatenate([mesh.vertices, 0.5 * (mesh.vertices[lo] + mesh.vertices[hi])])
+    pairs = edges[drawn].tolist()
+    faces = []
+    for face, ranks in zip(mesh.faces.tolist(), rank[face_edges].tolist()):
+        parts = [face]
+        for r in sorted(ranks):  # undrawn edges (-1) come first
+            if r < 0:
+                continue
+            u, v = pairs[r]
+            parts = [half for part in parts for half in (
+                ([n + r if x == v else x for x in part], [n + r if x == u else x for x in part])
+                if u in part and v in part else (part,))]
+        faces += parts
+    return TriangleMesh(verts, np.array(faces, dtype=np.int64))
 
 
 def generate_sequence(spec: SequenceSpec) -> list:

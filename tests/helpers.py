@@ -604,6 +604,42 @@ def dict_boundary_quadrics(mesh: TriangleMesh, weight: float) -> np.ndarray:
     return acc
 
 
+def sequential_split_edges(mesh: TriangleMesh, rng, count: int) -> TriangleMesh:
+    """``synth._split_edges`` applying one split at a time to the whole face
+    list; its oracle."""
+    edges = unique_edges(mesh.faces, mesh.n_vertices)[0].tolist()
+    count = min(count, len(edges))
+    chosen = []
+    taken = set()
+    while len(chosen) < count:
+        k = rng.randint(len(edges))
+        if k not in taken:
+            taken.add(k)
+            chosen.append(edges[k])
+    verts = [tuple(v) for v in mesh.vertices.tolist()]
+    faces = [tuple(f) for f in mesh.faces.tolist()]
+    for u, v in chosen:
+        w = len(verts)
+        pu = np.array(verts[u])
+        pv = np.array(verts[v])
+        verts.append(tuple(0.5 * (pu + pv)))
+        new_faces = []
+        for f in faces:
+            if u in f and v in f:
+                iu = f.index(u)
+                iv = f.index(v)
+                f1 = list(f)
+                f1[iv] = w
+                f2 = list(f)
+                f2[iu] = w
+                new_faces.append(tuple(f1))
+                new_faces.append(tuple(f2))
+            else:
+                new_faces.append(f)
+        faces = new_faces
+    return TriangleMesh(np.array(verts), np.array(faces, dtype=np.int64))
+
+
 def scalar_decimate_to_base(mesh: TriangleMesh, target_vertex_count: int,
                             boundary_weight: float = BOUNDARY_WEIGHT) -> TriangleMesh:
     """``synth.decimate_to_base`` with one scalar solve per pushed edge; its

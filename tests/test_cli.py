@@ -113,6 +113,24 @@ def test_sweep_exits_2_on_threads_below_one(sequence, tmp_path, capsys, threads)
         am.CodecConfig(threads=int(threads))
 
 
+@pytest.mark.parametrize("ladder", ["8,8,16,32,64", "2,0,8", "-1,4", "4,inf"],
+                         ids=["repeated", "zero", "negative", "infinite"])
+@pytest.mark.parametrize("source", ["flag", "config-file"])
+def test_sweep_exits_2_on_a_bad_alpha_ladder(sequence, tmp_path, capsys, ladder, source):
+    # a repeated rung was coded twice and summed into one RD point
+    out = tmp_path / "out"
+    if source == "flag":
+        flags = [f"--alphas={ladder}"]
+    else:
+        (tmp_path / "codec.cfg").write_text(f"alpha_ladder = {ladder}\n")
+        flags = ["--config", str(tmp_path / "codec.cfg")]
+    assert main(["sweep", str(sequence), str(out), *flags]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+    assert not out.exists()
+    with pytest.raises(ValueError):
+        am.CodecConfig(alpha_ladder=tuple(float(a) for a in ladder.split(",")))
+
+
 @pytest.fixture
 def job_configs(monkeypatch):
     """The CodecConfig of every encode the CLI runs, in order."""

@@ -1,0 +1,75 @@
+import pytest
+
+from anchormesh import CodecConfig
+from anchormesh.config import load_config
+
+
+def _write(tmp_path, text):
+    path = tmp_path / "codec.cfg"
+    path.write_text(text)
+    return path
+
+
+def test_comments_and_blank_lines_are_skipped(tmp_path):
+    path = _write(tmp_path, "# a codec config\n\n   \nlevel = 3  # trailing comment\n"
+                            "# alpha = 99\n\t\n")
+    assert load_config(path) == CodecConfig(level=3)
+
+
+def test_empty_file_gives_the_defaults(tmp_path):
+    assert load_config(_write(tmp_path, "")) == CodecConfig()
+
+
+@pytest.mark.parametrize("raw,value", [
+    ("1", True), ("true", True), ("Yes", True), ("ON", True),
+    ("0", False), ("False", False), ("no", False), ("off", False),
+])
+def test_every_bool_spelling(tmp_path, raw, value):
+    path = _write(tmp_path, f"qem_refine = {raw}\n")
+    assert load_config(path, CodecConfig(qem_refine=not value)).qem_refine is value
+
+
+def test_each_field_kind(tmp_path):
+    path = _write(tmp_path, "collapses_per_anchor=4\nalpha = 2.5\ndelta=-0.25\n"
+                            "alpha_ladder = 1, 2.5 ,4,\nadaptive_quant = no\n")
+    config = load_config(path)
+    assert config.collapses_per_anchor == 4 and isinstance(config.collapses_per_anchor, int)
+    assert config.alpha == 2.5 and config.delta == -0.25
+    assert config.alpha_ladder == (1.0, 2.5, 4.0)
+    assert config.adaptive_quant is False
+    assert config == CodecConfig(collapses_per_anchor=4, alpha=2.5, delta=-0.25,
+                                 alpha_ladder=(1.0, 2.5, 4.0), adaptive_quant=False)
+
+
+def test_unknown_key_reports_path_and_line(tmp_path):
+    path = _write(tmp_path, "# header\nlevel = 2\nalfa = 3\n")
+    with pytest.raises(ValueError, match=f"^{path}:3: unknown config key 'alfa'"):
+        load_config(path)
+
+
+def test_line_without_equals_reports_path_and_line(tmp_path):
+    path = _write(tmp_path, "\nlevel 2\n")
+    with pytest.raises(ValueError, match=f"^{path}:2: expected key=value"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("raw", ["maybe", "2", ""])
+def test_bad_boolean_raises(tmp_path, raw):
+    with pytest.raises(ValueError, match="bad boolean for motion_estimation"):
+        load_config(_write(tmp_path, f"motion_estimation = {raw}\n"))
+
+
+def test_bad_number_raises(tmp_path):
+    with pytest.raises(ValueError):
+        load_config(_write(tmp_path, "level = 2.5\n"))
+
+
+def test_layers_over_the_given_base(tmp_path):
+    base = CodecConfig(level=4, alpha=16.0, threads=2)
+    config = load_config(_write(tmp_path, "alpha = 4\nlevel = 1\n"), base)
+    assert config == CodecConfig(level=1, alpha=4.0, threads=2)
+    assert base == CodecConfig(level=4, alpha=16.0, threads=2)  # left as it was
+
+
+def test_later_lines_win(tmp_path):
+    assert load_config(_write(tmp_path, "level = 1\nlevel = 5\n")).level == 5

@@ -1,4 +1,6 @@
+import hashlib
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +19,13 @@ from anchormesh import (
     write_payload,
 )
 from anchormesh import cli, pipeline
-from anchormesh.payload import FLAG_ADAPTIVE, _read_varints, _write_varints
+from anchormesh.payload import (
+    FLAG_ADAPTIVE,
+    VERSION,
+    _read_varints,
+    _write_varints,
+    mesh_content_hash,
+)
 from helpers import scalar_read_varints, scalar_write_varints
 
 INT64 = np.iinfo(np.int64)
@@ -199,6 +207,17 @@ def test_byte_flip_decodes_or_raises_payload_error(encoded, at, mask):
     _decode_or_payload_error(bytes(data), base)
 
 
+def _assert_cli_decode_exits_3(data, base, tmp_path):
+    """``anchormesh decode`` of ``data`` against ``base`` exits 3 and writes
+    nothing."""
+    (tmp_path / "pair.ancf").write_bytes(data)
+    (tmp_path / "base.obj").write_bytes(am.save_mesh(base))
+    out = tmp_path / "recon.obj"
+    args = ["decode", str(tmp_path / "pair.ancf"), str(tmp_path / "base.obj"), str(out)]
+    assert cli.main(args) == 3
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_anchor_position_raises(encoded, value, tmp_path):
     base, payload = encoded
@@ -206,9 +225,45 @@ def test_non_finite_anchor_position_raises(encoded, value, tmp_path):
     struct.pack_into("<d", data, HEADER, value)  # first anchor coordinate
     with pytest.raises(PayloadFormatError):
         read_payload(bytes(data), base.n_vertices)
-    (tmp_path / "pair.ancf").write_bytes(bytes(data))
-    (tmp_path / "base.obj").write_bytes(am.save_mesh(base))
-    out = tmp_path / "recon.obj"
-    args = ["decode", str(tmp_path / "pair.ancf"), str(tmp_path / "base.obj"), str(out)]
-    assert cli.main(args) == 3
-    assert not out.exists()
+    _assert_cli_decode_exits_3(bytes(data), base, tmp_path)
+
+
+@pytest.mark.parametrize("alpha", [5e-324, 1e-310])
+def test_hostile_alpha_raises_payload_format_error(encoded, alpha, tmp_path):
+    # 5e-324 times a weight below one rounds to a zero scale; 1e-310 leaves a
+    # scale so small that dividing by it overflows to inf
+    base, payload = encoded
+    data = bytearray(write_payload(payload))
+    struct.pack_into("<d", data, HEADER + 24 * base.n_vertices + 1, alpha)
+    mutated = read_payload(bytes(data), base.n_vertices)
+    assert mutated.params.alpha == alpha
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PayloadFormatError):
+            decode_payload(mutated, base)
+    _assert_cli_decode_exits_3(bytes(data), base, tmp_path)
+
+
+def test_base_hash_is_the_arrays_not_their_text(encoded):
+    base, _ = encoded
+    digest = mesh_content_hash(base)
+    assert len(digest) == 32
+    assert mesh_content_hash(am.load_mesh(am.save_mesh(base))) == digest
+    moved = base.vertices.copy()
+    moved[7, 1] = np.nextafter(moved[7, 1], np.inf)  # one ulp
+    assert mesh_content_hash(am.TriangleMesh(moved, base.faces)) != digest
+    swapped = base.faces.copy()
+    swapped[[2, 5]] = swapped[[5, 2]]
+    assert mesh_content_hash(am.TriangleMesh(base.vertices, swapped)) != digest
+    header = struct.pack("<2q", base.n_vertices, base.n_faces)
+    assert digest == hashlib.sha256(header + base.vertices.astype("<f8").tobytes()
+                                    + base.faces.astype("<i8").tobytes()).digest()
+
+
+def test_version_1_header_raises(encoded):
+    base, payload = encoded
+    data = bytearray(write_payload(payload))
+    assert VERSION == 2 and data[4] == VERSION
+    data[4] = 1
+    with pytest.raises(PayloadFormatError, match="version 1"):
+        read_payload(bytes(data), base.n_vertices)

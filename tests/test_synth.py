@@ -13,13 +13,14 @@ from anchormesh import (
     make_sphere,
     save_mesh,
 )
-from anchormesh.synth import BOUNDARY_WEIGHT, _boundary_quadrics
+from anchormesh.synth import BOUNDARY_WEIGHT, _boundary_quadrics, _split_edges
 from helpers import (
     connectivity_cases,
     dict_boundary_quadrics,
     icosahedron,
     loop_subdivide_once,
     scalar_decimate_to_base,
+    sequential_split_edges,
 )
 
 
@@ -121,6 +122,33 @@ def test_topology_jitter_changes_connectivity_not_geometry():
     for a, b in zip(frames, frames[1:]):
         report = distortion(a, b)
         assert np.sqrt(report.mse_d1) < 0.01 * report.peak
+
+
+def _split_cases():
+    """(name, mesh, counts): shapes, and the connectivity soups without their
+    repeated-index face; counts reach past the edge count, so that faces
+    with two and three drawn edges occur."""
+    for level in (1, 2):
+        yield f"sphere{level}", make_sphere(level), (1, 5, 30, 1000)
+    yield "sphere3", make_sphere(3), (1, 48)  # 48: the sequence generator's count
+    yield "grid6", make_grid(6), (1, 5, 30, 1000)
+    yield "cube3", make_cube(3), (1, 5, 30, 1000)
+    for name, verts, faces in connectivity_cases():
+        if name.startswith("random"):
+            keep = np.array([len(set(f)) == 3 for f in faces.tolist()])
+            yield name, TriangleMesh(verts, faces[keep]), (1, 3, 10, 100)
+
+
+@pytest.mark.parametrize("mesh,counts", [pytest.param(mesh, counts, id=name)
+                                         for name, mesh, counts in _split_cases()])
+def test_split_edges_matches_sequential_splits(mesh, counts):
+    for seed in range(1, 8):
+        for count in counts:
+            got = _split_edges(mesh, SplitMix64(seed), count)
+            want = sequential_split_edges(mesh, SplitMix64(seed), count)
+            for a, b in ((got.vertices, want.vertices), (got.faces, want.faces)):
+                assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), \
+                    (seed, count)
 
 
 def test_sequence_deterministic_bytes():
