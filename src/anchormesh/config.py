@@ -29,6 +29,8 @@ class CodecConfig:
     def __post_init__(self):
         if self.threads < 1:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
+        if not self.alpha_ladder:
+            raise ValueError("the alpha ladder is empty")
         if not all(0.0 < alpha < math.inf for alpha in self.alpha_ladder):
             raise ValueError(f"every alpha of the ladder must be positive and finite, "
                              f"got {self.alpha_ladder}")
@@ -73,5 +75,8 @@ def load_config(path, base: CodecConfig = None) -> CodecConfig:
             key = key.strip()
             if key not in kinds:
                 raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
-            overrides[key] = _parse_value(key, kinds[key], value)
+            try:
+                overrides[key] = _parse_value(key, kinds[key], value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
     return config.override(**overrides)

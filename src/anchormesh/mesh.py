@@ -201,8 +201,8 @@ def _first_of_runs(values):
     return first
 
 
-# Inflation of the closest-point search reach, relative to the reach and to
-# the largest coordinate: see ``closest_points_on_surface``.
+# Inflation of a grid search's reach, relative to the reach and to the
+# largest coordinate: see ``_CellBins.box``.
 _PAD = 1e-9
 # (query, cell item) pairs a closest-point block may expand at once
 _BLOCK_PAIRS = 1 << 18
@@ -295,6 +295,15 @@ class _CellBins:
         a (k, 3) array, whose short rows make numpy broadcast slowly."""
         return _cell_of(points, self.low, self.width, self.last)
 
+    def box(self, cols, d2, pad):
+        """Inclusive cell box ``(lo, hi)`` of the cube ``q +- r`` around each
+        query of ``cols`` (3, k), clipped to the grid: ``r`` is the square
+        root of ``d2`` inflated by ``1e-9`` of itself and by ``pad``, so that
+        rounding never leaves out an item within ``d2`` of ``q``. A query
+        with ``d2 = inf`` gets the whole grid."""
+        reach = np.sqrt(d2) * (1.0 + _PAD) + pad
+        return self.cell_of((cols - reach).T), self.cell_of((cols + reach).T)
+
     def _columns(self, lo, hi):
         """``(owner, key, height)`` of the z-columns of cells in each
         inclusive cell box ``[lo[i], hi[i]]``, by owner: the key of a
@@ -335,7 +344,6 @@ class _FaceGrid:
     """
 
     def __init__(self, mesh: TriangleMesh):
-        self.mesh = mesh
         cols = np.ascontiguousarray(mesh.vertices.T)
         # np.take keeps gathered (rows, items) arrays contiguous; x[:, i] does not
         a, b, c = (np.take(cols, mesh.faces[:, i], axis=1) for i in range(3))
@@ -357,7 +365,6 @@ class _FaceGrid:
         self.cells = _CellBins(low, h, inner.astype(np.int64), lo, hi)
         self.terms = triangle_terms(a, b, c)
         self.pad = _PAD * max(float(fmax.max()), -float(low.min()))  # of the largest coordinate
-        self.corners = None  # point index of the face corners and a face of each, on demand
 
     def measure(self, q, face):
         """``(point, v, w, d2)`` of each (query, face) pair, from the query
@@ -369,21 +376,6 @@ class _FaceGrid:
         point = terms[0:3] + v * terms[3:6] + w * terms[6:9]
         diff = point - q
         return point, v, w, _dot3(diff, diff)
-
-    def corner_bounds(self, q):
-        """Squared distance, as :meth:`measure` gives it, from each query of
-        ``q`` (3, k) to the lowest face of its nearest face corner. The
-        corner comes from :func:`anchormesh.octree.nearest` over a point
-        index of the face corners, which the first call builds."""
-        from .octree import build_octree, nearest  # octree imports this module
-
-        if self.corners is None:
-            corners, count, start = vertex_corners(self.mesh.faces, self.mesh.n_vertices)
-            used = count > 0
-            self.corners = (build_octree(np.compress(used, self.mesh.vertices, axis=0)),
-                            corners[start[used]] // 3)
-        index, face = self.corners
-        return self.measure(q, face[nearest(index, q.T)[0]])[3]
 
 
 def closest_points_on_surface(mesh: TriangleMesh, points):
@@ -400,19 +392,19 @@ def closest_points_on_surface(mesh: TriangleMesh, points):
 
     - *Bound.* A query ``q`` is measured against the faces binned in its own
       cell, and the least of those distances bounds its minimum: ``r^2``.
-      Where the cell holds no face, ``r^2`` is the distance to the lowest
-      face of the nearest face corner, from :func:`anchormesh.octree.nearest`
-      over a point index of the face corners that the first such query
-      builds. Either way some face's point lies ``r`` from ``q``.
+      Some face's point lies ``r`` from ``q``; where the cell holds no face,
+      ``r^2 = inf``.
     - *Gather.* A face's point is a convex combination of its corners, up to
       rounding, so a face whose point is within ``r`` of ``q`` has a bounding
       box that meets the box ``q +- r`` and is binned in a cell that the box
-      covers. ``r`` is inflated by ``1e-9`` of itself and of the largest face
-      coordinate, which covers the rounding of the point and its distance.
-      Where the box lies in ``q``'s own cell, the faces measured for the
-      bound are all the candidates. Otherwise the faces of every covered
-      cell are gathered and measured. Either way every face at the minimum
-      is measured, in ascending order per query, and the first one wins.
+      covers (:meth:`_CellBins.box`). ``r`` is inflated by ``1e-9`` of
+      itself and of the largest face coordinate, which covers the rounding of
+      the point and its distance. Where the box lies in ``q``'s own cell, the
+      faces measured for the bound are all the candidates. Otherwise the
+      faces of every covered cell are gathered, once, and measured; for
+      ``r^2 = inf`` that is the whole grid. Either way every face at the
+      minimum is measured, in ascending order per query, and the first one
+      wins.
 
     Queries are processed in blocks sized to bound memory. Raises
     :class:`MeshValidationError` for a mesh without faces and for non-finite
@@ -437,12 +429,7 @@ def closest_points_on_surface(mesh: TriangleMesh, points):
         owner, face = cells.entries(np.arange(e - s), first[s:e], count[s:e])
         measured = grid.measure(np.take(cols, s + owner, axis=1), face)
         bound = _run_minima(measured[3], owner, e - s)
-        empty = np.isinf(bound)
-        if empty.any():
-            bound[empty] = grid.corner_bounds(cols[:, s:e][:, empty])
-        reach = np.sqrt(bound) * (1.0 + _PAD) + grid.pad
-        lo[s:e] = cells.cell_of((cols[:, s:e] - reach).T)
-        hi[s:e] = cells.cell_of((cols[:, s:e] + reach).T)
+        lo[s:e], hi[s:e] = cells.box(cols[:, s:e], bound, grid.pad)
         inside = (lo[s:e] == hi[s:e]).all(axis=1)
         _settle(out, s + owner, face, measured, inside[owner] & (measured[3] <= bound[owner]))
     far = np.flatnonzero((lo != hi).any(axis=1))

@@ -13,7 +13,14 @@ equal to a node's center goes to the upper child) with the same arithmetic.
 The depth is the shallowest at which no cell holds more than
 ``leaf_capacity`` points, so every leaf of the pointer octree is a cell or a
 union of cells (or part of one, where the depth cap of :func:`build_octree`
-stops the index first). Both searches are exact: they return what a linear
+stops the index first).
+
+Both searches have the shape of the closest-point search of
+:mod:`anchormesh.mesh`: a bound ``r`` on the distance, then one gather of
+the cells of the box ``q +- r`` (:meth:`anchormesh.mesh._CellBins.box`),
+which hold every point within ``r`` of the query ``q``. A fixed-radius
+query is bounded by its reach, a nearest-point query by the nearest point
+in the cells around its own. Both are exact: they return what a linear
 scan returns, the minimum of ``((p - q) ** 2).sum()`` with ties to the
 lowest point index, and the pairs within a squared reach in the order of a
 scan. Only the order in which cells are visited differs, and no answer
@@ -166,13 +173,14 @@ def nearest(index: Octree, queries):
     """Nearest indexed point to each query of ``queries`` (k, 3), as arrays
     ``(indices, distances)``.
 
-    Each query searches the cube of cells within ``r`` cells of its own
-    (clipped to the grid), ``r`` = 1, 2, 4, ..., and its points are packed
-    query by query, each query's to its own count. The nearest point found
-    is final once it is strictly closer than every cell beyond the cube,
-    less a rounding pad of 1e-9 of the largest coordinate: for ``r = 1``
-    closer than one cell width, later closer than the cube's nearest face
-    with cells behind it. A cube that covers the grid is final. Raises
+    Each query first searches the 3 x 3 x 3 block of cells around its own.
+    The nearest point found there is final when it is closer than one cell
+    width, less a rounding pad of 1e-9 of the largest coordinate, as every
+    cell beyond the block is. Otherwise its squared distance ``r^2`` bounds
+    the minimum (``inf`` for an empty block), and the query gathers once
+    the cells of the box ``q +- r``, padded against rounding, which hold
+    every point within ``r``: for an empty block the whole grid. The least
+    distance there wins, with ties to the lowest point index. Raises
     :class:`anchormesh.mesh.MeshValidationError` for non-finite queries.
     """
     q = np.asarray(queries, dtype=np.float64).reshape(-1, 3)
@@ -190,22 +198,10 @@ def nearest(index: Octree, queries):
     best_d2, best = _nearest_in_columns(index, cols, np.repeat(np.arange(k), 9), first.ravel(),
                                         (index.starts[column + 3] - first).ravel())
     todo = np.flatnonzero(~(best_d2 < max(index.width - pad, 0.0) ** 2))
-    last = index.side - 1
-    reach = 1
-    while len(todo):
-        reach *= 2
-        qt = q[todo]
-        lo = np.maximum(home[todo] - reach, 0)
-        hi = np.minimum(home[todo] + reach, last)
-        d2, found = _nearest_in_columns(index, np.ascontiguousarray(qt.T),
-                                        *index.bins.columns(lo, hi))
-        below = np.where(lo > 0, qt - (index.low + lo * index.width), np.inf)
-        above = np.where(hi < last, index.low + (hi + 1) * index.width - qt, np.inf)
-        gap = np.minimum(below, above).min(axis=1) - pad
-        done = (gap > 0.0) & (d2 < gap * gap)
-        best_d2[todo[done]] = d2[done]
-        best[todo[done]] = found[done]
-        todo = todo[~done]
+    if len(todo):  # most calls end here: skip the fixed cost of an empty gather
+        qt = np.take(cols, todo, axis=1)
+        best_d2[todo], best[todo] = _nearest_in_columns(
+            index, qt, *index.bins.columns(*index.bins.box(qt, best_d2[todo], pad)))
     return best, np.sqrt(best_d2)
 
 
@@ -221,9 +217,7 @@ def within_reach(index: Octree, centers, reach2):
     cols = np.ascontiguousarray(np.asarray(centers, dtype=np.float64).reshape(-1, 3).T)
     n = len(index.points)
     pad = _PAD * max(index.mag, float(np.abs(cols).max(initial=0.0)))
-    reach = np.sqrt(reach2) * (1.0 + _PAD) + pad
-    bins = index.bins
-    columns = bins.columns(bins.cell_of((cols - reach).T), bins.cell_of((cols + reach).T))
+    columns = index.bins.columns(*index.bins.box(cols, reach2, pad))
     keys = [np.zeros(0, dtype=np.int64)]
     for owner, slot, d2 in _column_pairs(index, cols, *columns):
         keep = d2 <= reach2[owner]

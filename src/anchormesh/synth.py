@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import TriangleMesh, unique_edges
+from .mesh import DEGENERATE_AREA, TriangleMesh, unique_edges
 from .qem import _TRIU_COLS, _TRIU_ROWS, _optimal_points, _WorkingCopy, all_vertex_quadrics
 from .subdivide import midpoint_subdivide
 
@@ -295,7 +295,7 @@ def _boundary_quadrics(mesh: TriangleMesh, weight: float) -> np.ndarray:
         fa, fb, fc = mesh.vertices[mesh.faces[fi]]
         fn = np.cross(fb - fa, fc - fa)
         fn_norm = np.linalg.norm(fn)
-        if 0.5 * fn_norm <= 1e-12:
+        if 0.5 * fn_norm <= DEGENERATE_AREA:
             continue
         edge_dir = mesh.vertices[v] - mesh.vertices[u]
         bn = np.cross(edge_dir, fn / fn_norm)

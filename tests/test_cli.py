@@ -113,11 +113,17 @@ def test_sweep_exits_2_on_threads_below_one(sequence, tmp_path, capsys, threads)
         am.CodecConfig(threads=int(threads))
 
 
-@pytest.mark.parametrize("ladder", ["8,8,16,32,64", "2,0,8", "-1,4", "4,inf"],
-                         ids=["repeated", "zero", "negative", "infinite"])
-@pytest.mark.parametrize("source", ["flag", "config-file"])
+_BAD_LADDERS = {"repeated": "8,8,16,32,64", "zero": "2,0,8", "negative": "-1,4",
+                "infinite": "4,inf"}
+
+
+@pytest.mark.parametrize("source,ladder", [
+    pytest.param(source, ladder, id=f"{source}-{name}")
+    for source in ("flag", "config-file") for name, ladder in _BAD_LADDERS.items()
+] + [pytest.param("config-file", "", id="config-file-empty")])
 def test_sweep_exits_2_on_a_bad_alpha_ladder(sequence, tmp_path, capsys, ladder, source):
-    # a repeated rung was coded twice and summed into one RD point
+    # a repeated rung was coded twice and summed into one RD point; an empty
+    # ladder wrote header-only CSVs and null BD-rates
     out = tmp_path / "out"
     if source == "flag":
         flags = [f"--alphas={ladder}"]
@@ -128,7 +134,7 @@ def test_sweep_exits_2_on_a_bad_alpha_ladder(sequence, tmp_path, capsys, ladder,
     assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
     assert not out.exists()
     with pytest.raises(ValueError):
-        am.CodecConfig(alpha_ladder=tuple(float(a) for a in ladder.split(",")))
+        am.CodecConfig(alpha_ladder=tuple(float(a) for a in ladder.split(",") if a))
 
 
 @pytest.fixture

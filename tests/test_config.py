@@ -55,13 +55,18 @@ def test_line_without_equals_reports_path_and_line(tmp_path):
 
 @pytest.mark.parametrize("raw", ["maybe", "2", ""])
 def test_bad_boolean_raises(tmp_path, raw):
-    with pytest.raises(ValueError, match="bad boolean for motion_estimation"):
-        load_config(_write(tmp_path, f"motion_estimation = {raw}\n"))
+    path = _write(tmp_path, f"motion_estimation = {raw}\n")
+    with pytest.raises(ValueError, match=f"^{path}:1: bad boolean for motion_estimation"):
+        load_config(path)
 
 
 def test_bad_number_raises(tmp_path):
-    with pytest.raises(ValueError):
-        load_config(_write(tmp_path, "level = 2.5\n"))
+    path = _write(tmp_path, "level = 2.5\n")
+    with pytest.raises(ValueError, match=f"^{path}:1: "):
+        load_config(path)
+    path = _write(tmp_path, "alpha_ladder = 8, x\n")
+    with pytest.raises(ValueError, match=f"^{path}:1: "):
+        load_config(path)
 
 
 def test_layers_over_the_given_base(tmp_path):

@@ -416,7 +416,7 @@ def test_surface_oracle_single_face_and_planar_mesh():
 
 def test_surface_oracle_distant_parts_use_the_dense_bound():
     # two triangles far apart: a query midway has no face in its cell, so
-    # its bound comes from a face of the nearest face corner
+    # its bound is inf and it gathers the whole grid
     verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0],
                       [100, 0, 0], [101, 0, 0], [100, 1, 0]], dtype=float)
     m = TriangleMesh(verts, [[0, 1, 2], [3, 4, 5]])
@@ -528,8 +528,8 @@ def test_surface_oracle_sliver_face_wins_by_its_plane():
 
 def test_surface_oracle_in_cell_and_gathered_queries(monkeypatch):
     # queries next to the surface are answered from their own cell, and the
-    # ones inside the sphere or far off gather the cells around them, for
-    # their candidate faces or for their nearest face corner
+    # ones inside the sphere or far off gather the cells around them, or the
+    # whole grid where their own cell holds no face
     import anchormesh as am
     from anchormesh import mesh as mesh_module
 
@@ -557,11 +557,37 @@ def test_surface_oracle_in_cell_and_gathered_queries(monkeypatch):
 
 
 
+def test_mesh_answers_empty_cell_queries_without_octree():
+    # a query whose cell holds no face gathers the whole face grid: mesh
+    # needs no point index, so it never loads octree. The package's
+    # __init__ would load both: a bare package stands in for it.
+    import anchormesh
+
+    code = "\n".join([
+        "import sys, types",
+        "package = types.ModuleType('anchormesh')",
+        f"package.__path__ = {list(anchormesh.__path__)!r}",
+        "sys.modules['anchormesh'] = package",
+        "import anchormesh.mesh",
+        "from anchormesh.mesh import TriangleMesh, closest_points_on_surface",
+        # the query's cell between two far faces is empty; the nearest face
+        # point is the corner (1, 0, 0)
+        "mesh = TriangleMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0], [100, 0, 0], [101, 0, 0],"
+        " [100, 1, 0]], [[0, 1, 2], [3, 4, 5]])",
+        "print(closest_points_on_surface(mesh, [[50.0, 0.0, 0.0]])[3][0])",
+        "assert 'anchormesh.octree' not in sys.modules, 'mesh loaded octree'",
+    ])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["2401.0"]
+
+
 @pytest.mark.parametrize("first", ["anchormesh.mesh", "anchormesh.octree"])
 def test_mesh_and_octree_import_in_either_order(first):
-    # octree imports mesh when it loads and mesh imports octree inside the
-    # corner bound, so either module loads first in a fresh interpreter. The
-    # package's __init__ would fix one order: a bare package stands in for it.
+    # octree imports mesh when it loads and mesh imports nothing of octree,
+    # so either module loads first in a fresh interpreter. The package's
+    # __init__ would fix one order: a bare package stands in for it.
     import anchormesh
 
     code = "\n".join([
@@ -570,9 +596,8 @@ def test_mesh_and_octree_import_in_either_order(first):
         f"package.__path__ = {list(anchormesh.__path__)!r}",
         "sys.modules['anchormesh'] = package",
         f"import {first}",
+        "import anchormesh.octree",
         "from anchormesh.mesh import TriangleMesh, closest_points_on_surface",
-        # the query's cell between two far faces is empty: the bound comes
-        # from the face of the nearest face corner, (1, 0, 0)
         "mesh = TriangleMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0], [100, 0, 0], [101, 0, 0],"
         " [100, 1, 0]], [[0, 1, 2], [3, 4, 5]])",
         "print(closest_points_on_surface(mesh, [[50.0, 0.0, 0.0]])[3][0])",

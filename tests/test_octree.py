@@ -227,6 +227,20 @@ def test_index_nearest_matches_linear_scan():
         assert (gi, gd) == brute_force_nearest(pts, q)
 
 
+def test_index_nearest_with_an_empty_block_inside_the_grid():
+    # two far clusters and queries between them: the 3 x 3 x 3 block around
+    # each query's cell is empty, so it gathers the whole grid
+    rng = np.random.default_rng(53)
+    pts = np.vstack([rng.uniform(0, 1, (40, 3)), rng.uniform(0, 1, (40, 3)) + [100, 0, 0]])
+    queries = np.array([[50.0, 0.5, 0.5], [40.0, 0.0, 1.0], [61.0, 0.9, 0.2]])
+    index = octree.build_octree(pts, leaf_capacity=1)
+    home = index.bins.cell_of(queries)
+    assert (np.abs(index.cell[None] - home[:, None]).max(axis=2) > 1).all()
+    got_i, got_d = octree.nearest(index, queries)
+    for q, gi, gd in zip(queries, got_i, got_d):
+        assert (gi, gd) == brute_force_nearest(pts, q)
+
+
 def test_index_nearest_matches_linear_scan_with_lattice_ties():
     grid = np.stack(np.meshgrid(*[np.arange(4.0)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
     rng = np.random.default_rng(5)
