@@ -17,7 +17,7 @@ import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 
-from .config import CodecConfig, load_config
+from .config import CodecConfig, _parse_value, load_config
 from .mesh import MeshError, TriangleMesh, load_mesh, save_mesh
 from .metrics import RDCurve, bd_rate, distortion
 from .payload import PayloadError, read_payload, write_payload
@@ -79,8 +79,8 @@ def _config_from_args(args) -> CodecConfig:
         overrides["qem_refine"] = False
     if getattr(args, "no_adaptive_quant", False):
         overrides["adaptive_quant"] = False
-    if getattr(args, "alphas", None):
-        overrides["alpha_ladder"] = tuple(float(a) for a in args.alphas.split(","))
+    if getattr(args, "alphas", None) is not None:  # "--alphas=" is an empty ladder
+        overrides["alpha_ladder"] = _parse_value("alphas", tuple, args.alphas)
     if getattr(args, "base_fraction", None) is not None:
         overrides["base_fraction"] = args.base_fraction
     return config.override(**overrides)

@@ -60,10 +60,12 @@ def _parse_value(name: str, kind, raw: str):
 
 
 def load_config(path, base: CodecConfig = None) -> CodecConfig:
-    """Parse a flat key=value file ('#' comments allowed) over ``base``."""
+    """Parse a flat key=value file ('#' comments allowed) over ``base``.
+
+    Each line is applied in turn, so a value that :class:`CodecConfig`
+    rejects is reported with its ``path:line``, as a malformed line is."""
     config = base if base is not None else CodecConfig()
     kinds = {f.name: type(getattr(config, f.name)) for f in fields(config)}
-    overrides = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -76,7 +78,7 @@ def load_config(path, base: CodecConfig = None) -> CodecConfig:
             if key not in kinds:
                 raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
             try:
-                overrides[key] = _parse_value(key, kinds[key], value)
+                config = config.override(**{key: _parse_value(key, kinds[key], value)})
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from None
-    return config.override(**overrides)
+    return config

@@ -334,16 +334,20 @@ class _CellBins:
 
 class _FaceGrid:
     """The faces of a mesh binned in a :class:`_CellBins` grid, each in every
-    cell its bounding box touches.
+    cell its bounding box touches, for closest-point queries
+    (:meth:`closest`).
 
     The cell size starts at the mean face extent and doubles until the grid
     has at most eight cells, and the faces at most sixteen cell entries, per
     face. The grid also keeps each face's :func:`triangle_terms` and the
-    reach padding of :func:`closest_points_on_surface`. Query coordinates
-    and face terms are held coordinates first, (3, k).
+    reach padding of :meth:`closest`. Query coordinates and face terms are
+    held coordinates first, (3, k). Raises :class:`MeshValidationError` for
+    a mesh without faces and for non-finite coordinates.
     """
 
     def __init__(self, mesh: TriangleMesh):
+        if mesh.n_faces == 0:
+            raise MeshValidationError("closest-point query requires a mesh with faces")
         cols = np.ascontiguousarray(mesh.vertices.T)
         # np.take keeps gathered (rows, items) arrays contiguous; x[:, i] does not
         a, b, c = (np.take(cols, mesh.faces[:, i], axis=1) for i in range(3))
@@ -377,72 +381,80 @@ class _FaceGrid:
         diff = point - q
         return point, v, w, _dot3(diff, diff)
 
+    def closest(self, points):
+        """Closest point on the mesh surface to each of ``points`` (k, 3), as
+        ``(positions, faces, bary, sq_dists)`` arrays.
+
+        Each (query, face) pair is measured by :meth:`measure`: its ``(v,
+        w)`` give the face's point ``a + v (b - a) + w (c - a)`` with
+        barycentric weights ``(1 - v - w, v, w)``, and the pair's distance is
+        the squared length of that point minus the query. Per query the least
+        distance wins, with ties to the lowest face index, exactly as a scan
+        of every face finds it. The grid narrows that scan to few faces per
+        query:
+
+        - *Bound.* A query ``q`` is measured against the faces binned in its
+          own cell, and the least of those distances bounds its minimum:
+          ``r^2``. Some face's point lies ``r`` from ``q``; where the cell
+          holds no face, ``r^2 = inf``.
+        - *Gather.* A face's point is a convex combination of its corners, up
+          to rounding, so a face whose point is within ``r`` of ``q`` has a
+          bounding box that meets the box ``q +- r`` and is binned in a cell
+          that the box covers (:meth:`_CellBins.box`). ``r`` is inflated by
+          ``1e-9`` of itself and of the largest face coordinate, which covers
+          the rounding of the point and its distance. Where the box lies in
+          ``q``'s own cell, the faces measured for the bound are all the
+          candidates. Otherwise the faces of every covered cell are gathered,
+          once, and measured; for ``r^2 = inf`` that is the whole grid.
+          Either way every face at the minimum is measured, in ascending
+          order per query, and the first one wins.
+
+        Queries are processed in blocks sized to bound memory. Raises
+        :class:`MeshValidationError` for non-finite queries.
+        """
+        pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+        if not np.isfinite(pts).all():
+            raise MeshValidationError("closest-point query requires finite coordinates")
+        cells = self.cells
+        cols = np.ascontiguousarray(pts.T)
+        n = len(pts)
+        out = (np.empty((n, 3)), np.empty(n, dtype=np.int64), np.empty((n, 3)), np.empty(n))
+        home = cells.key(cells.cell_of(cols.T))
+        first = cells.starts[home]
+        count = cells.starts[home + 1] - first
+        lo = np.empty((n, 3), dtype=np.int64)
+        hi = np.empty((n, 3), dtype=np.int64)
+        for s, e in _blocks(count, _BLOCK_PAIRS):
+            owner, face = cells.entries(np.arange(e - s), first[s:e], count[s:e])
+            measured = self.measure(np.take(cols, s + owner, axis=1), face)
+            bound = _run_minima(measured[3], owner, e - s)
+            lo[s:e], hi[s:e] = cells.box(cols[:, s:e], bound, self.pad)
+            inside = (lo[s:e] == hi[s:e]).all(axis=1)
+            _settle(out, s + owner, face, measured, inside[owner] & (measured[3] <= bound[owner]))
+        far = np.flatnonzero((lo != hi).any(axis=1))
+        lo, hi = lo[far], hi[far]
+        m = self.terms.shape[1]
+        for s, e in _blocks((hi - lo + 1).prod(axis=1) * cells.max_count, _BLOCK_PAIRS):
+            owner, face = cells.entries(*cells.columns(lo[s:e], hi[s:e]))
+            owner, face = np.divmod(sorted_unique(owner * m + face), m)
+            query = far[s:e][owner]
+            measured = self.measure(np.take(cols, query, axis=1), face)
+            least = _run_minima(measured[3], owner, e - s)
+            _settle(out, query, face, measured, measured[3] <= least[owner])
+        return out
+
 
 def closest_points_on_surface(mesh: TriangleMesh, points):
-    """Batched closest-surface-point query.
+    """Batched closest-surface-point query: :meth:`_FaceGrid.closest` of a
+    grid over ``mesh``.
 
-    Returns ``(positions, faces, bary, sq_dists)`` arrays. Each (query, face)
-    pair is measured by :func:`sq_distances_to_terms`: its ``(v, w)`` give
-    the face's point ``a + v (b - a) + w (c - a)`` with barycentric weights
-    ``(1 - v - w, v, w)``, and the pair's distance is the squared length of
-    that point minus the query. Per query the least distance wins, with
-    ties to the lowest face index, exactly as a scan of every face finds it.
-    A uniform grid over the faces' bounding boxes narrows that scan to few
-    faces per query:
-
-    - *Bound.* A query ``q`` is measured against the faces binned in its own
-      cell, and the least of those distances bounds its minimum: ``r^2``.
-      Some face's point lies ``r`` from ``q``; where the cell holds no face,
-      ``r^2 = inf``.
-    - *Gather.* A face's point is a convex combination of its corners, up to
-      rounding, so a face whose point is within ``r`` of ``q`` has a bounding
-      box that meets the box ``q +- r`` and is binned in a cell that the box
-      covers (:meth:`_CellBins.box`). ``r`` is inflated by ``1e-9`` of
-      itself and of the largest face coordinate, which covers the rounding of
-      the point and its distance. Where the box lies in ``q``'s own cell, the
-      faces measured for the bound are all the candidates. Otherwise the
-      faces of every covered cell are gathered, once, and measured; for
-      ``r^2 = inf`` that is the whole grid. Either way every face at the
-      minimum is measured, in ascending order per query, and the first one
-      wins.
-
-    Queries are processed in blocks sized to bound memory. Raises
-    :class:`MeshValidationError` for a mesh without faces and for non-finite
-    coordinates.
+    Returns ``(positions, faces, bary, sq_dists)`` arrays: per query the
+    closest point of the surface, its face (the lowest on ties), its
+    barycentric weights in that face and its squared distance, exactly as a
+    scan of every face finds them. Raises :class:`MeshValidationError` for a
+    mesh without faces and for non-finite coordinates.
     """
-    if mesh.n_faces == 0:
-        raise MeshValidationError("closest-point query requires a mesh with faces")
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    if not np.isfinite(pts).all():
-        raise MeshValidationError("closest-point query requires finite coordinates")
-    grid = _FaceGrid(mesh)
-    cells = grid.cells
-    cols = np.ascontiguousarray(pts.T)
-    n = len(pts)
-    out = (np.empty((n, 3)), np.empty(n, dtype=np.int64), np.empty((n, 3)), np.empty(n))
-    home = cells.key(cells.cell_of(cols.T))
-    first = cells.starts[home]
-    count = cells.starts[home + 1] - first
-    lo = np.empty((n, 3), dtype=np.int64)
-    hi = np.empty((n, 3), dtype=np.int64)
-    for s, e in _blocks(count, _BLOCK_PAIRS):
-        owner, face = cells.entries(np.arange(e - s), first[s:e], count[s:e])
-        measured = grid.measure(np.take(cols, s + owner, axis=1), face)
-        bound = _run_minima(measured[3], owner, e - s)
-        lo[s:e], hi[s:e] = cells.box(cols[:, s:e], bound, grid.pad)
-        inside = (lo[s:e] == hi[s:e]).all(axis=1)
-        _settle(out, s + owner, face, measured, inside[owner] & (measured[3] <= bound[owner]))
-    far = np.flatnonzero((lo != hi).any(axis=1))
-    lo, hi = lo[far], hi[far]
-    m = mesh.n_faces
-    for s, e in _blocks((hi - lo + 1).prod(axis=1) * cells.max_count, _BLOCK_PAIRS):
-        owner, face = cells.entries(*cells.columns(lo[s:e], hi[s:e]))
-        owner, face = np.divmod(sorted_unique(owner * m + face), m)
-        query = far[s:e][owner]
-        measured = grid.measure(np.take(cols, query, axis=1), face)
-        least = _run_minima(measured[3], owner, e - s)
-        _settle(out, query, face, measured, measured[3] <= least[owner])
-    return out
+    return _FaceGrid(mesh).closest(points)
 
 
 def _settle(out, query, face, measured, least):

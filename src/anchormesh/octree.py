@@ -1,4 +1,5 @@
-"""Exact nearest-neighbour and fixed-radius queries over a 3D point set.
+"""Exact nearest-neighbour queries over a 3D point set: the coarse stage's
+index.
 
 The index is a flattened ("linear") octree, after Gargantini, "An effective
 way to represent quadtrees" (CACM 1982): the points are binned into the
@@ -15,16 +16,14 @@ The depth is the shallowest at which no cell holds more than
 union of cells (or part of one, where the depth cap of :func:`build_octree`
 stops the index first).
 
-Both searches have the shape of the closest-point search of
-:mod:`anchormesh.mesh`: a bound ``r`` on the distance, then one gather of
-the cells of the box ``q +- r`` (:meth:`anchormesh.mesh._CellBins.box`),
-which hold every point within ``r`` of the query ``q``. A fixed-radius
-query is bounded by its reach, a nearest-point query by the nearest point
-in the cells around its own. Both are exact: they return what a linear
-scan returns, the minimum of ``((p - q) ** 2).sum()`` with ties to the
-lowest point index, and the pairs within a squared reach in the order of a
-scan. Only the order in which cells are visited differs, and no answer
-depends on it.
+The search has the shape of the closest-point search of
+:mod:`anchormesh.mesh`: a bound ``r`` on the distance, from the nearest
+point in the cells around the query's own, then one gather of the cells of
+the box ``q +- r`` (:meth:`anchormesh.mesh._CellBins.box`), which hold
+every point within ``r`` of the query ``q``. It is exact: it returns what a
+linear scan returns, the minimum of ``((p - q) ** 2).sum()`` with ties to
+the lowest point index. Only the order in which cells are visited differs,
+and no answer depends on it.
 """
 
 from __future__ import annotations
@@ -133,12 +132,16 @@ def build_octree(points, leaf_capacity: int = DEFAULT_LEAF_CAPACITY,
     return Octree(pts, center, half, depth, cell, leaf_capacity, max_depth)
 
 
-def _column_pairs(index: Octree, cols, owner, first, count):
-    """Every (query, point) pair of the queries ``cols`` (3, k) with the
-    points of their z-columns (``owner``, ascending, ``first`` slot and
-    ``count``), in blocks of whole queries sized to a pair budget. Yields
-    ``(owner, slot, d2)``: the query, the point's slot in ``order`` and the
-    squared distance ``((p - q) ** 2).sum()`` of each pair."""
+def _nearest_in_columns(index: Octree, cols, owner, first, count):
+    """Least squared distance ``((p - q) ** 2).sum()`` from each query of
+    ``cols`` (3, k) to the points of its z-columns (``owner``, ascending,
+    ``first`` slot and ``count``) and the lowest point index at it; ``inf``
+    and index ``n`` for a query without points. The (query, point) pairs
+    are formed in blocks of whole queries sized to a pair budget."""
+    k = cols.shape[1]
+    n = len(index.points)
+    least = np.full(k, np.inf)
+    found = np.full(k, n)
     cuts = [0, len(owner)]
     if count.sum() > _BLOCK_PAIRS:
         per_owner = np.bincount(owner, weights=count).astype(np.int64)
@@ -146,21 +149,10 @@ def _column_pairs(index: Octree, cols, owner, first, count):
         cuts = [int(bounds[s]) for s, _ in _blocks(per_owner, _BLOCK_PAIRS)] + [len(owner)]
     for a, b in zip(cuts, cuts[1:]):
         who = np.repeat(owner[a:b], count[a:b])
-        slot = _ranges(first[a:b], count[a:b])
-        diff = np.take(index.sorted_cols, slot, axis=1) - np.take(cols, who, axis=1)
-        yield who, slot, diff[0] * diff[0] + diff[1] * diff[1] + diff[2] * diff[2]
-
-
-def _nearest_in_columns(index: Octree, cols, owner, first, count):
-    """Least squared distance from each query of ``cols`` (3, k) to the
-    points of its columns (:func:`_column_pairs`) and the lowest point index
-    at it; ``inf`` and index ``n`` for a query without points."""
-    k = cols.shape[1]
-    n = len(index.points)
-    least = np.full(k, np.inf)
-    found = np.full(k, n)
-    for who, slot, d2 in _column_pairs(index, cols, owner, first, count):
         if len(who):
+            slot = _ranges(first[a:b], count[a:b])
+            diff = np.take(index.sorted_cols, slot, axis=1) - np.take(cols, who, axis=1)
+            d2 = diff[0] * diff[0] + diff[1] * diff[1] + diff[2] * diff[2]
             starts = _run_starts(who)
             runs = who[starts]
             least[runs] = np.minimum.reduceat(d2, starts)
@@ -203,23 +195,3 @@ def nearest(index: Octree, queries):
         best_d2[todo], best[todo] = _nearest_in_columns(
             index, qt, *index.bins.columns(*index.bins.box(qt, best_d2[todo], pad)))
     return best, np.sqrt(best_d2)
-
-
-def within_reach(index: Octree, centers, reach2):
-    """``(center, point)`` index pairs whose squared distance
-    ``((center - point) ** 2).sum()`` is at most the center's ``reach2``,
-    ordered by center, then point.
-
-    Each center gathers the cells its reach touches, padded by ``1e-9`` of
-    itself and of the largest coordinate so that rounding never drops a
-    pair; the squared distance then decides.
-    """
-    cols = np.ascontiguousarray(np.asarray(centers, dtype=np.float64).reshape(-1, 3).T)
-    n = len(index.points)
-    pad = _PAD * max(index.mag, float(np.abs(cols).max(initial=0.0)))
-    columns = index.bins.columns(*index.bins.box(cols, reach2, pad))
-    keys = [np.zeros(0, dtype=np.int64)]
-    for owner, slot, d2 in _column_pairs(index, cols, *columns):
-        keep = d2 <= reach2[owner]
-        keys.append(np.sort(owner[keep] * n + index.order[slot[keep]]))
-    return np.divmod(np.concatenate(keys), n)

@@ -61,7 +61,7 @@ def encode_pair(base: TriangleMesh, target: TriangleMesh,
     stats["coarse_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    anchor = refine_anchor(coarse, target, config.collapses_per_anchor, index) \
+    anchor = refine_anchor(coarse, target, config.collapses_per_anchor) \
         if config.qem_refine else coarse
     stats["fine_s"] = time.perf_counter() - t0
 

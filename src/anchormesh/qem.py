@@ -21,16 +21,16 @@ from .mesh import (
     DEGENERATE_AREA,
     TriangleMesh,
     _dot3,
+    _FaceGrid,
     _ranges,
     _run_minima,
+    closest_points_on_surface,
     directed_edges,
-    sorted_unique,
     sq_distances_to_terms,
     triangle_terms,
     unique_edges,
     vertex_corners,
 )
-from .octree import Octree, build_octree, within_reach
 
 # Upper-triangle layout of the symmetric 4x4 matrix:
 # indices 0..9 = xx, xy, xz, xw, yy, yz, yw, zz, zw, ww
@@ -235,26 +235,13 @@ def _pairs_in_groups(points, point_counts, tris, tri_counts):
 
 
 def _closest_of_pairs(points, pi, ti, tris):
-    """Closest triangle to each of ``points`` (n, 3) among its pairs with
-    the :func:`_triangles` columns ``tris``, for ``pi`` ascending.
-
-    Returns ``(d2, tri, v, w)`` per point as in
-    :func:`anchormesh.mesh.sq_distances_to_terms`, with ``tri`` the column of
-    the earliest closest pair and ``d2 = inf``, ``tri = -1`` for a point
-    without pairs.
-    """
-    d2, v, w = sq_distances_to_terms(np.take(np.ascontiguousarray(points.T), pi, axis=1),
+    """Least squared distance from each of ``points`` (n, 3) to the
+    :func:`_triangles` columns ``tris`` it is paired with, for ``pi``
+    ascending, as :func:`anchormesh.mesh.sq_distances_to_terms` measures it;
+    inf for a point without pairs."""
+    d2, _, _ = sq_distances_to_terms(np.take(np.ascontiguousarray(points.T), pi, axis=1),
                                      np.take(tris[:17], ti, axis=1))
-    best = _run_minima(d2, pi, len(points))
-    hit = np.flatnonzero(d2 == best[pi])
-    first = hit[np.diff(pi[hit], prepend=-1) != 0]
-    tri = np.full(len(points), -1)
-    out_v = np.zeros(len(points))
-    out_w = np.zeros(len(points))
-    tri[pi[first]] = ti[first]
-    out_v[pi[first]] = v[first]
-    out_w[pi[first]] = w[first]
-    return best, tri, out_v, out_w
+    return _run_minima(d2, pi, len(points))
 
 
 class _MoveJudge:
@@ -270,16 +257,17 @@ class _MoveJudge:
     every other anchor vertex where the coarse stage put it, on a target
     vertex, which is its own projection.
 
-    The searches are local. The closest anchor face of a target vertex is
-    searched among the fans of the anchors whose longest incident edge
-    reaches it, found in ``index``, the point index of the target's vertices
-    (built where not given), and the corners of an anchor's split fan are
-    projected onto its patch: the target faces that touch a target vertex it
-    covers. An anchor that covers no target vertex has error 0 wherever it
-    goes.
+    Both searches are the encoder's: a target vertex's closest coarse face
+    is the one :func:`anchormesh.mesh.closest_points_on_surface` finds
+    (lowest face on ties), and the corners are projected by one
+    :class:`anchormesh.mesh._FaceGrid` over the whole target, the search
+    that :func:`anchormesh.subdivide.compute_displacements` makes. An anchor
+    that covers no target vertex has error 0 wherever it goes. Raises
+    :class:`anchormesh.mesh.MeshValidationError` for a target without
+    faces.
     """
 
-    def __init__(self, coarse: AnchorMesh, target: TriangleMesh, index: Octree = None):
+    def __init__(self, coarse: AnchorMesh, target: TriangleMesh):
         self.target = target
         self.positions = pos = coarse.mesh.vertices
         faces = coarse.mesh.faces
@@ -296,65 +284,19 @@ class _MoveJudge:
         by_anchor, self.fan_count, self.fan_start = vertex_corners(faces, n)
         turn = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
         self.fan = faces[:, turn].reshape(-1, 3)[by_anchor]
-
-        # closest coarse face of each target vertex within reach of a fan
-        reach2 = np.zeros(n)
-        np.maximum.at(reach2, directed[:, 0],
-                      ((pos[directed[:, 0]] - pos[self.rim]) ** 2).sum(axis=1))
-        if index is None:
-            index = build_octree(target.vertices)
-        owner, sample = within_reach(index, pos, reach2)
-        # the pairs of a target vertex with the fan faces of each anchor that
-        # reaches it, pruned fan by fan, are measured once per distinct face
-        fan_face = by_anchor // 3
-        face_tris = _triangles(pos[faces])
-        pi, ti = _pairs_in_groups(target.vertices[sample], np.bincount(owner, minlength=n),
-                                  np.take(face_tris, fan_face, axis=1), self.fan_count)
-        m = max(len(faces), 1)
-        vertex, face = np.divmod(sorted_unique(sample[pi] * m + fan_face[ti]), m)
-        _, face, _, _ = _closest_of_pairs(target.vertices, vertex, face, face_tris)
-        covered_vertex = np.flatnonzero(face >= 0)
-        covered_face = face[covered_vertex]
-
-        # covered target vertices of every anchor, ascending
-        anchor = faces[covered_face].ravel()
-        vertex = np.repeat(covered_vertex, 3)
-        order = np.lexsort((vertex, anchor))
-        self.covered = vertex[order]
-        self.covered_count = np.bincount(anchor, minlength=n)
-        self.covered_start = np.cumsum(self.covered_count) - self.covered_count
-
-        # patch of every anchor: the target faces touching a vertex it covers
-        self.target_tris = _triangles(target.vertices[target.faces])
-        n_faces = max(target.n_faces, 1)
-        tv_corner, tv_count, tv_start = vertex_corners(target.faces, target.n_vertices)
-        patch_face = tv_corner[_ranges(tv_start[self.covered], tv_count[self.covered])] // 3
-        key = sorted_unique(np.repeat(anchor[order], tv_count[self.covered]) * n_faces
-                            + patch_face)
-        self.patch_face = key % n_faces
-        self.patch_count = np.bincount(key // n_faces, minlength=n)
-        self.patch_start = np.cumsum(self.patch_count) - self.patch_count
-
-        # projected edge midpoints, each on the patch of its lower end
-        self.midpoints = self._project(0.5 * (pos[edges[:, 0]] + pos[edges[:, 1]]),
-                                       np.bincount(edges[:, 0], minlength=n), np.arange(n))
+        # covered target vertices of every anchor, ascending; an anchor
+        # without faces covers none
+        face = (closest_points_on_surface(coarse.mesh, target.vertices)[1] if len(faces)
+                else np.zeros(0, dtype=np.int64))
+        by_anchor, self.covered_count, self.covered_start = vertex_corners(faces[face], n)
+        self.covered = by_anchor // 3
+        # projected edge midpoints
+        self.grid = _FaceGrid(target)
+        self.midpoints = self.grid.closest(0.5 * (pos[edges[:, 0]] + pos[edges[:, 1]]))[0]
 
     def _edge(self, u, w):
         return np.searchsorted(self.edge_keys, np.minimum(u, w) * len(self.positions)
                                + np.maximum(u, w))
-
-    def _project(self, points, counts, anchors):
-        """Closest target points to ``points``, in consecutive groups of
-        ``counts``, each searched on the patch of its anchor."""
-        patch = self.patch_face[_ranges(self.patch_start[anchors], self.patch_count[anchors])]
-        tris = np.take(self.target_tris, patch, axis=1)
-        pairs = _pairs_in_groups(points, counts, tris, self.patch_count[anchors])
-        _, row, v, w = _closest_of_pairs(points, *pairs, tris)
-        projected = points.copy()
-        hit = row >= 0
-        a, ab, ac = (tris[i:i + 3, row[hit]].T for i in (0, 3, 6))  # a, b - a, c - a
-        projected[hit] = a + v[hit, None] * ab + w[hit, None] * ac
-        return projected
 
     def errors(self, anchors, points):
         """Error of each of ``anchors`` moved to its point in ``points``."""
@@ -370,8 +312,7 @@ class _MoveJudge:
         spoke[starts] = False
         rim = self.rim[_ranges(self.rim_start[anchors], self.rim_count[anchors])]
         corners[spoke] = 0.5 * (corners[spoke] + self.positions[rim])
-        table = np.concatenate([self.positions, self.midpoints,
-                                self._project(corners, counts, anchors)])
+        table = np.concatenate([self.positions, self.midpoints, self.grid.closest(corners)[0]])
         # split fan faces (x, u, w) as rows of the table
         fan = self.fan[_ranges(self.fan_start[anchors], self.fan_count[anchors])]
         owner = np.repeat(np.arange(len(anchors)), self.fan_count[anchors])
@@ -386,7 +327,7 @@ class _MoveJudge:
         covered = self.target.vertices[self.covered[_ranges(self.covered_start[anchors], counts)]]
         tris = _triangles(table[rows[:, _FAN_SUBFACES]].reshape(-1, 3, 3))
         pairs = _pairs_in_groups(covered, counts, tris, 4 * self.fan_count[anchors])
-        d2, _, _, _ = _closest_of_pairs(covered, *pairs, tris)
+        d2 = _closest_of_pairs(covered, *pairs, tris)
         owner = np.repeat(np.arange(len(anchors)), counts)
         return np.bincount(owner, weights=d2, minlength=len(anchors))
 
@@ -424,7 +365,7 @@ def _first_collapses(target: TriangleMesh, work: _WorkingCopy, corr: np.ndarray)
 
 
 def _refine_with_diagnostics(coarse: AnchorMesh, target: TriangleMesh,
-                             collapses_per_anchor: int = 1, index: Octree = None):
+                             collapses_per_anchor: int = 1):
     """:func:`refine_anchor`, plus one ``(anchor, selected quadric error,
     that edge quadric at the anchor's coarse position)`` per kept move."""
     if coarse.stage != "coarse":
@@ -435,7 +376,7 @@ def _refine_with_diagnostics(coarse: AnchorMesh, target: TriangleMesh,
     work = _WorkingCopy(target, all_vertex_quadrics(target))
     anchor_targets = set(corr.tolist())
     order = traversal_order(coarse.mesh) if coarse.order is None else coarse.order.tolist()
-    judge = _MoveJudge(coarse, target, index)
+    judge = _MoveJudge(coarse, target)
     # Every anchor's first collapse is found up front, on the untouched
     # working copy, and judged in one batch with the anchor at its coarse
     # vertex. A kept collapse at c with neighbor nb changes the candidates of
@@ -485,7 +426,7 @@ def _refine_with_diagnostics(coarse: AnchorMesh, target: TriangleMesh,
 
 
 def refine_anchor(coarse: AnchorMesh, target: TriangleMesh,
-                  collapses_per_anchor: int = 1, index: Octree = None) -> AnchorMesh:
+                  collapses_per_anchor: int = 1) -> AnchorMesh:
     """Refine a coarse anchor by QEM edge collapses that lower its local
     reconstruction error.
 
@@ -506,13 +447,12 @@ def refine_anchor(coarse: AnchorMesh, target: TriangleMesh,
     The error of an anchor at a position is the summed squared distance from
     the target vertices it covers (those whose closest coarse anchor face is
     incident to it) to its fan split once at edge midpoints with every
-    corner projected onto the target, every other anchor vertex at its
-    coarse position (:class:`_MoveJudge`). The paper leaves the acceptance
-    rule open; this one is the codec's own. Connectivity is untouched, and
-    the result depends only on the arguments. ``index``, an
-    :func:`anchormesh.octree.build_octree` index of the target's vertices,
-    spares building one (the encoder shares the coarse stage's); it changes
-    no result.
+    corner projected onto the target by the encoder's own closest-point
+    search, every other anchor vertex at its coarse position
+    (:class:`_MoveJudge`). The paper leaves the acceptance rule open; this
+    one is the codec's own. Connectivity is untouched, and the result
+    depends only on the arguments. Raises
+    :class:`anchormesh.mesh.MeshValidationError` for a target without faces.
     """
-    anchor, _ = _refine_with_diagnostics(coarse, target, collapses_per_anchor, index)
+    anchor, _ = _refine_with_diagnostics(coarse, target, collapses_per_anchor)
     return anchor

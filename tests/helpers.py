@@ -713,38 +713,11 @@ def scalar_decimate_to_base(mesh: TriangleMesh, target_vertex_count: int,
     return TriangleMesh(pos[used], new_faces)
 
 
-def dense_within_reach(centers, reach2, points):
-    """Every center against every point, 64 centers at a time; the oracle
-    for ``octree.within_reach``."""
-    owner, sample = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for lo in range(0, len(centers), 64):
-        d2 = ((centers[lo:lo + 64, None] - points[None]) ** 2).sum(axis=-1)
-        a, v = np.nonzero(d2 <= reach2[lo:lo + 64, None])
-        owner.append(a + lo)
-        sample.append(v)
-    return np.concatenate(owner), np.concatenate(sample)
-
-
-def covering_faces(anchor_mesh: TriangleMesh, target: TriangleMesh) -> dict:
-    """``{target vertex: anchor face}``: for each target vertex, the closest
-    face among the faces around every anchor vertex whose longest incident
-    edge reaches it, lowest face on ties, one vertex at a time and without
-    pruning; the oracle for the covered vertices of ``qem._MoveJudge``."""
-    pos = anchor_mesh.vertices
-    adjacency = build_adjacency(anchor_mesh)
-    reach2 = np.zeros(len(pos))
-    for a, b in adjacency.edges:
-        d2 = ((pos[a] - pos[b]) ** 2).sum()
-        reach2[a], reach2[b] = max(reach2[a], d2), max(reach2[b], d2)
-    out = {}
-    for v, q in enumerate(target.vertices):
-        near = np.flatnonzero(((pos - q) ** 2).sum(axis=1) <= reach2)
-        fan = sorted(set().union(*(adjacency.vertex_faces[a] for a in near)))
-        if fan:
-            tri = pos[anchor_mesh.faces[fan]].T  # (3 coordinates, 3 corners, faces)
-            d2 = triangle_sq_distances(q[:, None], tri[:, 0], tri[:, 1], tri[:, 2])[0]
-            out[v] = fan[int(np.argmin(d2))]  # first minimum: lowest face
-    return out
+def covering_faces(anchor_mesh: TriangleMesh, target: TriangleMesh) -> np.ndarray:
+    """The closest anchor face of every target vertex, by an exhaustive scan
+    of every face with the lowest-face-index tie rule; the oracle for the
+    covered vertices of ``qem._MoveJudge``."""
+    return brute_force_surface_points(anchor_mesh, target.vertices)[1]
 
 
 

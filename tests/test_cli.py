@@ -120,7 +120,7 @@ _BAD_LADDERS = {"repeated": "8,8,16,32,64", "zero": "2,0,8", "negative": "-1,4",
 @pytest.mark.parametrize("source,ladder", [
     pytest.param(source, ladder, id=f"{source}-{name}")
     for source in ("flag", "config-file") for name, ladder in _BAD_LADDERS.items()
-] + [pytest.param("config-file", "", id="config-file-empty")])
+] + [pytest.param(source, "", id=f"{source}-empty") for source in ("flag", "config-file")])
 def test_sweep_exits_2_on_a_bad_alpha_ladder(sequence, tmp_path, capsys, ladder, source):
     # a repeated rung was coded twice and summed into one RD point; an empty
     # ladder wrote header-only CSVs and null BD-rates
@@ -204,5 +204,15 @@ def test_encode_exits_2_on_a_non_finite_coordinate(sequence, tmp_path, capsys, f
     paths[frame].write_text("\n".join(lines) + "\n")
     out = tmp_path / "out.bin"
     assert main(["encode", *map(str, paths), str(out), *flags]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "MeshValidationError"
+    assert not out.exists()
+
+
+def test_encode_exits_2_on_a_target_without_faces(sequence, tmp_path, capsys):
+    lines = (sequence / "frame_0001.obj").read_text().splitlines()
+    target = tmp_path / "faceless.obj"
+    target.write_text("\n".join(line for line in lines if not line.startswith("f ")) + "\n")
+    out = tmp_path / "out.bin"
+    assert main(["encode", str(sequence / "frame_0000.obj"), str(target), str(out)]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "MeshValidationError"
     assert not out.exists()

@@ -69,6 +69,16 @@ def test_bad_number_raises(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("text,line,message", [
+    ("alpha_ladder =\n", 1, "the alpha ladder is empty"),
+    ("level = 3\nthreads = 0\n", 2, "threads must be at least 1"),
+], ids=["empty-ladder", "zero-threads"])
+def test_rejected_value_reports_path_and_line(tmp_path, text, line, message):
+    path = _write(tmp_path, text)
+    with pytest.raises(ValueError, match=f"^{path}:{line}: {message}"):
+        load_config(path)
+
+
 def test_layers_over_the_given_base(tmp_path):
     base = CodecConfig(level=4, alpha=16.0, threads=2)
     config = load_config(_write(tmp_path, "alpha = 4\nlevel = 1\n"), base)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anchormesh import MeshValidationError, octree
-from helpers import brute_force_nearest, dense_within_reach, octree_leaves
+from helpers import brute_force_nearest, octree_leaves
 from helpers import pointer_nearest as nearest
 from helpers import pointer_octree as build_octree
 
@@ -312,17 +312,3 @@ def test_index_nearest_matches_the_pointer_octree_and_a_scan(cloud):
     tree = build_octree(pts, leaf_capacity=capacity)
     for q, gi, gd in zip(queries, got_i, got_d):
         assert (gi, gd) == nearest(tree, q) == brute_force_nearest(pts, q)
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=100)
-@given(clouds(), st.sampled_from([0.0, 0.3, 1.0, 3.0]), st.booleans())
-def test_index_within_reach_matches_the_dense_search(cloud, reach, exact):
-    pts, queries, capacity = cloud
-    scale = float(np.abs(pts).max()) or 1.0
-    rng = np.random.default_rng(len(pts))
-    # exact reaches hit lattice points at exactly their distance
-    reach2 = ((rng.integers(0, 3, len(queries)) * 0.5 if exact
-               else rng.uniform(0, reach, len(queries))) * scale) ** 2
-    got = octree.within_reach(octree.build_octree(pts, leaf_capacity=capacity), queries, reach2)
-    want = dense_within_reach(queries, reach2, pts)
-    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])

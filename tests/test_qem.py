@@ -13,13 +13,14 @@ from anchormesh import (
     make_sphere,
     refine_anchor,
 )
+from anchormesh.mesh import MeshValidationError, sq_distances_to_terms, triangle_terms
 from anchormesh.qem import _TRIU_COLS, _TRIU_ROWS, _optimal_points, all_vertex_quadrics
 from helpers import (
     Plane,
     Quadric,
     build_adjacency,
+    brute_force_surface_points,
     covering_faces,
-    dense_within_reach,
     edge_quadric,
     optimal_point,
     plane_quadric,
@@ -391,9 +392,9 @@ def test_move_judge_batch_matches_single_anchor():
 
 @pytest.mark.parametrize("seed,base_size", [(4, 40), (3, 120)])
 def test_move_judge_covers_what_an_exhaustive_search_finds(seed, base_size):
-    # every target vertex is covered by the three anchors of its closest face
-    # among the fans that reach it, lowest face on ties (coarse anchors sit
-    # on target vertices, so ties between the faces around one are common)
+    # every target vertex is covered by the three anchors of its closest
+    # coarse face, lowest face on ties (coarse anchors sit on target
+    # vertices, so ties between the faces around one are common)
     import anchormesh as am
     from anchormesh.qem import _MoveJudge
 
@@ -403,7 +404,7 @@ def test_move_judge_covers_what_an_exhaustive_search_finds(seed, base_size):
     coarse, _ = generate_coarse_anchor(decimate_to_base(reference, base_size), target)
     judge = _MoveJudge(coarse, target)
     want = [[] for _ in range(coarse.mesh.n_vertices)]
-    for v, face in sorted(covering_faces(coarse.mesh, target).items()):
+    for v, face in enumerate(covering_faces(coarse.mesh, target)):
         for a in coarse.mesh.faces[face]:
             want[a].append(v)
     for a, vertices in enumerate(want):
@@ -411,27 +412,48 @@ def test_move_judge_covers_what_an_exhaustive_search_finds(seed, base_size):
         assert judge.covered[start:start + judge.covered_count[a]].tolist() == vertices
 
 
-def test_within_reach_matches_dense_search():
-    # the judge's reach pairs, from the point index, must be the pairs of the
-    # dense search, in the same order
-    from anchormesh.octree import build_octree, within_reach
+def test_move_judge_error_matches_a_direct_evaluation():
+    # an anchor's error, rebuilt one fan face at a time: split the face
+    # (x, u, w) at its edge midpoints, move x and the midpoints to their
+    # closest target points by an exhaustive scan (u and w are coarse
+    # anchors on target vertices, their own projections), and sum over the
+    # covered target vertices the least distance to the sub-triangles of
+    # the fan
+    import anchormesh as am
+    from anchormesh.qem import _MoveJudge
 
-    rng = np.random.default_rng(71)
-    grid = np.array([[i, j, k] for i in range(4) for j in range(4) for k in range(3)], float)
-    cases = [
-        (rng.normal(size=(150, 3)), rng.uniform(0, 0.6, 150), rng.normal(size=(700, 3))),
-        (grid[::2], np.r_[0.0, 1.0, 2.0, np.zeros(21)], grid),  # exact hits, shared x
-        (rng.normal(size=(300, 3)), np.full(300, np.inf), rng.normal(size=(1000, 3))),  # 2 blocks
-        (np.zeros((0, 3)), np.zeros(0), rng.normal(size=(8, 3))),
-    ]
-    for centers, reach, points in cases:
-        owner, sample = within_reach(build_octree(points), centers, reach ** 2)
-        want_owner, want_sample = dense_within_reach(centers, reach ** 2, points)
-        assert np.array_equal(owner, want_owner) and np.array_equal(sample, want_sample)
-    centers, reach, points = cases[0]
-    assert len(within_reach(build_octree(points), centers, reach ** 2)[0]) > 150  # not trivial
-    with pytest.raises(ValueError):  # no index over no points: a target has vertices
-        build_octree(np.zeros((0, 3)))
+    spec = am.SequenceSpec(shape="sphere", resolution=2, frames=2, motion="bend",
+                           rate=0.1, region=0.4, topology_jitter=True, seed=4)
+    reference, target = am.generate_sequence(spec)
+    coarse, _ = generate_coarse_anchor(decimate_to_base(reference, 40), target)
+    judge = _MoveJudge(coarse, target)
+    pos, faces = coarse.mesh.vertices, coarse.mesh.faces
+    cover = covering_faces(coarse.mesh, target)
+    rng = np.random.default_rng(73)
+    anchors = rng.choice(len(pos), 6, replace=False)
+    points = np.vstack([pos[anchors[:2]], pos[anchors[2:]] + rng.normal(0, 0.05, (4, 3))])
+
+    def project(p):
+        return brute_force_surface_points(target, p)[0]
+
+    nonzero = 0
+    for a, x in zip(anchors, points):
+        subfaces = []
+        for face in faces[np.any(faces == a, axis=1)]:
+            _, u, w = np.roll(face, -int(np.flatnonzero(face == a)[0]))
+            xu, uw, wx = project(np.array([0.5 * (x + pos[u]), 0.5 * (pos[u] + pos[w]),
+                                           0.5 * (pos[w] + x)]))
+            px = project(x)[0]
+            subfaces += [(px, xu, wx), (pos[u], uw, xu), (pos[w], wx, uw), (xu, uw, wx)]
+        terms = triangle_terms(*(np.array([t[i] for t in subfaces]).T for i in range(3)))
+        covered = np.flatnonzero(np.any(faces[cover] == a, axis=1))
+        want = 0.0
+        for v in covered:
+            d2, _, _ = sq_distances_to_terms(target.vertices[v][:, None], terms)
+            want += d2.min()
+        nonzero += want > 0.0
+        assert judge.errors([a], [x])[0] == want
+    assert nonzero >= 4
 
 
 @pytest.mark.parametrize("level,seed,base_size,collapses", [
@@ -480,12 +502,11 @@ def test_refine_matches_plain_sequential_search(level, seed, base_size, collapse
                           np.any(positions != coarse.mesh.vertices, axis=1))
 
 
-def test_refine_with_a_shared_index_and_traversal_matches_refine_alone():
-    # the encoder hands the fine stage the coarse stage's point index and
-    # traversal; neither may change the anchor
+def test_refine_with_the_coarse_traversal_matches_refine_alone():
+    # the encoder hands the fine stage the coarse stage's traversal; it may
+    # not change the anchor
     import anchormesh as am
     from anchormesh.coarse import AnchorMesh
-    from anchormesh.octree import build_octree
 
     spec = am.SequenceSpec(shape="sphere", resolution=3, frames=2, motion="bend",
                            rate=0.1, region=0.4, topology_jitter=True, seed=5)
@@ -494,11 +515,32 @@ def test_refine_with_a_shared_index_and_traversal_matches_refine_alone():
     assert coarse.order is not None
     bare = AnchorMesh(coarse.mesh, coarse.correspondence, "coarse")
     want = refine_anchor(bare, target)
-    for capacity in (1, 16, 1000):
-        got = refine_anchor(coarse, target, 1, build_octree(target.vertices, capacity))
-        assert np.array_equal(got.mesh.vertices, want.mesh.vertices)
-        assert np.array_equal(got.correspondence, want.correspondence)
-        assert np.array_equal(got.order, coarse.order)
+    got = refine_anchor(coarse, target, 1)
+    assert np.array_equal(got.mesh.vertices, want.mesh.vertices)
+    assert np.array_equal(got.correspondence, want.correspondence)
+    assert np.array_equal(got.order, coarse.order)
+
+
+def test_refine_rejects_a_target_without_faces():
+    # the judge measures with the encoder's closest-point search, which
+    # needs faces; it says so instead of failing inside numpy
+    target = make_sphere(2)
+    coarse, _ = generate_coarse_anchor(decimate_to_base(target, 40), target)
+    faceless = TriangleMesh(target.vertices, np.zeros((0, 3), dtype=np.int64))
+    with pytest.raises(MeshValidationError, match="mesh with faces"):
+        refine_anchor(coarse, faceless)
+
+
+def test_refine_keeps_a_base_without_faces_where_it_is():
+    # a base without faces has no fans: no anchor covers a target vertex, so
+    # no move lowers an error and every anchor keeps its coarse vertex
+    target = make_sphere(2)
+    base = decimate_to_base(target, 40)
+    coarse, _ = generate_coarse_anchor(
+        TriangleMesh(base.vertices, np.zeros((0, 3), dtype=np.int64)), target)
+    fine = refine_anchor(coarse, target)
+    assert np.array_equal(fine.mesh.vertices, coarse.mesh.vertices)
+    assert np.array_equal(fine.correspondence, coarse.correspondence)
 
 
 def test_refine_requires_coarse_stage():
