@@ -298,19 +298,30 @@ class _MoveJudge:
         return np.searchsorted(self.edge_keys, np.minimum(u, w) * len(self.positions)
                                + np.maximum(u, w))
 
-    def errors(self, anchors, points):
-        """Error of each of ``anchors`` moved to its point in ``points``."""
+    def errors(self, anchors, points, at_coarse=False):
+        """Error of each of ``anchors`` moved to its point in ``points``.
+
+        ``at_coarse``, one flag or one per anchor, marks the anchors whose
+        point is their coarse vertex. Their spoke midpoints ``0.5 * (pos[x] +
+        pos[v])`` are bitwise the edge midpoints ``0.5 * (pos[lo] +
+        pos[hi])``, since IEEE addition commutes, so their projections come
+        from ``midpoints`` and only the point itself is projected: a vertex's
+        projection need not be bitwise the vertex. The scores are those of
+        the same anchors without the flag, exactly.
+        """
         anchors = np.asarray(anchors, dtype=np.int64)
         points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+        at_coarse = np.broadcast_to(at_coarse, anchors.shape)
         n = len(self.positions)
         # corners to project, per anchor: its point, then the midpoints of
-        # its spokes in rim order
-        counts = 1 + self.rim_count[anchors]
+        # its spokes in rim order unless it is at its coarse vertex
+        spokes = np.where(at_coarse, 0, self.rim_count[anchors])
+        counts = 1 + spokes
         starts = np.cumsum(counts) - counts
         corners = np.repeat(points, counts, axis=0)
         spoke = np.ones(counts.sum(), dtype=bool)
         spoke[starts] = False
-        rim = self.rim[_ranges(self.rim_start[anchors], self.rim_count[anchors])]
+        rim = self.rim[_ranges(self.rim_start[anchors], spokes)]
         corners[spoke] = 0.5 * (corners[spoke] + self.positions[rim])
         table = np.concatenate([self.positions, self.midpoints, self.grid.closest(corners)[0]])
         # split fan faces (x, u, w) as rows of the table
@@ -318,9 +329,12 @@ class _MoveJudge:
         owner = np.repeat(np.arange(len(anchors)), self.fan_count[anchors])
         x, u, w = fan.T
         center = n + len(self.midpoints) + starts[owner]
+        edge_row = at_coarse[owner]
 
         def spoke(v):  # row of the projected midpoint of x and its rim vertex v
-            return center + 1 + np.searchsorted(self.rim_keys, x * n + v) - self.rim_start[x]
+            return np.where(edge_row, n + self._edge(x, v),
+                            center + 1 + np.searchsorted(self.rim_keys, x * n + v)
+                            - self.rim_start[x])
 
         rows = np.column_stack([center, u, w, spoke(u), n + self._edge(u, w), spoke(w)])
         counts = self.covered_count[anchors]
@@ -390,7 +404,8 @@ def _refine_with_diagnostics(coarse: AnchorMesh, target: TriangleMesh,
     scores = judge.errors(
         np.r_[movable, movable],
         np.concatenate([coarse.mesh.vertices[movable],
-                        np.reshape([first[int(corr[ai])][1] for ai in movable], (-1, 3))]))
+                        np.reshape([first[int(corr[ai])][1] for ai in movable], (-1, 3))]),
+        at_coarse=np.arange(2 * len(movable)) < len(movable))
     fine_errors = dict(zip(movable, scores[:len(movable)]))
     first_error = dict(zip(movable, scores[len(movable):]))
     touched = set()

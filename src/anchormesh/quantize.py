@@ -48,7 +48,12 @@ class QuantizedDisplacementField:
 
 
 def neighbor_counts(mesh: TriangleMesh) -> np.ndarray:
-    """Number of distinct edge-connected neighbors per vertex."""
+    """Number of distinct edge-connected neighbors per vertex, for any mesh.
+
+    The codec takes a subdivided mesh's counts from
+    :attr:`anchormesh.subdivide.SubdividedMesh.neighbor_counts`, which the
+    subdivision builds from its own edges; this function is their oracle.
+    """
     edges, _ = unique_edges(mesh.faces, mesh.n_vertices)
     return np.bincount(edges.ravel(), minlength=mesh.n_vertices).astype(np.int64)
 

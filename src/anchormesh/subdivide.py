@@ -15,22 +15,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import TriangleMesh, closest_points_on_surface, unique_edges
+from .mesh import TriangleMesh, closest_points_on_surface, sorted_unique, unique_edges
 
 
 @dataclass
 class SubdividedMesh:
-    """A subdivided mesh plus the edges its last level split.
+    """A subdivided mesh, the edges its last level split and the neighbour
+    count of every vertex.
 
     ``edges`` (k, 2) int64 holds the previous level's unique edges in
     lexicographic order; vertex ``n_prev + i`` is the midpoint of
     ``edges[i]`` and vertices below ``n_prev`` are carried over unchanged.
     At level 0 it is empty.
+
+    ``neighbor_counts`` (n,) int64 equals
+    :func:`anchormesh.quantize.neighbor_counts` of ``mesh``, counted on the
+    level the last split started from, not on the subdivided faces. A
+    carried-over vertex keeps its count, the number of its edges before the
+    split, since each of them now ends at its midpoint. The midpoint of an
+    edge neighbours the edge's two ends and, per distinct third vertex among
+    the faces on the edge, the midpoints of that face's other two edges:
+    ``2 + 2 t`` for ``t`` distinct third vertices.
     """
 
     mesh: TriangleMesh
     level: int
     edges: np.ndarray
+    neighbor_counts: np.ndarray
 
 
 @dataclass
@@ -42,30 +53,38 @@ class DisplacementField:
 
 
 def _subdivide_once(vertices, faces):
-    """One 1->4 split: ``(vertices, faces, edges)`` of the next level."""
+    """One 1->4 split: ``(vertices, faces, edges, counts)`` of the next
+    level, ``counts`` being its vertices' neighbour counts."""
     n = len(vertices)
     edges, face_edges = unique_edges(faces, n)
     midpoints = 0.5 * (vertices[edges[:, 0]] + vertices[edges[:, 1]])
     a, b, c = faces.T
     mab, mbc, mca = (n + face_edges).T
     children = np.stack([a, mab, mca, b, mbc, mab, c, mca, mbc, mab, mbc, mca], axis=1)
-    return np.vstack([vertices, midpoints]), children.reshape(-1, 3), edges
+    # distinct (edge, third vertex) pairs: faces on one vertex triple count once
+    pairs = sorted_unique((face_edges * n + faces[:, [2, 0, 1]]).ravel())
+    counts = np.concatenate([np.bincount(edges.ravel(), minlength=n),
+                             2 + 2 * np.bincount(pairs // n, minlength=len(edges))])
+    return np.vstack([vertices, midpoints]), children.reshape(-1, 3), edges, counts
 
 
 def midpoint_subdivide(mesh: TriangleMesh, levels: int) -> SubdividedMesh:
     """Split every triangle 1->4 per level using shared edge midpoints.
 
     ``levels=0`` returns an identity copy. ``edges`` refers to the previous
-    level only.
+    level only. Each split counts its vertices' neighbours from the edges it
+    splits, so no edge pass runs over the subdivided mesh.
     """
     if levels < 0:
         raise ValueError("subdivision level must be >= 0")
-    vertices = mesh.vertices
-    faces = mesh.faces
+    vertices, faces, n = mesh.vertices, mesh.faces, mesh.n_vertices
     edges = np.zeros((0, 2), dtype=np.int64)
+    # without a split, the counts come from the mesh's own edges
+    counts = None if levels else np.bincount(unique_edges(faces, n)[0].ravel(), minlength=n)
     for _ in range(levels):
-        vertices, faces, edges = _subdivide_once(vertices, faces)
-    return SubdividedMesh(TriangleMesh(vertices, faces), levels, edges)
+        vertices, faces, edges, counts = _subdivide_once(vertices, faces)
+    return SubdividedMesh(TriangleMesh(vertices, faces), levels, edges,
+                          counts.astype(np.int64, copy=False))
 
 
 def subdivided_vertex_count(mesh: TriangleMesh, levels: int) -> int:

@@ -390,6 +390,44 @@ def test_move_judge_batch_matches_single_anchor():
     assert np.all(before >= 0.0) and np.any(batch > before)
 
 
+def _bend_pair():
+    import anchormesh as am
+
+    spec = am.SequenceSpec(shape="sphere", resolution=2, frames=2, motion="bend",
+                           rate=0.1, region=0.4, topology_jitter=True, seed=4)
+    reference, target = am.generate_sequence(spec)
+    return decimate_to_base(reference, 40), target
+
+
+def _random_base_pair():
+    rng = np.random.default_rng(61)
+    target = make_sphere(2)
+    return random_mesh(rng, n_vertices=12, n_faces=16, scale=0.8), target
+
+
+@pytest.mark.parametrize("make_pair", [_bend_pair, _random_base_pair])
+def test_move_judge_at_coarse_reuses_the_projected_midpoints(make_pair):
+    # at its coarse vertex an anchor's spoke midpoints are bitwise the edge
+    # midpoints the judge projected up front; taking those projections must
+    # give exactly the scores of projecting every corner, alone or batched
+    # with moved anchors as refinement batches them
+    from anchormesh.qem import _MoveJudge
+
+    base, target = make_pair()
+    coarse, _ = generate_coarse_anchor(base, target)
+    judge = _MoveJudge(coarse, target)
+    n = coarse.mesh.n_vertices
+    anchors = np.arange(n)
+    at_vertex = coarse.mesh.vertices[anchors]
+    projected = judge.errors(anchors, at_vertex)
+    assert np.array_equal(judge.errors(anchors, at_vertex, at_coarse=True), projected)
+    points = at_vertex + np.random.default_rng(5).normal(0, 0.05, (n, 3))
+    fused = judge.errors(np.r_[anchors, anchors], np.vstack([at_vertex, points]),
+                         at_coarse=np.arange(2 * n) < n)
+    assert np.array_equal(fused, np.r_[projected, judge.errors(anchors, points)])
+    assert np.any(projected > 0.0)
+
+
 @pytest.mark.parametrize("seed,base_size", [(4, 40), (3, 120)])
 def test_move_judge_covers_what_an_exhaustive_search_finds(seed, base_size):
     # every target vertex is covered by the three anchors of its closest

@@ -2,6 +2,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anchormesh import (
     TriangleMesh,
@@ -12,6 +14,7 @@ from anchormesh import (
     make_sphere,
     midpoint_subdivide,
 )
+from anchormesh.mesh import MeshValidationError
 from anchormesh.quantize import neighbor_counts
 from anchormesh.subdivide import DisplacementField, _subdivide_once, subdivided_vertex_count
 from helpers import (
@@ -51,14 +54,19 @@ def test_single_triangle_one_level():
     assert np.array_equal(sub.mesh.vertices[3:], [[0.5, 0, 0], [0, 0.5, 0], [0.5, 0.5, 0]])
 
 
-def test_subdivided_vertex_count_matches_subdivision():
+def _duplicate_triple_meshes():
     rng = np.random.default_rng(79)
-    empty = TriangleMesh(np.zeros((4, 3)), np.zeros((0, 3), dtype=np.int64))
-    meshes = [make_sphere(1), make_grid(3), empty]
+    meshes = []
     for _ in range(3):
         m = random_mesh(rng, n_vertices=12, n_faces=16)
         # the same face again, in another order: it shares its inner edges
         meshes.append(TriangleMesh(m.vertices, np.vstack([m.faces, m.faces[:4, ::-1]])))
+    return meshes
+
+
+def test_subdivided_vertex_count_matches_subdivision():
+    empty = TriangleMesh(np.zeros((4, 3)), np.zeros((0, 3), dtype=np.int64))
+    meshes = [make_sphere(1), make_grid(3), empty] + _duplicate_triple_meshes()
     for m in meshes:
         for level in range(4):
             built = midpoint_subdivide(m, level).mesh.n_vertices
@@ -68,8 +76,9 @@ def test_subdivided_vertex_count_matches_subdivision():
 
 @pytest.mark.parametrize("name, verts, faces", connectivity_cases())
 def test_subdivide_once_matches_loop_oracle(name, verts, faces):
-    got_verts, got_faces, edges = _subdivide_once(verts, faces)
+    got_verts, got_faces, edges, counts = _subdivide_once(verts, faces)
     want_verts, want_faces, parents = loop_subdivide_once(verts, faces)
+    assert len(counts) == len(got_verts)
     assert np.array_equal(got_verts, want_verts)
     assert np.array_equal(got_faces, want_faces)
     assert got_faces.dtype == np.int64
@@ -85,6 +94,55 @@ def test_neighbor_counts_match_unique_rows_oracle(name, verts, faces):
     got = neighbor_counts(mesh)
     assert got.dtype == np.int64
     assert np.array_equal(got, unique_rows_neighbor_counts(mesh))
+
+
+def _valid_connectivity_cases():
+    meshes = []
+    for name, verts, faces in connectivity_cases():
+        try:
+            meshes.append(pytest.param(TriangleMesh(verts, faces), id=name))
+        except MeshValidationError:  # a face repeats an index
+            pass
+    return meshes
+
+
+def _assert_counts_match_oracles(mesh):
+    for level in range(4):
+        sub = midpoint_subdivide(mesh, level)
+        assert sub.neighbor_counts.dtype == np.int64
+        assert sub.neighbor_counts.shape == (sub.mesh.n_vertices,)
+        assert np.array_equal(sub.neighbor_counts, neighbor_counts(sub.mesh))
+        assert np.array_equal(sub.neighbor_counts, unique_rows_neighbor_counts(sub.mesh))
+
+
+@pytest.mark.parametrize("mesh", _valid_connectivity_cases()
+                         + [pytest.param(m, id=f"duplicate-triples{i}")
+                            for i, m in enumerate(_duplicate_triple_meshes())]
+                         + [pytest.param(make_grid(3), id="open grid"),
+                            pytest.param(TriangleMesh(np.eye(4, 3), [[0, 1, 2]]),
+                                         id="isolated vertex")])
+def test_subdivision_counts_match_neighbor_counts(mesh):
+    # the counts built from each split's edges are the subdivided mesh's own
+    _assert_counts_match_oracles(mesh)
+
+
+@st.composite
+def face_lists(draw):
+    """A mesh of 3 to 9 vertices whose faces repeat: some faces come again
+    in the same or the other winding, and some vertices may be unused."""
+    n = draw(st.integers(3, 9))
+    triple = st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True)
+    faces = draw(st.lists(triple, min_size=1, max_size=12))
+    for i in draw(st.lists(st.integers(0, len(faces) - 1), max_size=4)):
+        a, b, c = faces[i]
+        faces.append(draw(st.sampled_from([[a, b, c], [b, c, a], [c, b, a], [a, c, b]])))
+    return TriangleMesh(np.arange(3 * n, dtype=np.float64).reshape(n, 3), faces)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(face_lists())
+def test_subdivision_counts_match_neighbor_counts_property(mesh):
+    _assert_counts_match_oracles(mesh)
 
 
 def test_midpoint_subdivide_matches_repeated_loop_oracle():
