@@ -204,8 +204,18 @@ def _first_of_runs(values):
 # Inflation of a grid search's reach, relative to the reach and to the
 # largest coordinate: see ``_CellBins.box``.
 _PAD = 1e-9
-# (query, cell item) pairs a closest-point block may expand at once
-_BLOCK_PAIRS = 1 << 18
+# Pairs a block may hold at once: (query, face) in a closest-point search,
+# (query, point) in a nearest-point search, (covered vertex, fan triangle)
+# in the fine-stage judge. Every search holds one block at a time, and a
+# block of 2^13 measured pairs takes about 2.5 MiB, near the 2 MiB L2 of
+# one core of the host measured. Swept over 2^11..2^18 (bend sphere, seed 1; traced peak
+# of one encode, min time over interleaved budgets, 2-vCPU host):
+# level 3 peaks 3.2 / 4.4 / 4.4 / 6.1 / 8.7 / 11.1 MiB at 2^11 / 2^12 /
+# 2^13 / 2^14 / 2^15 / 2^18 for encode 64 / 47 / 41 / 40 / 40 / 45 ms;
+# level 5 (seed 5) peaks 30 / 32 / 35 / 36 / 40 / 106 MiB for encode
+# 927 / 767 / 689 / 605 / 602 / 753 ms. 2^13 is the smallest budget at about
+# the fastest level-3 encode; larger ones buy level-5 time with memory.
+_BLOCK_PAIRS = 1 << 13
 
 
 def _ranks(count):
@@ -230,6 +240,19 @@ def _blocks(cost, budget):
         stop = max(start + 1, int(np.searchsorted(ends, base + budget, side="right")))
         yield start, stop
         start = stop
+
+
+def _owner_blocks(owner, count, budget):
+    """:func:`_blocks` of the runs ``(owner, count)`` by owner: [start,
+    stop) slices that hold whole owners and whose summed ``count`` stays
+    within ``budget``, or one owner. ``owner`` is ascending."""
+    if count.sum() <= budget:
+        yield 0, len(owner)
+        return
+    per_owner = np.bincount(owner, weights=count).astype(np.int64)
+    bounds = np.searchsorted(owner, np.arange(len(per_owner) + 1))
+    for s, e in _blocks(per_owner, budget):
+        yield int(bounds[s]), int(bounds[e])
 
 
 def _run_starts(owner):
@@ -283,7 +306,6 @@ class _CellBins:
         self.order = owner[by_key]
         counts = np.bincount(keys, minlength=n_keys)
         self.starts = np.concatenate([[0], np.cumsum(counts)])
-        self.max_count = int(counts.max())
 
     def key(self, cell):
         """Key of each cell of ``cell`` (..., 3)."""
@@ -409,7 +431,12 @@ class _FaceGrid:
           Either way every face at the minimum is measured, in ascending
           order per query, and the first one wins.
 
-        Queries are processed in blocks sized to bound memory. Raises
+        Memory is bounded per block: the pairs are formed in blocks of whole
+        queries that hold at most ``_BLOCK_PAIRS`` home-cell pairs or, for
+        the gather, ``_BLOCK_PAIRS`` cell columns and ``4 * _BLOCK_PAIRS``
+        gathered cell entries (a query beyond that is a block of its own),
+        so a call holds its per-query arrays, the grid and one block. A query's answer depends on its own
+        pairs only, so the blocks do not change it. Raises
         :class:`MeshValidationError` for non-finite queries.
         """
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
@@ -433,14 +460,21 @@ class _FaceGrid:
             _settle(out, s + owner, face, measured, inside[owner] & (measured[3] <= bound[owner]))
         far = np.flatnonzero((lo != hi).any(axis=1))
         lo, hi = lo[far], hi[far]
+        span = hi - lo + 1
         m = self.terms.shape[1]
-        for s, e in _blocks((hi - lo + 1).prod(axis=1) * cells.max_count, _BLOCK_PAIRS):
-            owner, face = cells.entries(*cells.columns(lo[s:e], hi[s:e]))
-            owner, face = np.divmod(sorted_unique(owner * m + face), m)
-            query = far[s:e][owner]
-            measured = self.measure(np.take(cols, query, axis=1), face)
-            least = _run_minima(measured[3], owner, e - s)
-            _settle(out, query, face, measured, measured[3] <= least[owner])
+        for s, e in _blocks(span[:, 0] * span[:, 1], _BLOCK_PAIRS):
+            columns = cells.columns(lo[s:e], hi[s:e])
+            # a gathered face recurs once per covered cell it touches, ~4
+            # times on the codec's queries, and an entry is two integers
+            # where a measured pair is ~30 floats: four budgets of entries
+            # make about one budget of pairs
+            for a, b in _owner_blocks(columns[0], columns[2], 4 * _BLOCK_PAIRS):
+                owner, face = cells.entries(*(x[a:b] for x in columns))
+                owner, face = np.divmod(sorted_unique(owner * m + face), m)
+                query = far[s:e][owner]
+                measured = self.measure(np.take(cols, query, axis=1), face)
+                least = _run_minima(measured[3], owner, e - s)
+                _settle(out, query, face, measured, measured[3] <= least[owner])
         return out
 
 

@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import _BLOCK_PAIRS, _PAD, MeshValidationError, _blocks, _CellBins, _ranges, _run_starts
+from .mesh import (_BLOCK_PAIRS, _PAD, MeshValidationError, _CellBins, _owner_blocks, _ranges,
+                   _run_starts)
 
 DEFAULT_LEAF_CAPACITY = 16
 DEFAULT_MAX_DEPTH = 21
@@ -142,12 +143,7 @@ def _nearest_in_columns(index: Octree, cols, owner, first, count):
     n = len(index.points)
     least = np.full(k, np.inf)
     found = np.full(k, n)
-    cuts = [0, len(owner)]
-    if count.sum() > _BLOCK_PAIRS:
-        per_owner = np.bincount(owner, weights=count).astype(np.int64)
-        bounds = np.searchsorted(owner, np.arange(len(per_owner) + 1))
-        cuts = [int(bounds[s]) for s, _ in _blocks(per_owner, _BLOCK_PAIRS)] + [len(owner)]
-    for a, b in zip(cuts, cuts[1:]):
+    for a, b in _owner_blocks(owner, count, _BLOCK_PAIRS):
         who = np.repeat(owner[a:b], count[a:b])
         if len(who):
             slot = _ranges(first[a:b], count[a:b])

@@ -15,7 +15,7 @@ import numpy as np
 
 from .coarse import AnchorMesh, generate_coarse_anchor
 from .config import CodecConfig
-from .mesh import TriangleMesh
+from .mesh import TriangleMesh, unique_edges
 from .octree import build_octree
 from .payload import Payload, PayloadFormatError, BaseHashMismatchError, mesh_content_hash
 from .qem import refine_anchor
@@ -95,14 +95,16 @@ def decode_payload(payload: Payload, base: TriangleMesh) -> TriangleMesh:
         raise BaseHashMismatchError("payload was encoded against a different base mesh")
     if len(payload.anchor_positions) != base.n_vertices:
         raise PayloadFormatError("anchor vertex count does not match the base mesh")
-    expected = subdivided_vertex_count(base, payload.level)
+    # one edge pass over the base serves the length check and the first split
+    edges = unique_edges(base.faces, base.n_vertices)
+    expected = subdivided_vertex_count(base, payload.level, _edges=edges)
     if len(payload.quantized) != expected:
         raise PayloadFormatError(
             f"displacement stream holds {len(payload.quantized)} triples, "
             f"expected {expected} for subdivision level {payload.level}"
         )
     sub = midpoint_subdivide(TriangleMesh(payload.anchor_positions, base.faces),
-                             payload.level)
+                             payload.level, _edges=edges)
     if payload.adaptive:
         weights = adaptive_weights(sub.neighbor_counts, payload.params.hbar)
     else:

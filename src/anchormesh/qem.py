@@ -18,8 +18,10 @@ import numpy as np
 
 from .coarse import OFF_VERTEX, AnchorMesh, traversal_order
 from .mesh import (
+    _BLOCK_PAIRS,
     DEGENERATE_AREA,
     TriangleMesh,
+    _blocks,
     _dot3,
     _FaceGrid,
     _ranges,
@@ -308,11 +310,17 @@ class _MoveJudge:
         from ``midpoints`` and only the point itself is projected: a vertex's
         projection need not be bitwise the vertex. The scores are those of
         the same anchors without the flag, exactly.
+
+        The corners are projected in one search per call. The split fans are
+        then measured over runs of anchors whose candidate pairs, covered
+        vertices times 4 fan faces each, fit ``_BLOCK_PAIRS`` (an anchor
+        beyond it is a run of its own), so a call holds its corners, the
+        mesh and one block of pairs. An anchor's score depends on its own
+        pairs only, so the runs do not change it.
         """
         anchors = np.asarray(anchors, dtype=np.int64)
         points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
         at_coarse = np.broadcast_to(at_coarse, anchors.shape)
-        n = len(self.positions)
         # corners to project, per anchor: its point, then the midpoints of
         # its spokes in rim order unless it is at its coarse vertex
         spokes = np.where(at_coarse, 0, self.rim_count[anchors])
@@ -324,11 +332,22 @@ class _MoveJudge:
         rim = self.rim[_ranges(self.rim_start[anchors], spokes)]
         corners[spoke] = 0.5 * (corners[spoke] + self.positions[rim])
         table = np.concatenate([self.positions, self.midpoints, self.grid.closest(corners)[0]])
+        center = len(self.positions) + len(self.midpoints) + starts
+        out = np.empty(len(anchors))
+        cost = self.covered_count[anchors] * 4 * self.fan_count[anchors]
+        for s, e in _blocks(cost, _BLOCK_PAIRS):
+            out[s:e] = self._fan_errors(table, anchors[s:e], center[s:e], at_coarse[s:e])
+        return out
+
+    def _fan_errors(self, table, anchors, center, at_coarse):
+        """Errors of ``anchors``, whose projected corners are rows of
+        ``table`` from row ``center`` on, as :meth:`errors` scores them."""
+        n = len(self.positions)
         # split fan faces (x, u, w) as rows of the table
         fan = self.fan[_ranges(self.fan_start[anchors], self.fan_count[anchors])]
         owner = np.repeat(np.arange(len(anchors)), self.fan_count[anchors])
         x, u, w = fan.T
-        center = n + len(self.midpoints) + starts[owner]
+        center = center[owner]
         edge_row = at_coarse[owner]
 
         def spoke(v):  # row of the projected midpoint of x and its rim vertex v

@@ -52,11 +52,12 @@ class DisplacementField:
     level: int
 
 
-def _subdivide_once(vertices, faces):
+def _subdivide_once(vertices, faces, split=None):
     """One 1->4 split: ``(vertices, faces, edges, counts)`` of the next
-    level, ``counts`` being its vertices' neighbour counts."""
+    level, ``counts`` being its vertices' neighbour counts. ``split`` is
+    :func:`unique_edges` of ``faces`` where the caller has it already."""
     n = len(vertices)
-    edges, face_edges = unique_edges(faces, n)
+    edges, face_edges = unique_edges(faces, n) if split is None else split
     midpoints = 0.5 * (vertices[edges[:, 0]] + vertices[edges[:, 1]])
     a, b, c = faces.T
     mab, mbc, mca = (n + face_edges).T
@@ -68,34 +69,38 @@ def _subdivide_once(vertices, faces):
     return np.vstack([vertices, midpoints]), children.reshape(-1, 3), edges, counts
 
 
-def midpoint_subdivide(mesh: TriangleMesh, levels: int) -> SubdividedMesh:
+def midpoint_subdivide(mesh: TriangleMesh, levels: int, *, _edges=None) -> SubdividedMesh:
     """Split every triangle 1->4 per level using shared edge midpoints.
 
     ``levels=0`` returns an identity copy. ``edges`` refers to the previous
     level only. Each split counts its vertices' neighbours from the edges it
-    splits, so no edge pass runs over the subdivided mesh.
+    splits, so no edge pass runs over the subdivided mesh. ``_edges`` is
+    :func:`unique_edges` of ``mesh.faces`` where the caller has it already.
     """
     if levels < 0:
         raise ValueError("subdivision level must be >= 0")
     vertices, faces, n = mesh.vertices, mesh.faces, mesh.n_vertices
+    split = unique_edges(faces, n) if _edges is None else _edges
     edges = np.zeros((0, 2), dtype=np.int64)
     # without a split, the counts come from the mesh's own edges
-    counts = None if levels else np.bincount(unique_edges(faces, n)[0].ravel(), minlength=n)
+    counts = None if levels else np.bincount(split[0].ravel(), minlength=n)
     for _ in range(levels):
-        vertices, faces, edges, counts = _subdivide_once(vertices, faces)
+        vertices, faces, edges, counts = _subdivide_once(vertices, faces, split)
+        split = None
     return SubdividedMesh(TriangleMesh(vertices, faces), levels, edges,
                           counts.astype(np.int64, copy=False))
 
 
-def subdivided_vertex_count(mesh: TriangleMesh, levels: int) -> int:
+def subdivided_vertex_count(mesh: TriangleMesh, levels: int, *, _edges=None) -> int:
     """Vertex count of ``midpoint_subdivide(mesh, levels)``, without building it.
 
     Each level adds one vertex per unique edge, splits every edge in two, adds
     three edges inside every face and splits every face in four. Faces on the
     same three vertices share their inner edges, so faces are counted as
     distinct vertex triples: ``V' = V + E``, ``E' = 2E + 3F``, ``F' = 4F``.
+    ``_edges`` is as for :func:`midpoint_subdivide`.
     """
-    unique, face_edges = unique_edges(mesh.faces, mesh.n_vertices)
+    unique, face_edges = unique_edges(mesh.faces, mesh.n_vertices) if _edges is None else _edges
     # a face's sorted triple (a, b, c) is its lowest edge (a, b) plus c
     keys = np.sort(face_edges.min(axis=1) * mesh.n_vertices + mesh.faces.max(axis=1))
     faces = int(len(keys) and 1 + np.count_nonzero(keys[1:] != keys[:-1]))

@@ -42,3 +42,27 @@ def test_decode_rejects_another_base(pair):
     other = am.TriangleMesh(base.vertices + 1.0, base.faces)
     with pytest.raises(BaseHashMismatchError):
         decode_payload(payload, other)
+
+
+def test_decode_makes_one_edge_pass_over_the_base(pair, monkeypatch):
+    # the stream-length check and the first split share the base's edges,
+    # and the decoded vertices are those of separate passes
+    from anchormesh import pipeline, subdivide
+    from anchormesh.mesh import unique_edges
+
+    base, target = pair
+    payload = encode_pair(base, target).payload
+    want = decode_payload(payload, base)
+    passes = []
+
+    def counted(faces, n_vertices):
+        passes.append(len(faces))
+        return unique_edges(faces, n_vertices)
+
+    monkeypatch.setattr(pipeline, "unique_edges", counted)
+    monkeypatch.setattr(subdivide, "unique_edges", counted)
+    got = decode_payload(payload, base)
+    assert passes.count(base.n_faces) == 1
+    assert len(passes) == payload.level
+    assert np.array_equal(got.vertices, want.vertices)
+    assert np.array_equal(got.faces, want.faces)
