@@ -21,7 +21,7 @@ from .config import CodecConfig, _parse_value, load_config
 from .mesh import MeshError, TriangleMesh, load_mesh, save_mesh
 from .metrics import RDCurve, bd_rate, distortion
 from .payload import PayloadError, read_payload, write_payload
-from .pipeline import decode_payload, encode_pair
+from .pipeline import anchor_settings, decode_payload, encode_pair
 from .synth import SequenceSpec, decimate_to_base, generate_sequence
 
 ABLATION_CONFIGS = (
@@ -137,15 +137,24 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _sweep_job(job):
-    """One (ablation, alpha, frame pair) encode/decode/eval of a base and
-    target mesh; module-level so a process pool can pickle it."""
-    label, config, pair_index, base, target = job
-    result = encode_pair(base, target, config)
-    data = write_payload(result.payload)
-    recon = decode_payload(read_payload(data, base.n_vertices), base)
-    report = distortion(target, recon)
-    return (label, config.alpha, pair_index, len(data) * 8, report.d1_psnr, report.d2_psnr)
+def _sweep_group(group):
+    """The encode/decode/eval jobs of one frame pair whose configs share
+    their anchor settings, in order; module-level so a process pool can
+    pickle it. The first job fits the pair's anchor and every later one
+    quantizes that fit again (``encode_pair``'s ``reuse``)."""
+    pair_index, base, target, jobs = group
+    rows = []
+    first = None
+    for label, config in jobs:
+        result = encode_pair(base, target, config, reuse=first)
+        if first is None:
+            first = result
+        data = write_payload(result.payload)
+        recon = decode_payload(read_payload(data, base.n_vertices), base)
+        report = distortion(target, recon)
+        rows.append((label, config.alpha, pair_index, len(data) * 8,
+                     report.d1_psnr, report.d2_psnr))
+    return rows
 
 
 def cmd_sweep(args) -> int:
@@ -166,21 +175,25 @@ def cmd_sweep(args) -> int:
         bases.append(decimate_to_base(mesh, target_count))
 
     # each job codes with the sweep's own settings, its ablation's switches
-    # and one alpha of the ladder
-    jobs = []
+    # and one alpha of the ladder; the jobs of one frame pair with the same
+    # anchor settings form a group that fits the pair once
+    jobs = {}  # (pair index, anchor settings) -> [(label, config)]
     for label, switches in ABLATION_CONFIGS:
         for alpha in config.alpha_ladder:
             job_config = config.override(alpha=alpha, **switches)
             for pair_index in range(len(frames) - 1):
-                jobs.append((label, job_config, pair_index,
-                             bases[pair_index], frames[pair_index + 1]))
-    # a fork pool starts all its workers at once: never more than the jobs
-    workers = min(config.threads, len(jobs))
+                jobs.setdefault((pair_index, anchor_settings(job_config)), []).append(
+                    (label, job_config))
+    groups = [(pair_index, bases[pair_index], frames[pair_index + 1], group)
+              for (pair_index, _), group in jobs.items()]
+    # a fork pool starts all its workers at once: never more than the groups
+    workers = min(config.threads, len(groups))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_job, jobs, chunksize=1))
+            results = [row for rows in pool.map(_sweep_group, groups, chunksize=1)
+                       for row in rows]
     else:
-        results = [_sweep_job(job) for job in jobs]
+        results = [row for group in groups for row in _sweep_group(group)]
 
     by_config = {label: [] for label, _ in ABLATION_CONFIGS}
     for row in results:

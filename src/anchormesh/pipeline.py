@@ -37,6 +37,18 @@ from .subdivide import (
 )
 
 
+# The CodecConfig fields that only quantization reads. Two configs equal in
+# every other field fit the same anchor, subdivision and displacements.
+QUANTIZATION_FIELDS = ("alpha", "delta", "hbar", "adaptive_quant")
+
+
+def anchor_settings(config: CodecConfig) -> CodecConfig:
+    """``config`` with every field of ``QUANTIZATION_FIELDS`` at its default:
+    equal for two configs exactly when one encode's fit serves the other."""
+    return config.override(**{name: getattr(CodecConfig, name)
+                              for name in QUANTIZATION_FIELDS})
+
+
 @dataclass
 class EncodeResult:
     payload: Payload
@@ -45,12 +57,59 @@ class EncodeResult:
     field: DisplacementField
     quantized: QuantizedDisplacementField
     stats: dict
+    config: CodecConfig
+    target: TriangleMesh
 
 
 def encode_pair(base: TriangleMesh, target: TriangleMesh,
-                config: CodecConfig = CodecConfig()) -> EncodeResult:
-    """Encode ``target`` against the reference base mesh ``base``."""
-    stats = {}
+                config: CodecConfig = CodecConfig(),
+                reuse: EncodeResult | None = None) -> EncodeResult:
+    """Encode ``target`` against the reference base mesh ``base``.
+
+    ``reuse`` is an earlier result of this ``base`` and this ``target``
+    object whose config differs from ``config`` at most in
+    ``QUANTIZATION_FIELDS``. Its anchor, subdivision and displacement field
+    are then quantized with ``config`` instead of being fitted again, and the
+    payload is bitwise that of a fresh encode; the stats time the skipped
+    stages as 0. Any other config difference, another base (by content hash)
+    or another target object raises ``ValueError``.
+    """
+    base_hash = mesh_content_hash(base)
+    if reuse is None:
+        stats = {}
+        anchor, sub, field = _fit(base, target, config, stats)
+    else:
+        if anchor_settings(reuse.config) != anchor_settings(config):
+            raise ValueError("reuse was encoded with other anchor settings")
+        if reuse.payload.base_hash != base_hash:
+            raise ValueError("reuse was encoded against a different base mesh")
+        if reuse.target is not target:
+            raise ValueError("reuse was encoded for another target object")
+        stats = {"octree_s": 0.0, "coarse_s": 0.0, "fine_s": 0.0, "displace_s": 0.0}
+        anchor, sub, field = reuse.anchor, reuse.subdivided, reuse.field
+
+    t0 = time.perf_counter()
+    params = QuantizationParams(config.alpha, config.delta, config.hbar)
+    quantized = quantize_field(field, sub.neighbor_counts, params,
+                               adaptive=config.adaptive_quant)
+    stats["quantize_s"] = time.perf_counter() - t0
+
+    payload = Payload(
+        base_hash=base_hash,
+        anchor_positions=anchor.mesh.vertices,
+        level=config.level,
+        params=params,
+        adaptive=config.adaptive_quant,
+        quantized=quantized.values,
+    )
+    stats["anchor_vertices"] = base.n_vertices
+    stats["subdivided_vertices"] = sub.mesh.n_vertices
+    return EncodeResult(payload, anchor, sub, field, quantized, stats, config, target)
+
+
+def _fit(base: TriangleMesh, target: TriangleMesh, config: CodecConfig, stats: dict):
+    """Anchor, subdivision and displacement field of ``target`` against
+    ``base``: every encode stage before quantization, timed into ``stats``."""
     t0 = time.perf_counter()
     index = build_octree(target.vertices, config.leaf_capacity, config.max_depth)
     stats["octree_s"] = time.perf_counter() - t0
@@ -69,24 +128,7 @@ def encode_pair(base: TriangleMesh, target: TriangleMesh,
     sub = midpoint_subdivide(anchor.mesh, config.level)
     field = compute_displacements(sub, target)
     stats["displace_s"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    params = QuantizationParams(config.alpha, config.delta, config.hbar)
-    quantized = quantize_field(field, sub.neighbor_counts, params,
-                               adaptive=config.adaptive_quant)
-    stats["quantize_s"] = time.perf_counter() - t0
-
-    payload = Payload(
-        base_hash=mesh_content_hash(base),
-        anchor_positions=anchor.mesh.vertices,
-        level=config.level,
-        params=params,
-        adaptive=config.adaptive_quant,
-        quantized=quantized.values,
-    )
-    stats["anchor_vertices"] = base.n_vertices
-    stats["subdivided_vertices"] = sub.mesh.n_vertices
-    return EncodeResult(payload, anchor, sub, field, quantized, stats)
+    return anchor, sub, field
 
 
 def decode_payload(payload: Payload, base: TriangleMesh) -> TriangleMesh:

@@ -208,12 +208,12 @@ class _WorkingCopy:
 _FAN_SUBFACES = np.array([[0, 3, 5], [1, 4, 3], [2, 5, 4], [3, 4, 5]])
 
 
-def _triangles(tris):
-    """Columns of the triangles ``tris`` (m, 3, 3) for the closest-triangle
-    searches: their :func:`anchormesh.mesh.triangle_terms` (17 rows), then the
-    center (3 rows) and radius of their bounding sphere centered on the
-    centroid."""
-    a, b, c = (np.ascontiguousarray(tris[:, i].T) for i in range(3))
+def _triangles(table, corners):
+    """Columns of the triangles whose corners are the columns ``corners``
+    (m, 3) of the points ``table`` (3, k) for the closest-triangle searches:
+    their :func:`anchormesh.mesh.triangle_terms` (17 rows), then the center
+    (3 rows) and radius of their bounding sphere centered on the centroid."""
+    a, b, c = (np.take(table, corners[:, i], axis=1) for i in range(3))
     center = (a + b + c) / 3.0
     radius = np.sqrt(np.maximum.reduce([_dot3(x - center, x - center) for x in (a, b, c)]))
     return np.concatenate([triangle_terms(a, b, c), center, radius[None]])
@@ -311,13 +311,16 @@ class _MoveJudge:
         projection need not be bitwise the vertex. The scores are those of
         the same anchors without the flag, exactly.
 
-        The corners are projected in one search per call. The split fans are
-        then measured over runs of anchors whose candidate pairs, covered
-        vertices times 4 fan faces each, fit ``_BLOCK_PAIRS`` (an anchor
-        beyond it is a run of its own), so a call holds its corners, the
-        mesh and one block of pairs. An anchor's score depends on its own
-        pairs only, so the runs do not change it.
+        The corners are projected, the split fans' table rows built and the
+        covered vertices gathered once per call. The fans are then measured
+        (triangle columns, candidate pairs, least distances, per-anchor sums)
+        over runs of anchors whose candidate pairs, covered vertices times 4
+        fan faces each, fit ``_BLOCK_PAIRS`` (an anchor beyond it is a run of
+        its own), so a call holds its corners, fan rows, covered vertices,
+        the mesh and one block of triangles and pairs. An anchor's score
+        depends on its own pairs only, so the runs do not change it.
         """
+        n = len(self.positions)
         anchors = np.asarray(anchors, dtype=np.int64)
         points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
         at_coarse = np.broadcast_to(at_coarse, anchors.shape)
@@ -331,38 +334,39 @@ class _MoveJudge:
         spoke[starts] = False
         rim = self.rim[_ranges(self.rim_start[anchors], spokes)]
         corners[spoke] = 0.5 * (corners[spoke] + self.positions[rim])
-        table = np.concatenate([self.positions, self.midpoints, self.grid.closest(corners)[0]])
-        center = len(self.positions) + len(self.midpoints) + starts
-        out = np.empty(len(anchors))
-        cost = self.covered_count[anchors] * 4 * self.fan_count[anchors]
-        for s, e in _blocks(cost, _BLOCK_PAIRS):
-            out[s:e] = self._fan_errors(table, anchors[s:e], center[s:e], at_coarse[s:e])
-        return out
-
-    def _fan_errors(self, table, anchors, center, at_coarse):
-        """Errors of ``anchors``, whose projected corners are rows of
-        ``table`` from row ``center`` on, as :meth:`errors` scores them."""
-        n = len(self.positions)
-        # split fan faces (x, u, w) as rows of the table
-        fan = self.fan[_ranges(self.fan_start[anchors], self.fan_count[anchors])]
-        owner = np.repeat(np.arange(len(anchors)), self.fan_count[anchors])
-        x, u, w = fan.T
-        center = center[owner]
+        table = np.concatenate([self.positions, self.midpoints,
+                                self.grid.closest(corners)[0]]).T.copy()
+        # split fan faces (x, u, w) of every anchor as rows of the table
+        fan_count = self.fan_count[anchors]
+        x, u, w = self.fan[_ranges(self.fan_start[anchors], fan_count)].T
+        owner = np.repeat(np.arange(len(anchors)), fan_count)
+        center = (n + len(self.midpoints) + starts)[owner]
         edge_row = at_coarse[owner]
 
-        def spoke(v):  # row of the projected midpoint of x and its rim vertex v
+        def spoke_row(v):  # row of the projected midpoint of x and its rim vertex v
             return np.where(edge_row, n + self._edge(x, v),
                             center + 1 + np.searchsorted(self.rim_keys, x * n + v)
                             - self.rim_start[x])
 
-        rows = np.column_stack([center, u, w, spoke(u), n + self._edge(u, w), spoke(w)])
-        counts = self.covered_count[anchors]
-        covered = self.target.vertices[self.covered[_ranges(self.covered_start[anchors], counts)]]
-        tris = _triangles(table[rows[:, _FAN_SUBFACES]].reshape(-1, 3, 3))
-        pairs = _pairs_in_groups(covered, counts, tris, 4 * self.fan_count[anchors])
-        d2 = _closest_of_pairs(covered, *pairs, tris)
-        owner = np.repeat(np.arange(len(anchors)), counts)
-        return np.bincount(owner, weights=d2, minlength=len(anchors))
+        rows = np.column_stack([center, u, w, spoke_row(u), n + self._edge(u, w),
+                                spoke_row(w)])
+        corner = rows[:, _FAN_SUBFACES].reshape(-1, 3)  # of each split fan triangle
+        tri_count = 4 * fan_count
+        covered_count = self.covered_count[anchors]
+        covered = self.target.vertices[self.covered[_ranges(self.covered_start[anchors],
+                                                            covered_count)]]
+        tri_end = np.cumsum(tri_count)
+        covered_end = np.cumsum(covered_count)
+        out = np.empty(len(anchors))
+        for s, e in _blocks(covered_count * tri_count, _BLOCK_PAIRS):
+            block_tris = _triangles(table, corner[tri_end[s] - tri_count[s]:tri_end[e - 1]])
+            block_covered = covered[covered_end[s] - covered_count[s]:covered_end[e - 1]]
+            block_counts = covered_count[s:e]
+            pairs = _pairs_in_groups(block_covered, block_counts, block_tris, tri_count[s:e])
+            d2 = _closest_of_pairs(block_covered, *pairs, block_tris)
+            out[s:e] = np.bincount(np.repeat(np.arange(e - s), block_counts), weights=d2,
+                                   minlength=e - s)
+        return out
 
 
 def _best_collapses(quadrics, positions, c, nb) -> dict:
@@ -401,6 +405,14 @@ def _refine_with_diagnostics(coarse: AnchorMesh, target: TriangleMesh,
                              collapses_per_anchor: int = 1):
     """:func:`refine_anchor`, plus one ``(anchor, selected quadric error,
     that edge quadric at the anchor's coarse position)`` per kept move."""
+    diagnostics = []
+    return _refine(coarse, target, collapses_per_anchor, diagnostics), diagnostics
+
+
+def _refine(coarse: AnchorMesh, target: TriangleMesh, collapses_per_anchor: int,
+            diagnostics=None) -> AnchorMesh:
+    """:func:`refine_anchor`; appends each kept move's diagnostics to the
+    list ``diagnostics`` when one is given."""
     if coarse.stage != "coarse":
         raise ValueError(f"expected a coarse anchor, got stage {coarse.stage!r}")
     corr = coarse.correspondence
@@ -430,7 +442,6 @@ def _refine_with_diagnostics(coarse: AnchorMesh, target: TriangleMesh,
     touched = set()
     fine_positions = coarse.mesh.vertices.copy()
     out_corr = corr.copy()
-    diagnostics = []  # (anchor index, selected error, edge error at the coarse position)
     for ai in order:
         c = int(corr[ai])
         for step in range(collapses_per_anchor):
@@ -440,7 +451,8 @@ def _refine_with_diagnostics(coarse: AnchorMesh, target: TriangleMesh,
                 move = _best_collapse(work, c, anchor_targets)
             if move is None:
                 break
-            if step == 0 and c in first and np.array_equal(move[1], first[c][1]):
+            if step == 0 and c in first and (move is first[c]
+                                             or np.array_equal(move[1], first[c][1])):
                 error = first_error[ai]
             else:
                 error = judge.errors([ai], [move[1]])[0]
@@ -448,15 +460,15 @@ def _refine_with_diagnostics(coarse: AnchorMesh, target: TriangleMesh,
                 break
             nb, point, qe, err = move
             touched |= {c, nb} | work.neighbors_of(c) | work.neighbors_of(nb)
-            at_coarse = max(float(_evaluate_raw(qe, coarse.mesh.vertices[ai])), 0.0)
-            diagnostics.append((ai, err, at_coarse))
+            if diagnostics is not None:
+                at_coarse = max(float(_evaluate_raw(qe, coarse.mesh.vertices[ai])), 0.0)
+                diagnostics.append((ai, err, at_coarse))
             work.collapse(c, nb, point)  # c inherits the edge quadric qe
             fine_positions[ai] = point
             fine_errors[ai] = error
             out_corr[ai] = OFF_VERTEX
-    anchor = AnchorMesh(TriangleMesh(fine_positions, coarse.mesh.faces), out_corr, "fine",
-                        coarse.order)
-    return anchor, diagnostics
+    return AnchorMesh(TriangleMesh(fine_positions, coarse.mesh.faces), out_corr, "fine",
+                      coarse.order)
 
 
 def refine_anchor(coarse: AnchorMesh, target: TriangleMesh,
@@ -488,5 +500,4 @@ def refine_anchor(coarse: AnchorMesh, target: TriangleMesh,
     depends only on the arguments. Raises
     :class:`anchormesh.mesh.MeshValidationError` for a target without faces.
     """
-    anchor, _ = _refine_with_diagnostics(coarse, target, collapses_per_anchor)
-    return anchor
+    return _refine(coarse, target, collapses_per_anchor)

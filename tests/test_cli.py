@@ -1,3 +1,4 @@
+import collections
 import csv
 import json
 import math
@@ -74,6 +75,30 @@ def test_sweep_pool_writes_the_same_bytes_as_one_process(sequence, default_sweep
         assert (tmp_path / name).read_bytes() == (default_sweep / name).read_bytes(), name
 
 
+def test_sweep_fits_each_pair_once_per_anchor_configuration(tmp_path, monkeypatch):
+    # 3 frames, 2 pairs: the 20 jobs of a pair (4 ablations x 5 alphas) fit
+    # its anchor 3 times, since the two QEM ablations differ only in
+    # quantization; a two-process pool writes the same bytes
+    from anchormesh import pipeline
+
+    sequence = tmp_path / "sequence"
+    assert main(["synth", str(sequence), "--resolution", "1", "--frames", "3",
+                 "--motion", "bend", "--rate", "0.1", "--jitter", "--seed", "3"]) == 0
+    fits = collections.Counter()
+    generate = pipeline.generate_coarse_anchor
+
+    def counted(base, target, *args, **kwargs):
+        fits[target.vertices.tobytes()] += 1
+        return generate(base, target, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "generate_coarse_anchor", counted)
+    _sweep(sequence, tmp_path / "one", "--threads", "1")
+    assert fits == {frame.vertices.tobytes(): 3 for frame in _frames(sequence)[1:]}
+    _sweep(sequence, tmp_path / "two", "--threads", "2")
+    for name in [f"rd_{label}.csv" for label, _ in ABLATION_CONFIGS] + ["bd_rates.json"]:
+        assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records its size and runs the jobs
     in this process, so that no worker is ever started."""
@@ -93,10 +118,11 @@ class _RecordingPool:
         return map(fn, jobs)
 
 
-@pytest.mark.parametrize("threads,workers", [("3", [3]), ("5000", [8]), ("1", [])],
+@pytest.mark.parametrize("threads,workers", [("3", [3]), ("5000", [3]), ("1", [])],
                          ids=["three", "more-than-jobs", "one"])
 def test_sweep_pool_is_bounded_by_the_jobs(sequence, tmp_path, monkeypatch, threads, workers):
-    # 4 ablations x 2 alphas x 1 frame pair = 8 jobs
+    # 4 ablations x 2 alphas x 1 frame pair = 8 jobs in 3 groups: the two
+    # QEM ablations share their anchor settings, so one fit
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     _sweep(sequence, tmp_path, "--alphas", "2,8", "--threads", threads)
@@ -143,9 +169,9 @@ def job_configs(monkeypatch):
     seen = []
     encode_pair = cli.encode_pair
 
-    def spy(base, target, config):
+    def spy(base, target, config, reuse=None):
         seen.append(config)
-        return encode_pair(base, target, config)
+        return encode_pair(base, target, config, reuse=reuse)
 
     monkeypatch.setattr(cli, "encode_pair", spy)
     return seen

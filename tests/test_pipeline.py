@@ -66,3 +66,60 @@ def test_decode_makes_one_edge_pass_over_the_base(pair, monkeypatch):
     assert len(passes) == payload.level
     assert np.array_equal(got.vertices, want.vertices)
     assert np.array_equal(got.faces, want.faces)
+
+
+# a new value of every field that only quantization reads
+_REQUANTIZED = {"alpha": 2.0, "delta": 0.3, "hbar": 3.0, "adaptive_quant": False}
+
+
+@pytest.mark.parametrize("field", sorted(_REQUANTIZED))
+@pytest.mark.parametrize("qem", [True, False], ids=["qem", "coarse"])
+@pytest.mark.parametrize("level", [0, 2])
+def test_reuse_gives_the_bytes_of_a_fresh_encode(pair, monkeypatch, level, qem, field):
+    from anchormesh import pipeline
+
+    base, target = pair
+    config = am.CodecConfig(level=level, qem_refine=qem)
+    first = encode_pair(base, target, config)
+    changed = config.override(**{field: _REQUANTIZED[field]})
+    want = write_payload(encode_pair(base, target, changed).payload)
+    assert want != write_payload(first.payload)
+
+    def refit(*args, **kwargs):
+        raise AssertionError("a reusing encode fitted the pair again")
+
+    monkeypatch.setattr(pipeline, "build_octree", refit)
+    monkeypatch.setattr(pipeline, "compute_displacements", refit)
+    reused = encode_pair(base, target, changed, reuse=first)
+    assert write_payload(reused.payload) == want
+    assert reused.config == changed and reused.target is target
+    assert reused.field is first.field
+
+
+@pytest.mark.parametrize("change", [
+    dict(motion_estimation=False), dict(qem_refine=False), dict(collapses_per_anchor=2),
+    dict(level=1),
+], ids=lambda change: next(iter(change)))
+def test_reuse_raises_on_other_anchor_settings(pair, change):
+    base, target = pair
+    first = encode_pair(base, target)
+    with pytest.raises(ValueError, match="anchor settings"):
+        encode_pair(base, target, am.CodecConfig(alpha=2.0, **change), reuse=first)
+
+
+def test_reuse_raises_on_another_base_or_target(pair):
+    base, target = pair
+    first = encode_pair(base, target)
+    config = am.CodecConfig(alpha=2.0)
+    with pytest.raises(ValueError, match="base"):
+        encode_pair(am.TriangleMesh(base.vertices + 1.0, base.faces), target, config,
+                    reuse=first)
+    # an equal copy of the target is another object: reuse is for one sweep's
+    # own frames, and identity is what it can check without hashing them
+    copy = am.TriangleMesh(target.vertices.copy(), target.faces.copy())
+    with pytest.raises(ValueError, match="target"):
+        encode_pair(base, copy, config, reuse=first)
+    # the base is identified by its content hash, as a decoder does
+    same_base = am.TriangleMesh(base.vertices.copy(), base.faces.copy())
+    assert (write_payload(encode_pair(same_base, target, config, reuse=first).payload)
+            == write_payload(encode_pair(base, target, config).payload))
