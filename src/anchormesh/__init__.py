@@ -15,12 +15,12 @@ from .coarse import (
     traversal_order,
 )
 from .config import CodecConfig, load_config
+from .grid import closest_points_on_surface
 from .mesh import (
     MeshError,
     MeshValidationError,
     ObjParseError,
     TriangleMesh,
-    closest_points_on_surface,
     load_mesh,
     save_mesh,
 )
@@ -36,7 +36,7 @@ from .payload import (
     write_payload,
 )
 from .pipeline import EncodeResult, decode_payload, encode_pair
-from .qem import refine_anchor
+from .qem import decimate_to_base, refine_anchor
 from .quantize import (
     QuantizationParams,
     QuantizedDisplacementField,
@@ -56,7 +56,6 @@ from .subdivide import (
 from .synth import (
     SequenceSpec,
     SplitMix64,
-    decimate_to_base,
     generate_sequence,
     make_cube,
     make_grid,

@@ -17,12 +17,13 @@ import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 
-from .config import CodecConfig, _parse_value, load_config
+from .config import CodecConfig, load_config, parse_value
 from .mesh import MeshError, TriangleMesh, load_mesh, save_mesh
 from .metrics import RDCurve, bd_rate, distortion
 from .payload import PayloadError, read_payload, write_payload
 from .pipeline import anchor_settings, decode_payload, encode_pair
-from .synth import SequenceSpec, decimate_to_base, generate_sequence
+from .qem import decimate_to_base
+from .synth import SequenceSpec, generate_sequence
 
 ABLATION_CONFIGS = (
     ("nns", dict(motion_estimation=False, qem_refine=False, adaptive_quant=False)),
@@ -80,7 +81,7 @@ def _config_from_args(args) -> CodecConfig:
     if getattr(args, "no_adaptive_quant", False):
         overrides["adaptive_quant"] = False
     if getattr(args, "alphas", None) is not None:  # "--alphas=" is an empty ladder
-        overrides["alpha_ladder"] = _parse_value("alphas", tuple, args.alphas)
+        overrides["alpha_ladder"] = parse_value("alphas", tuple, args.alphas)
     if getattr(args, "base_fraction", None) is not None:
         overrides["base_fraction"] = args.base_fraction
     return config.override(**overrides)

@@ -12,13 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import (
-    TriangleMesh,
-    _first_of_runs,
-    _ranges,
-    directed_edges,
-    unique_edges,
-)
+from .mesh import TriangleMesh, directed_edges, first_of_runs, ranges, unique_edges
 from .octree import Octree, build_octree, nearest
 
 # Correspondence marker for anchor vertices that no longer coincide with a
@@ -77,10 +71,10 @@ def traversal(directed, n: int):
         while len(frontier):
             order[filled:filled + len(frontier)] = frontier
             filled += len(frontier)
-            reached = neighbor[_ranges(start[frontier], count[frontier])]
+            reached = neighbor[ranges(start[frontier], count[frontier])]
             reached = reached[~visited[reached]]
             by_vertex = np.argsort(reached, kind="stable")
-            frontier = reached[np.sort(by_vertex[_first_of_runs(reached[by_vertex])])]
+            frontier = reached[np.sort(by_vertex[first_of_runs(reached[by_vertex])])]
             visited[frontier] = True
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
@@ -152,7 +146,7 @@ def generate_coarse_anchor(base: TriangleMesh, target: TriangleMesh,
     # predecessor's motion and adds the others in order, as the mean of
     # their rows does: np.add.at adds them one at a time.
     rows = predecessors[np.argsort(wave[predecessors[:, 0]], kind="stable")]
-    head = _first_of_runs(rows[:, 0])
+    head = first_of_runs(rows[:, 0])
     first = rows[head, 1]  # aligned with by_wave[bounds[1]:]
     vertex, before = rows[~head].T
     rest = np.searchsorted(wave[vertex], np.arange(len(bounds))).tolist()

@@ -27,6 +27,10 @@ class CodecConfig:
     threads: int = 1                   # sweep worker processes
 
     def __post_init__(self):
+        if not 0 <= self.level <= 255:  # the payload's level byte
+            raise ValueError(f"level must be in 0..255, got {self.level}")
+        if not 0.0 < self.base_fraction <= 1.0:
+            raise ValueError(f"base_fraction must be in (0, 1], got {self.base_fraction}")
         if self.threads < 1:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
         if not self.alpha_ladder:
@@ -41,7 +45,8 @@ class CodecConfig:
         return replace(self, **kwargs)
 
 
-def _parse_value(name: str, kind, raw: str):
+def parse_value(name: str, kind, raw: str):
+    """``raw`` read as a value of type ``kind`` (a tuple is of floats) for the field ``name``."""
     raw = raw.strip()
     if kind is bool:
         lowered = raw.lower()
@@ -78,7 +83,7 @@ def load_config(path, base: CodecConfig = None) -> CodecConfig:
             if key not in kinds:
                 raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
             try:
-                config = config.override(**{key: _parse_value(key, kinds[key], value)})
+                config = config.override(**{key: parse_value(key, kinds[key], value)})
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from None
     return config

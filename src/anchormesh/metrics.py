@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import DEGENERATE_AREA, MeshValidationError, TriangleMesh, closest_points_on_surface
+from .grid import closest_points_on_surface
+from .mesh import DEGENERATE_AREA, MeshValidationError, TriangleMesh
 
 
 @dataclass(frozen=True)
@@ -43,14 +44,6 @@ class RDCurve:
             if not b1 > b0:
                 raise ValueError("curve bits must be strictly increasing")
         object.__setattr__(self, "points", pts)
-
-    @property
-    def bits(self) -> np.ndarray:
-        return np.array([b for b, _ in self.points])
-
-    @property
-    def psnr(self) -> np.ndarray:
-        return np.array([p for _, p in self.points])
 
 
 def _unit_normals(mesh: TriangleMesh):

@@ -17,13 +17,14 @@ union of cells (or part of one, where the depth cap of :func:`build_octree`
 stops the index first).
 
 The search has the shape of the closest-point search of
-:mod:`anchormesh.mesh`: a bound ``r`` on the distance, from the nearest
-point in the cells around the query's own, then one gather of the cells of
-the box ``q +- r`` (:meth:`anchormesh.mesh._CellBins.box`), which hold
-every point within ``r`` of the query ``q``. It is exact: it returns what a
-linear scan returns, the minimum of ``((p - q) ** 2).sum()`` with ties to
-the lowest point index. Only the order in which cells are visited differs,
-and no answer depends on it.
+:mod:`anchormesh.grid`, whose cell index, rounding pad and pair blocks it
+uses: a bound ``r`` on the distance, from the nearest point in the cells
+around the query's own, then one gather of the cells of the box ``q +- r``
+(:meth:`anchormesh.grid.CellBins.box`), which hold every point within ``r``
+of the query ``q``. It is exact: it returns what a linear scan returns,
+the minimum of ``((p - q) ** 2).sum()`` with ties to the lowest point
+index. Only the order in which cells are visited differs, and no answer
+depends on it.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import (_BLOCK_PAIRS, _PAD, MeshValidationError, _CellBins, _owner_blocks, _ranges,
-                   _run_starts)
+from .grid import PAD, CellBins, owner_blocks
+from .mesh import MeshValidationError, ranges, run_starts
 
 DEFAULT_LEAF_CAPACITY = 16
 DEFAULT_MAX_DEPTH = 21
@@ -45,13 +46,10 @@ class Octree:
     ``side = 2 ** depth``.
 
     ``cell`` holds each point's integer cell and ``bins`` the points binned
-    by it in a :class:`anchormesh.mesh._CellBins` grid, the structure the
-    closest-point face grid uses too: ``order`` holds the point indices
-    sorted by cell :meth:`key`, ascending within a cell, ``starts[key]`` the
-    first slot of a cell in ``order`` and ``starts[-1]`` the number of
-    points. ``sorted_cols`` holds the points in that order, coordinates
-    first. A cell's box is ``low + cell * width`` to
-    ``low + (cell + 1) * width``, up to rounding.
+    by it in a :class:`anchormesh.grid.CellBins` grid, the structure the
+    closest-point face grid uses too. ``sorted_cols`` holds the points in
+    the order of ``bins.order``, coordinates first. A cell's box is
+    ``low + cell * width`` to ``low + (cell + 1) * width``, up to rounding.
     """
 
     points: np.ndarray
@@ -59,14 +57,10 @@ class Octree:
     half_width: float
     depth: int
     cell: np.ndarray
-    leaf_capacity: int
-    max_depth: int
     side: int = field(init=False)
     low: np.ndarray = field(init=False)
     width: float = field(init=False)
-    bins: _CellBins = field(init=False)
-    order: np.ndarray = field(init=False)
-    starts: np.ndarray = field(init=False)
+    bins: CellBins = field(init=False)
     sorted_cols: np.ndarray = field(init=False)  # (3, n)
     mag: float = field(init=False)  # largest coordinate magnitude
     block: np.ndarray = field(init=False)  # key offsets of a block's nine z-columns
@@ -75,20 +69,15 @@ class Octree:
         side = 1 << self.depth
         low = self.center - self.half_width
         width = 2.0 * self.half_width / side
-        bins = _CellBins(low, width, np.full(3, side), self.cell)
+        bins = CellBins(low, width, np.full(3, side), self.cell)
         dx, dy = np.divmod(np.arange(9), 3)
         for name, value in (
                 ("side", side), ("low", low), ("width", width), ("bins", bins),
-                ("order", bins.order), ("starts", bins.starts),
                 ("sorted_cols", np.ascontiguousarray(np.take(self.points, bins.order, axis=0).T)),
                 ("mag", float(np.abs(self.points).max())),
                 # from a cell's key to the bottom cell of each column around it
                 ("block", (dx - 1) * bins.strides[0] + (dy - 1) * bins.strides[1] - 1)):
             object.__setattr__(self, name, value)
-
-    def key(self, cell):
-        """Key of each cell of ``cell`` (..., 3)."""
-        return self.bins.key(cell)
 
 
 def build_octree(points, leaf_capacity: int = DEFAULT_LEAF_CAPACITY,
@@ -115,7 +104,7 @@ def build_octree(points, leaf_capacity: int = DEFAULT_LEAF_CAPACITY,
     lo = cols.min(axis=1)
     hi = cols.max(axis=1)
     center = 0.5 * (lo + hi)
-    half = float((hi - lo).max()) * 0.5 + _PAD
+    half = float((hi - lo).max()) * 0.5 + PAD
     cap = min(max_depth, (n.bit_length() - 1) // 3 + 1)  # deepest with 8 ** depth <= 8 n
     cell = np.zeros((n, 3), dtype=np.int64)
     node = np.broadcast_to(center, (n, 3))  # center of each point's node
@@ -130,7 +119,7 @@ def build_octree(points, leaf_capacity: int = DEFAULT_LEAF_CAPACITY,
         node = node + np.where(upper, quarter, -quarter)
         cell = 2 * cell + upper
         depth += 1
-    return Octree(pts, center, half, depth, cell, leaf_capacity, max_depth)
+    return Octree(pts, center, half, depth, cell)
 
 
 def _nearest_in_columns(index: Octree, cols, owner, first, count):
@@ -143,16 +132,16 @@ def _nearest_in_columns(index: Octree, cols, owner, first, count):
     n = len(index.points)
     least = np.full(k, np.inf)
     found = np.full(k, n)
-    for a, b in _owner_blocks(owner, count, _BLOCK_PAIRS):
+    for a, b in owner_blocks(owner, count):
         who = np.repeat(owner[a:b], count[a:b])
         if len(who):
-            slot = _ranges(first[a:b], count[a:b])
+            slot = ranges(first[a:b], count[a:b])
             diff = np.take(index.sorted_cols, slot, axis=1) - np.take(cols, who, axis=1)
             d2 = diff[0] * diff[0] + diff[1] * diff[1] + diff[2] * diff[2]
-            starts = _run_starts(who)
+            starts = run_starts(who)
             runs = who[starts]
             least[runs] = np.minimum.reduceat(d2, starts)
-            tied = np.where(d2 == least[who], index.order[slot], n)
+            tied = np.where(d2 == least[who], index.bins.order[slot], n)
             found[runs] = np.minimum.reduceat(tied, starts)
     return least, found
 
@@ -176,15 +165,15 @@ def nearest(index: Octree, queries):
         raise MeshValidationError("nearest-point query requires finite coordinates")
     k = len(q)
     cols = np.ascontiguousarray(q.T)
-    pad = _PAD * max(index.mag, float(np.abs(cols).max(initial=0.0)))
+    pad = PAD * max(index.mag, float(np.abs(cols).max(initial=0.0)))
     home = index.bins.cell_of(cols.T)
     # every cell beyond the 3 x 3 x 3 block is a cell width or more from the
     # query: on each axis the query lies in its block's middle layer or off
     # the grid, past the block's margin side and two cells from the other
-    column = index.key(home)[:, None] + index.block
-    first = index.starts[column]
+    column = index.bins.key(home)[:, None] + index.block
+    first = index.bins.starts[column]
     best_d2, best = _nearest_in_columns(index, cols, np.repeat(np.arange(k), 9), first.ravel(),
-                                        (index.starts[column + 3] - first).ravel())
+                                        (index.bins.starts[column + 3] - first).ravel())
     todo = np.flatnonzero(~(best_d2 < max(index.width - pad, 0.0) ** 2))
     if len(todo):  # most calls end here: skip the fixed cost of an empty gather
         qt = np.take(cols, todo, axis=1)

@@ -139,14 +139,14 @@ def decode_payload(payload: Payload, base: TriangleMesh) -> TriangleMesh:
         raise PayloadFormatError("anchor vertex count does not match the base mesh")
     # one edge pass over the base serves the length check and the first split
     edges = unique_edges(base.faces, base.n_vertices)
-    expected = subdivided_vertex_count(base, payload.level, _edges=edges)
+    expected = subdivided_vertex_count(base, payload.level, split=edges)
     if len(payload.quantized) != expected:
         raise PayloadFormatError(
             f"displacement stream holds {len(payload.quantized)} triples, "
             f"expected {expected} for subdivision level {payload.level}"
         )
     sub = midpoint_subdivide(TriangleMesh(payload.anchor_positions, base.faces),
-                             payload.level, _edges=edges)
+                             payload.level, split=edges)
     if payload.adaptive:
         weights = adaptive_weights(sub.neighbor_counts, payload.params.hbar)
     else:

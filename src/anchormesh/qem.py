@@ -1,35 +1,43 @@
-"""Quadric error metrics and fine anchor refinement.
+"""Quadric error metrics and the edge-collapse engine with its two drivers:
+the base decimator and the fine anchor stage.
 
 A quadric is the symmetric 4x4 form P*P^T accumulated over a vertex's
 incident face planes; evaluating it at a homogeneous point gives the sum of
-squared plane residuals (Garland & Heckbert, SIGGRAPH 1997).
+squared plane residuals (Garland & Heckbert, SIGGRAPH 1997). Both drivers
+collapse edges of a :class:`_WorkingCopy` to the optimal points of their
+quadrics.
 
-The fine stage proposes, for each coarse anchor vertex, the optimal collapse
-point of its best incident edge on a mutable working copy of the target
-mesh, and keeps that move only where it lowers the anchor's local
-reconstruction error (:class:`_MoveJudge`). A rejected anchor keeps its
-coarse vertex and its target correspondence, is never marked
-``OFF_VERTEX``, and the working copy is not collapsed for it.
+:func:`decimate_to_base` makes a frame pair's base mesh by collapsing the
+globally cheapest edge until few enough vertices are left. The fine stage
+proposes, for each coarse anchor vertex, the optimal collapse point of its
+best incident edge on a working copy of the target mesh, and keeps that
+move only where it lowers the anchor's local reconstruction error
+(:class:`_MoveJudge`). A rejected anchor keeps its coarse vertex and its
+target correspondence, is never marked ``OFF_VERTEX``, and the working copy
+is not collapsed for it.
 """
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
 from .coarse import OFF_VERTEX, AnchorMesh, traversal_order
-from .mesh import (
-    _BLOCK_PAIRS,
-    DEGENERATE_AREA,
-    TriangleMesh,
-    _blocks,
-    _dot3,
-    _FaceGrid,
-    _ranges,
-    _run_minima,
+from .grid import (
+    FaceGrid,
+    blocks,
     closest_points_on_surface,
-    directed_edges,
+    dot3,
     sq_distances_to_terms,
     triangle_terms,
+)
+from .mesh import (
+    DEGENERATE_AREA,
+    TriangleMesh,
+    directed_edges,
+    ranges,
+    run_minima,
     unique_edges,
     vertex_corners,
 )
@@ -41,6 +49,10 @@ _TRIU_ROWS, _TRIU_COLS = np.triu_indices(4)
 # Condition-number ceiling for the 3x3 minimization block; beyond it the
 # stationary point is numerically meaningless and we fall back to endpoints.
 CONDITION_LIMIT = 1e12
+
+# Scale of the boundary-preservation quadrics added during decimation; large
+# enough to pin open boundaries without making the solves singular.
+BOUNDARY_WEIGHT = 1e3
 
 
 def _evaluate_raw(c, p):
@@ -202,6 +214,90 @@ class _WorkingCopy:
         return corners
 
 
+def _boundary_quadrics(mesh: TriangleMesh, weight: float) -> np.ndarray:
+    """Constraint quadrics pinning open boundaries: for each edge with exactly
+    one incident face, a plane through the edge perpendicular to that face,
+    scaled by ``weight``. Returns (n, 10) coefficients to add.
+
+    Boundary edges are visited in face order, ab, bc, ca within a face, each
+    from its lower to its higher vertex index."""
+    acc = np.zeros((mesh.n_vertices, 10))
+    edges, face_edges = unique_edges(mesh.faces, mesh.n_vertices)
+    once = np.bincount(face_edges.ravel(), minlength=len(edges)) == 1
+    for fi, corner in zip(*np.nonzero(once[face_edges])):
+        u, v = edges[face_edges[fi, corner]].tolist()
+        fa, fb, fc = mesh.vertices[mesh.faces[fi]]
+        fn = np.cross(fb - fa, fc - fa)
+        fn_norm = np.linalg.norm(fn)
+        if 0.5 * fn_norm <= DEGENERATE_AREA:
+            continue
+        edge_dir = mesh.vertices[v] - mesh.vertices[u]
+        bn = np.cross(edge_dir, fn / fn_norm)
+        bn_norm = np.linalg.norm(bn)
+        if bn_norm == 0.0:
+            continue
+        bn = bn / bn_norm
+        p4 = np.array([bn[0], bn[1], bn[2], -float(bn @ mesh.vertices[u])])
+        p4 = p4 / np.linalg.norm(p4)
+        q = weight * (p4[_TRIU_ROWS] * p4[_TRIU_COLS])
+        acc[u] += q
+        acc[v] += q
+    return acc
+
+
+def decimate_to_base(mesh: TriangleMesh, target_vertex_count: int,
+                     boundary_weight: float = BOUNDARY_WEIGHT) -> TriangleMesh:
+    """Decimate by repeated minimal-error edge collapse until at most
+    ``target_vertex_count`` vertices have a face (global lazy priority
+    queue); the result keeps only those.
+
+    Boundary edges contribute weighted perpendicular-plane quadrics so open
+    borders collapse along themselves instead of shrinking. A target at or
+    above the current count returns the mesh unchanged.
+    """
+    if target_vertex_count < 4:
+        raise ValueError("target vertex count must be >= 4")
+    n = mesh.n_vertices
+    if target_vertex_count >= n:
+        return TriangleMesh(mesh.vertices, mesh.faces)
+    quadrics = all_vertex_quadrics(mesh) + _boundary_quadrics(mesh, boundary_weight)
+    work = _WorkingCopy(mesh, quadrics)
+    stamps = [0] * n
+    seq = 0
+
+    def entries(lo, hi):
+        """Heap entries of the edges (lo[i], hi[i]), numbered on from ``seq``."""
+        nonlocal seq
+        points, errors = _optimal_points(work.quadrics[lo] + work.quadrics[hi],
+                                         work.positions[lo], work.positions[hi])
+        out = [(err, u, v, stamps[u], stamps[v], seq + 1 + i, point) for i, (err, u, v, point)
+               in enumerate(zip(errors.tolist(), lo.tolist(), hi.tolist(), points))]
+        seq += len(out)
+        return out
+
+    edges = unique_edges(mesh.faces, n)[0]
+    heap = entries(edges[:, 0], edges[:, 1])
+    heapq.heapify(heap)  # seq makes every entry distinct, so pops follow the entries alone
+    remaining = int(np.count_nonzero(np.bincount(mesh.faces.ravel(), minlength=n)))  # with a face
+    while remaining > target_vertex_count and heap:
+        err, u, v, su, sv, _, point = heapq.heappop(heap)
+        if su != stamps[u] or sv != stamps[v]:
+            continue
+        # the edge vanished; a collapsed vertex has no faces left, so this
+        # also drops every entry of one
+        if not work.has_edge(u, v):
+            continue
+        corners = work.collapse(u, v, point)
+        stamps[u] += 1
+        # v lost its faces; u and the other corners of the deleted faces may
+        # have lost their last one
+        remaining -= 1 + sum(not work.vfaces[w] for w in corners)
+        nb = np.sort(np.fromiter(work.neighbors_of(u), dtype=np.int64))
+        for entry in entries(np.minimum(u, nb), np.maximum(u, nb)):
+            heapq.heappush(heap, entry)
+    return work.mesh()
+
+
 # 1-to-4 split of a fan face (x, u, w) with corners 3..5 at the midpoints of
 # xu, uw and wx, in the order :func:`anchormesh.subdivide.midpoint_subdivide`
 # emits its children.
@@ -211,11 +307,11 @@ _FAN_SUBFACES = np.array([[0, 3, 5], [1, 4, 3], [2, 5, 4], [3, 4, 5]])
 def _triangles(table, corners):
     """Columns of the triangles whose corners are the columns ``corners``
     (m, 3) of the points ``table`` (3, k) for the closest-triangle searches:
-    their :func:`anchormesh.mesh.triangle_terms` (17 rows), then the center
+    their :func:`anchormesh.grid.triangle_terms` (17 rows), then the center
     (3 rows) and radius of their bounding sphere centered on the centroid."""
     a, b, c = (np.take(table, corners[:, i], axis=1) for i in range(3))
     center = (a + b + c) / 3.0
-    radius = np.sqrt(np.maximum.reduce([_dot3(x - center, x - center) for x in (a, b, c)]))
+    radius = np.sqrt(np.maximum.reduce([dot3(x - center, x - center) for x in (a, b, c)]))
     return np.concatenate([triangle_terms(a, b, c), center, radius[None]])
 
 
@@ -228,22 +324,22 @@ def _pairs_in_groups(points, point_counts, tris, tri_counts):
     tri_counts = np.asarray(tri_counts, dtype=np.int64)
     per_point = np.repeat(tri_counts, point_counts)  # triangles in each point's group
     pi = np.repeat(np.arange(len(points)), per_point)
-    ti = _ranges(np.repeat(np.cumsum(tri_counts) - tri_counts, point_counts), per_point)
+    ti = ranges(np.repeat(np.cumsum(tri_counts) - tri_counts, point_counts), per_point)
     # np.take keeps the gathered (rows, pairs) arrays contiguous; ``x[:, pi]`` does not
     rel = np.take(np.ascontiguousarray(points.T), pi, axis=1) - np.take(tris[17:20], ti, axis=1)
-    gap = np.sqrt(_dot3(rel, rel))
-    keep = gap - tris[20, ti] <= _run_minima(gap, pi, len(points))[pi]
+    gap = np.sqrt(dot3(rel, rel))
+    keep = gap - tris[20, ti] <= run_minima(gap, pi, len(points))[pi]
     return pi[keep], ti[keep]
 
 
 def _closest_of_pairs(points, pi, ti, tris):
     """Least squared distance from each of ``points`` (n, 3) to the
     :func:`_triangles` columns ``tris`` it is paired with, for ``pi``
-    ascending, as :func:`anchormesh.mesh.sq_distances_to_terms` measures it;
+    ascending, as :func:`anchormesh.grid.sq_distances_to_terms` measures it;
     inf for a point without pairs."""
     d2, _, _ = sq_distances_to_terms(np.take(np.ascontiguousarray(points.T), pi, axis=1),
                                      np.take(tris[:17], ti, axis=1))
-    return _run_minima(d2, pi, len(points))
+    return run_minima(d2, pi, len(points))
 
 
 class _MoveJudge:
@@ -260,9 +356,9 @@ class _MoveJudge:
     vertex, which is its own projection.
 
     Both searches are the encoder's: a target vertex's closest coarse face
-    is the one :func:`anchormesh.mesh.closest_points_on_surface` finds
+    is the one :func:`anchormesh.grid.closest_points_on_surface` finds
     (lowest face on ties), and the corners are projected by one
-    :class:`anchormesh.mesh._FaceGrid` over the whole target, the search
+    :class:`anchormesh.grid.FaceGrid` over the whole target, the search
     that :func:`anchormesh.subdivide.compute_displacements` makes. An anchor
     that covers no target vertex has error 0 wherever it goes. Raises
     :class:`anchormesh.mesh.MeshValidationError` for a target without
@@ -293,7 +389,7 @@ class _MoveJudge:
         by_anchor, self.covered_count, self.covered_start = vertex_corners(faces[face], n)
         self.covered = by_anchor // 3
         # projected edge midpoints
-        self.grid = _FaceGrid(target)
+        self.grid = FaceGrid(target)
         self.midpoints = self.grid.closest(0.5 * (pos[edges[:, 0]] + pos[edges[:, 1]]))[0]
 
     def _edge(self, u, w):
@@ -315,9 +411,10 @@ class _MoveJudge:
         covered vertices gathered once per call. The fans are then measured
         (triangle columns, candidate pairs, least distances, per-anchor sums)
         over runs of anchors whose candidate pairs, covered vertices times 4
-        fan faces each, fit ``_BLOCK_PAIRS`` (an anchor beyond it is a run of
-        its own), so a call holds its corners, fan rows, covered vertices,
-        the mesh and one block of triangles and pairs. An anchor's score
+        fan faces each, fit one pair budget (:func:`anchormesh.grid.blocks`;
+        an anchor beyond it is a run of its own), so a call holds its
+        corners, fan rows, covered vertices, the mesh and one block of
+        triangles and pairs. An anchor's score
         depends on its own pairs only, so the runs do not change it.
         """
         n = len(self.positions)
@@ -332,13 +429,13 @@ class _MoveJudge:
         corners = np.repeat(points, counts, axis=0)
         spoke = np.ones(counts.sum(), dtype=bool)
         spoke[starts] = False
-        rim = self.rim[_ranges(self.rim_start[anchors], spokes)]
+        rim = self.rim[ranges(self.rim_start[anchors], spokes)]
         corners[spoke] = 0.5 * (corners[spoke] + self.positions[rim])
         table = np.concatenate([self.positions, self.midpoints,
                                 self.grid.closest(corners)[0]]).T.copy()
         # split fan faces (x, u, w) of every anchor as rows of the table
         fan_count = self.fan_count[anchors]
-        x, u, w = self.fan[_ranges(self.fan_start[anchors], fan_count)].T
+        x, u, w = self.fan[ranges(self.fan_start[anchors], fan_count)].T
         owner = np.repeat(np.arange(len(anchors)), fan_count)
         center = (n + len(self.midpoints) + starts)[owner]
         edge_row = at_coarse[owner]
@@ -353,12 +450,12 @@ class _MoveJudge:
         corner = rows[:, _FAN_SUBFACES].reshape(-1, 3)  # of each split fan triangle
         tri_count = 4 * fan_count
         covered_count = self.covered_count[anchors]
-        covered = self.target.vertices[self.covered[_ranges(self.covered_start[anchors],
+        covered = self.target.vertices[self.covered[ranges(self.covered_start[anchors],
                                                             covered_count)]]
         tri_end = np.cumsum(tri_count)
         covered_end = np.cumsum(covered_count)
         out = np.empty(len(anchors))
-        for s, e in _blocks(covered_count * tri_count, _BLOCK_PAIRS):
+        for s, e in blocks(covered_count * tri_count):
             block_tris = _triangles(table, corner[tri_end[s] - tri_count[s]:tri_end[e - 1]])
             block_covered = covered[covered_end[s] - covered_count[s]:covered_end[e - 1]]
             block_counts = covered_count[s:e]
@@ -401,17 +498,10 @@ def _first_collapses(target: TriangleMesh, work: _WorkingCopy, corr: np.ndarray)
     return _best_collapses(work.quadrics, work.positions, edges[:, 0], edges[:, 1])
 
 
-def _refine_with_diagnostics(coarse: AnchorMesh, target: TriangleMesh,
-                             collapses_per_anchor: int = 1):
-    """:func:`refine_anchor`, plus one ``(anchor, selected quadric error,
-    that edge quadric at the anchor's coarse position)`` per kept move."""
-    diagnostics = []
-    return _refine(coarse, target, collapses_per_anchor, diagnostics), diagnostics
-
-
 def _refine(coarse: AnchorMesh, target: TriangleMesh, collapses_per_anchor: int,
             diagnostics=None) -> AnchorMesh:
-    """:func:`refine_anchor`; appends each kept move's diagnostics to the
+    """:func:`refine_anchor`; appends one ``(anchor, selected quadric error,
+    that edge quadric at the anchor's coarse position)`` per kept move to the
     list ``diagnostics`` when one is given."""
     if coarse.stage != "coarse":
         raise ValueError(f"expected a coarse anchor, got stage {coarse.stage!r}")

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import TriangleMesh, closest_points_on_surface, sorted_unique, unique_edges
+from .grid import closest_points_on_surface
+from .mesh import TriangleMesh, sorted_unique, unique_edges
 
 
 @dataclass
@@ -69,18 +70,18 @@ def _subdivide_once(vertices, faces, split=None):
     return np.vstack([vertices, midpoints]), children.reshape(-1, 3), edges, counts
 
 
-def midpoint_subdivide(mesh: TriangleMesh, levels: int, *, _edges=None) -> SubdividedMesh:
+def midpoint_subdivide(mesh: TriangleMesh, levels: int, *, split=None) -> SubdividedMesh:
     """Split every triangle 1->4 per level using shared edge midpoints.
 
     ``levels=0`` returns an identity copy. ``edges`` refers to the previous
     level only. Each split counts its vertices' neighbours from the edges it
-    splits, so no edge pass runs over the subdivided mesh. ``_edges`` is
+    splits, so no edge pass runs over the subdivided mesh. ``split`` is
     :func:`unique_edges` of ``mesh.faces`` where the caller has it already.
     """
     if levels < 0:
         raise ValueError("subdivision level must be >= 0")
     vertices, faces, n = mesh.vertices, mesh.faces, mesh.n_vertices
-    split = unique_edges(faces, n) if _edges is None else _edges
+    split = unique_edges(faces, n) if split is None else split
     edges = np.zeros((0, 2), dtype=np.int64)
     # without a split, the counts come from the mesh's own edges
     counts = None if levels else np.bincount(split[0].ravel(), minlength=n)
@@ -91,16 +92,16 @@ def midpoint_subdivide(mesh: TriangleMesh, levels: int, *, _edges=None) -> Subdi
                           counts.astype(np.int64, copy=False))
 
 
-def subdivided_vertex_count(mesh: TriangleMesh, levels: int, *, _edges=None) -> int:
+def subdivided_vertex_count(mesh: TriangleMesh, levels: int, *, split=None) -> int:
     """Vertex count of ``midpoint_subdivide(mesh, levels)``, without building it.
 
     Each level adds one vertex per unique edge, splits every edge in two, adds
     three edges inside every face and splits every face in four. Faces on the
     same three vertices share their inner edges, so faces are counted as
     distinct vertex triples: ``V' = V + E``, ``E' = 2E + 3F``, ``F' = 4F``.
-    ``_edges`` is as for :func:`midpoint_subdivide`.
+    ``split`` is as for :func:`midpoint_subdivide`.
     """
-    unique, face_edges = unique_edges(mesh.faces, mesh.n_vertices) if _edges is None else _edges
+    unique, face_edges = unique_edges(mesh.faces, mesh.n_vertices) if split is None else split
     # a face's sorted triple (a, b, c) is its lowest edge (a, b) plus c
     keys = np.sort(face_edges.min(axis=1) * mesh.n_vertices + mesh.faces.max(axis=1))
     faces = int(len(keys) and 1 + np.count_nonzero(keys[1:] != keys[:-1]))

@@ -1,4 +1,4 @@
-"""Deterministic synthetic dynamic-mesh sequences and base-mesh decimation.
+"""Deterministic synthetic dynamic-mesh sequences: the codec's test data.
 
 Sequences are reproducible across platforms: all randomness comes from a
 splitmix64 generator seeded from the spec, and geometry is pure float64
@@ -10,21 +10,16 @@ constant-topology inter coding.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import DEGENERATE_AREA, TriangleMesh, unique_edges
-from .qem import _TRIU_COLS, _TRIU_ROWS, _optimal_points, _WorkingCopy, all_vertex_quadrics
+from .mesh import TriangleMesh, unique_edges
+from .qem import decimate_to_base  # noqa: F401 -- codecbench calls and patches this name here
 from .subdivide import midpoint_subdivide
 
 _MASK64 = (1 << 64) - 1
-
-# Scale of the boundary-preservation quadrics added during decimation; large
-# enough to pin open boundaries without making the solves singular.
-BOUNDARY_WEIGHT = 1e3
 
 
 class SplitMix64:
@@ -278,87 +273,3 @@ def generate_sequence(spec: SequenceSpec) -> list:
             mesh = _split_edges(mesh, rng, max(1, n_edges // 20))
         frames.append(mesh)
     return frames
-
-
-def _boundary_quadrics(mesh: TriangleMesh, weight: float) -> np.ndarray:
-    """Constraint quadrics pinning open boundaries: for each edge with exactly
-    one incident face, a plane through the edge perpendicular to that face,
-    scaled by ``weight``. Returns (n, 10) coefficients to add.
-
-    Boundary edges are visited in face order, ab, bc, ca within a face, each
-    from its lower to its higher vertex index."""
-    acc = np.zeros((mesh.n_vertices, 10))
-    edges, face_edges = unique_edges(mesh.faces, mesh.n_vertices)
-    once = np.bincount(face_edges.ravel(), minlength=len(edges)) == 1
-    for fi, corner in zip(*np.nonzero(once[face_edges])):
-        u, v = edges[face_edges[fi, corner]].tolist()
-        fa, fb, fc = mesh.vertices[mesh.faces[fi]]
-        fn = np.cross(fb - fa, fc - fa)
-        fn_norm = np.linalg.norm(fn)
-        if 0.5 * fn_norm <= DEGENERATE_AREA:
-            continue
-        edge_dir = mesh.vertices[v] - mesh.vertices[u]
-        bn = np.cross(edge_dir, fn / fn_norm)
-        bn_norm = np.linalg.norm(bn)
-        if bn_norm == 0.0:
-            continue
-        bn = bn / bn_norm
-        p4 = np.array([bn[0], bn[1], bn[2], -float(bn @ mesh.vertices[u])])
-        p4 = p4 / np.linalg.norm(p4)
-        q = weight * (p4[_TRIU_ROWS] * p4[_TRIU_COLS])
-        acc[u] += q
-        acc[v] += q
-    return acc
-
-
-def decimate_to_base(mesh: TriangleMesh, target_vertex_count: int,
-                     boundary_weight: float = BOUNDARY_WEIGHT) -> TriangleMesh:
-    """Decimate by repeated minimal-error edge collapse until at most
-    ``target_vertex_count`` vertices have a face (global lazy priority
-    queue); the result keeps only those.
-
-    Boundary edges contribute weighted perpendicular-plane quadrics so open
-    borders collapse along themselves instead of shrinking. A target at or
-    above the current count returns the mesh unchanged.
-    """
-    if target_vertex_count < 4:
-        raise ValueError("target vertex count must be >= 4")
-    n = mesh.n_vertices
-    if target_vertex_count >= n:
-        return TriangleMesh(mesh.vertices, mesh.faces)
-    quadrics = all_vertex_quadrics(mesh) + _boundary_quadrics(mesh, boundary_weight)
-    work = _WorkingCopy(mesh, quadrics)
-    stamps = [0] * n
-    seq = 0
-
-    def entries(lo, hi):
-        """Heap entries of the edges (lo[i], hi[i]), numbered on from ``seq``."""
-        nonlocal seq
-        points, errors = _optimal_points(work.quadrics[lo] + work.quadrics[hi],
-                                         work.positions[lo], work.positions[hi])
-        out = [(err, u, v, stamps[u], stamps[v], seq + 1 + i, point) for i, (err, u, v, point)
-               in enumerate(zip(errors.tolist(), lo.tolist(), hi.tolist(), points))]
-        seq += len(out)
-        return out
-
-    edges = unique_edges(mesh.faces, n)[0]
-    heap = entries(edges[:, 0], edges[:, 1])
-    heapq.heapify(heap)  # seq makes every entry distinct, so pops follow the entries alone
-    remaining = int(np.count_nonzero(np.bincount(mesh.faces.ravel(), minlength=n)))  # with a face
-    while remaining > target_vertex_count and heap:
-        err, u, v, su, sv, _, point = heapq.heappop(heap)
-        if su != stamps[u] or sv != stamps[v]:
-            continue
-        # the edge vanished; a collapsed vertex has no faces left, so this
-        # also drops every entry of one
-        if not work.has_edge(u, v):
-            continue
-        corners = work.collapse(u, v, point)
-        stamps[u] += 1
-        # v lost its faces; u and the other corners of the deleted faces may
-        # have lost their last one
-        remaining -= 1 + sum(not work.vfaces[w] for w in corners)
-        nb = np.sort(np.fromiter(work.neighbors_of(u), dtype=np.int64))
-        for entry in entries(np.minimum(u, nb), np.maximum(u, nb)):
-            heapq.heappush(heap, entry)
-    return work.mesh()

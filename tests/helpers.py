@@ -17,14 +17,10 @@ from anchormesh import (
     closest_points_on_surface,
     make_sphere,
 )
-from anchormesh.mesh import (
-    DEGENERATE_AREA,
-    sq_distances_to_terms,
-    triangle_terms,
-    unique_edges,
-)
-from anchormesh.qem import _TRIU_COLS, _TRIU_ROWS, CONDITION_LIMIT, _evaluate_raw, all_vertex_quadrics
-from anchormesh.synth import BOUNDARY_WEIGHT
+from anchormesh.grid import sq_distances_to_terms, triangle_terms
+from anchormesh.mesh import DEGENERATE_AREA, unique_edges
+from anchormesh.qem import (_TRIU_COLS, _TRIU_ROWS, BOUNDARY_WEIGHT, CONDITION_LIMIT, _evaluate_raw,
+                            all_vertex_quadrics)
 
 
 @dataclass
@@ -575,7 +571,7 @@ def dict_boundary_quadrics(mesh: TriangleMesh, weight: float) -> np.ndarray:
     one incident face, a plane through the edge perpendicular to that face,
     scaled by ``weight``. Returns (n, 10) coefficients to add. Boundary edges
     come from a dict of edge -> faces; the oracle for
-    ``synth._boundary_quadrics``."""
+    ``qem._boundary_quadrics``."""
     acc = np.zeros((mesh.n_vertices, 10))
     edge_face = {}
     for fi, (a, b, c) in enumerate(mesh.faces.tolist()):
@@ -642,7 +638,7 @@ def sequential_split_edges(mesh: TriangleMesh, rng, count: int) -> TriangleMesh:
 
 def scalar_decimate_to_base(mesh: TriangleMesh, target_vertex_count: int,
                             boundary_weight: float = BOUNDARY_WEIGHT) -> TriangleMesh:
-    """``synth.decimate_to_base`` with one scalar solve per pushed edge; its
+    """``qem.decimate_to_base`` with one scalar solve per pushed edge; its
     oracle."""
     if target_vertex_count < 4:
         raise ValueError("target vertex count must be >= 4")

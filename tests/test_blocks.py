@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import anchormesh as am
-from anchormesh import (TriangleMesh, decimate_to_base, generate_coarse_anchor, make_sphere, mesh,
+from anchormesh import (TriangleMesh, decimate_to_base, generate_coarse_anchor, grid, make_sphere,
                         octree, qem)
 from helpers import brute_force_surface_points, random_mesh
 
@@ -18,12 +18,11 @@ BUDGETS = (1, 7, 1 << 13, 1 << 18)
 
 
 def _at_every_budget(monkeypatch, run):
-    """``run()`` at every budget of ``BUDGETS``, set in every module that
-    blocks pairs."""
+    """``run()`` at every budget of ``BUDGETS``, set in ``grid``, the one
+    module that holds it."""
     outs = []
     for pairs in BUDGETS:
-        for module in (mesh, octree, qem):
-            monkeypatch.setattr(module, "_BLOCK_PAIRS", pairs)
+        monkeypatch.setattr(grid, "_BLOCK_PAIRS", pairs)
         outs.append(run())
     return outs
 
@@ -41,14 +40,14 @@ def test_closest_points_do_not_depend_on_the_block_budget(monkeypatch):
     inside = rng.uniform(-0.3, 0.3, size=(40, 3))
     far = rng.normal(size=(20, 3)) * 5.0
     queries = np.vstack([near, inside, far])
-    grid = mesh._FaceGrid(target)
-    cells = grid.cells
+    faces = grid.FaceGrid(target)
+    cells = faces.cells
     home = cells.key(cells.cell_of(queries))
     empty = cells.starts[home + 1] == cells.starts[home]
     # queries whose own cell holds no face scan the whole grid
     assert empty[len(near):].sum() >= 40
     want = brute_force_surface_points(target, queries)
-    for got in _at_every_budget(monkeypatch, lambda: grid.closest(queries)):
+    for got in _at_every_budget(monkeypatch, lambda: faces.closest(queries)):
         for x, y in zip(got, want):
             assert x.dtype == y.dtype and np.array_equal(x, y)
 
@@ -62,8 +61,9 @@ def test_nearest_points_do_not_depend_on_the_block_budget(monkeypatch):
                          rng.normal(size=(20, 3)) * 5.0])
     # a query whose 3 x 3 x 3 block of cells holds no point gathers the
     # whole grid: most of those inside the sphere
-    column = index.key(index.bins.cell_of(queries))[:, None] + index.block
-    assert np.sum((index.starts[column + 3] - index.starts[column]).sum(axis=1) == 0) >= 40
+    starts = index.bins.starts
+    column = index.bins.key(index.bins.cell_of(queries))[:, None] + index.block
+    assert np.sum((starts[column + 3] - starts[column]).sum(axis=1) == 0) >= 40
     outs = _at_every_budget(monkeypatch, lambda: octree.nearest(index, queries))
     for got in outs[:-1]:
         assert np.array_equal(got[0], outs[-1][0])

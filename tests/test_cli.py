@@ -139,6 +139,17 @@ def test_sweep_exits_2_on_threads_below_one(sequence, tmp_path, capsys, threads)
         am.CodecConfig(threads=int(threads))
 
 
+@pytest.mark.parametrize("fraction", ["inf", "nan", "0", "-1", "1.5"])
+def test_sweep_exits_2_on_a_base_fraction_outside_0_1(sequence, tmp_path, capsys, fraction):
+    # inf stopped on an uncaught OverflowError, and 0 or -1 decimated every
+    # base to 4 vertices
+    out = tmp_path / "out"
+    assert main(["sweep", str(sequence), str(out), "--base-fraction", fraction]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError", "message": f"base_fraction must be in (0, 1], got {float(fraction)}"}
+    assert not out.exists()
+
+
 _BAD_LADDERS = {"repeated": "8,8,16,32,64", "zero": "2,0,8", "negative": "-1,4",
                 "infinite": "4,inf"}
 

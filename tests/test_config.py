@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from anchormesh import CodecConfig
@@ -72,11 +74,31 @@ def test_bad_number_raises(tmp_path):
 @pytest.mark.parametrize("text,line,message", [
     ("alpha_ladder =\n", 1, "the alpha ladder is empty"),
     ("level = 3\nthreads = 0\n", 2, "threads must be at least 1"),
-], ids=["empty-ladder", "zero-threads"])
+    ("level = 256\n", 1, "level must be in 0..255, got 256"),
+    ("alpha = 2\nbase_fraction = inf\n", 2, "base_fraction must be in"),
+    ("base_fraction = 0\n", 1, "base_fraction must be in"),
+], ids=["empty-ladder", "zero-threads", "level-256", "infinite-fraction", "zero-fraction"])
 def test_rejected_value_reports_path_and_line(tmp_path, text, line, message):
     path = _write(tmp_path, text)
     with pytest.raises(ValueError, match=f"^{path}:{line}: {message}"):
         load_config(path)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("level", -1), ("level", 256), ("base_fraction", 0.0), ("base_fraction", -1.0),
+    ("base_fraction", 1.5), ("base_fraction", math.inf), ("base_fraction", math.nan),
+])
+def test_level_and_base_fraction_out_of_range_raise(field, value):
+    # the level is one byte of the payload, and a base is a fraction of its frame
+    with pytest.raises(ValueError, match=f"^{field} must be in "):
+        CodecConfig().override(**{field: value})
+
+
+def test_level_and_base_fraction_bounds_are_accepted():
+    for level in (0, 255):
+        assert CodecConfig(level=level).level == level
+    for fraction in (1.0, 1e-9):
+        assert CodecConfig(base_fraction=fraction).base_fraction == fraction
 
 
 def test_layers_over_the_given_base(tmp_path):

@@ -427,7 +427,7 @@ def test_surface_oracle_distant_parts_use_the_dense_bound():
 
 def test_surface_oracle_bend_sphere_clouds(monkeypatch):
     import anchormesh as am
-    from anchormesh import mesh as mesh_module
+    from anchormesh import grid
 
     spec = am.SequenceSpec(shape="sphere", resolution=2, frames=2, motion="bend",
                            rate=0.1, region=0.4, topology_jitter=True, seed=3)
@@ -441,7 +441,7 @@ def test_surface_oracle_bend_sphere_clouds(monkeypatch):
         assert_matches_oracle(target, cloud)
         assert_matches_oracle(sub.mesh, cloud)
     # blocks small enough that one query's pairs overflow a block
-    monkeypatch.setattr(mesh_module, "_BLOCK_PAIRS", 16)
+    monkeypatch.setattr(grid, "_BLOCK_PAIRS", 16)
     assert_matches_oracle(target, clouds[3])
 
 
@@ -531,7 +531,7 @@ def test_surface_oracle_in_cell_and_gathered_queries(monkeypatch):
     # ones inside the sphere or far off gather the cells around them, or the
     # whole grid where their own cell holds no face
     import anchormesh as am
-    from anchormesh import mesh as mesh_module
+    from anchormesh import grid
 
     spec = am.SequenceSpec(shape="sphere", resolution=2, frames=1, motion="bend",
                            rate=0.1, region=0.4, topology_jitter=True, seed=3)
@@ -541,15 +541,15 @@ def test_surface_oracle_in_cell_and_gathered_queries(monkeypatch):
                          rng.uniform(-0.5, 0.5, size=(40, 3)),
                          rng.normal(size=(20, 3)) * 5.0])
     boxes = []
-    columns = mesh_module._CellBins.columns
+    columns = grid.CellBins.columns
 
     def spy(self, lo, hi):
         boxes.append(len(lo))
         return columns(self, lo, hi)
 
-    monkeypatch.setattr(mesh_module._CellBins, "columns", spy)
-    for block_pairs in (mesh_module._BLOCK_PAIRS, 16):
-        monkeypatch.setattr(mesh_module, "_BLOCK_PAIRS", block_pairs)
+    monkeypatch.setattr(grid.CellBins, "columns", spy)
+    for block_pairs in (grid._BLOCK_PAIRS, 16):
+        monkeypatch.setattr(grid, "_BLOCK_PAIRS", block_pairs)
         boxes.clear()
         assert_matches_oracle(target, queries)
         gathered = sum(boxes)
@@ -558,7 +558,7 @@ def test_surface_oracle_in_cell_and_gathered_queries(monkeypatch):
 
 
 def test_mesh_answers_empty_cell_queries_without_octree():
-    # a query whose cell holds no face gathers the whole face grid: mesh
+    # a query whose cell holds no face gathers the whole face grid: grid
     # needs no point index, so it never loads octree. The package's
     # __init__ would load both: a bare package stands in for it.
     import anchormesh
@@ -568,14 +568,15 @@ def test_mesh_answers_empty_cell_queries_without_octree():
         "package = types.ModuleType('anchormesh')",
         f"package.__path__ = {list(anchormesh.__path__)!r}",
         "sys.modules['anchormesh'] = package",
-        "import anchormesh.mesh",
-        "from anchormesh.mesh import TriangleMesh, closest_points_on_surface",
+        "import anchormesh.grid",
+        "from anchormesh.grid import closest_points_on_surface",
+        "from anchormesh.mesh import TriangleMesh",
         # the query's cell between two far faces is empty; the nearest face
         # point is the corner (1, 0, 0)
         "mesh = TriangleMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0], [100, 0, 0], [101, 0, 0],"
         " [100, 1, 0]], [[0, 1, 2], [3, 4, 5]])",
         "print(closest_points_on_surface(mesh, [[50.0, 0.0, 0.0]])[3][0])",
-        "assert 'anchormesh.octree' not in sys.modules, 'mesh loaded octree'",
+        "assert 'anchormesh.octree' not in sys.modules, 'grid loaded octree'",
     ])
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=60)
@@ -583,11 +584,12 @@ def test_mesh_answers_empty_cell_queries_without_octree():
     assert run.stdout.split() == ["2401.0"]
 
 
-@pytest.mark.parametrize("first", ["anchormesh.mesh", "anchormesh.octree"])
+@pytest.mark.parametrize("first", ["anchormesh.mesh", "anchormesh.octree", "anchormesh.grid"])
 def test_mesh_and_octree_import_in_either_order(first):
-    # octree imports mesh when it loads and mesh imports nothing of octree,
-    # so either module loads first in a fresh interpreter. The package's
-    # __init__ would fix one order: a bare package stands in for it.
+    # octree imports grid and mesh when it loads, grid imports mesh, and
+    # neither imports octree, so any of them loads first in a fresh
+    # interpreter. The package's __init__ would fix one order: a bare
+    # package stands in for it.
     import anchormesh
 
     code = "\n".join([
@@ -597,7 +599,8 @@ def test_mesh_and_octree_import_in_either_order(first):
         "sys.modules['anchormesh'] = package",
         f"import {first}",
         "import anchormesh.octree",
-        "from anchormesh.mesh import TriangleMesh, closest_points_on_surface",
+        "from anchormesh.grid import closest_points_on_surface",
+        "from anchormesh.mesh import TriangleMesh",
         "mesh = TriangleMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0], [100, 0, 0], [101, 0, 0],"
         " [100, 1, 0]], [[0, 1, 2], [3, 4, 5]])",
         "print(closest_points_on_surface(mesh, [[50.0, 0.0, 0.0]])[3][0])",

@@ -134,15 +134,15 @@ def test_build_is_deterministic():
 
 def _cell_points(index, cell):
     """Indices binned in ``cell``, as the index stores them."""
-    key = int(index.key(np.asarray(cell)))
-    return index.order[index.starts[key]:index.starts[key + 1]].tolist()
+    key = int(index.bins.key(np.asarray(cell)))
+    return index.bins.order[index.bins.starts[key]:index.bins.starts[key + 1]].tolist()
 
 
 def test_index_single_point_single_cell():
     index = octree.build_octree([[1.0, 2.0, 3.0]])
     assert index.depth == 0 and index.side == 1
     assert _cell_points(index, [0, 0, 0]) == [0]
-    assert index.starts[-1] == 1
+    assert index.bins.starts[-1] == 1
 
 
 def test_index_rejects_what_the_oracle_rejects():
@@ -166,16 +166,16 @@ def test_index_cells_are_the_pointer_octree_nodes():
     rng = np.random.default_rng(21)
     pts = rng.uniform(-3, 3, size=(10_000, 3))
     index = octree.build_octree(pts)
-    assert np.array_equal(np.sort(index.order), np.arange(len(pts)))
-    counts = np.diff(index.starts)
-    assert counts.max() <= index.leaf_capacity
+    assert np.array_equal(np.sort(index.bins.order), np.arange(len(pts)))
+    counts = np.diff(index.bins.starts)
+    assert counts.max() <= octree.DEFAULT_LEAF_CAPACITY
     assert index.side ** 3 <= 8 * len(pts)
     # the shallowest such depth: one level up, some cell holds too many
     parent = index.cell >> 1
-    assert np.unique(parent, axis=0, return_counts=True)[1].max() > index.leaf_capacity
-    keys = index.key(index.cell)
+    assert np.unique(parent, axis=0, return_counts=True)[1].max() > octree.DEFAULT_LEAF_CAPACITY
+    keys = index.bins.key(index.cell)
     for key in np.flatnonzero(counts)[:200]:
-        members = index.order[index.starts[key]:index.starts[key + 1]]
+        members = index.bins.order[index.bins.starts[key]:index.bins.starts[key + 1]]
         assert np.all(keys[members] == key)
         assert np.all(np.diff(members) > 0)  # ascending within a cell
     lo = index.low + index.cell * index.width
@@ -262,7 +262,7 @@ def test_index_flat_clouds_keep_the_cell_count_bounded():
                 np.tile([[1e6, -1e6, 3.0]], (500, 1))):
         index = octree.build_octree(pts, leaf_capacity=1)
         assert index.side ** 3 <= 8 * len(pts)
-        assert len(index.starts) - 1 <= 27 * 8 * len(pts)  # with its margin
+        assert len(index.bins.starts) - 1 <= 27 * 8 * len(pts)  # with its margin
         queries = pts[::50] + rng.normal(0, 1e-3, (len(pts[::50]), 3))
         got_i, got_d = octree.nearest(index, queries)
         for q, gi, gd in zip(queries, got_i, got_d):

@@ -13,7 +13,8 @@ from anchormesh import (
     make_sphere,
     refine_anchor,
 )
-from anchormesh.mesh import MeshValidationError, sq_distances_to_terms, triangle_terms
+from anchormesh.grid import sq_distances_to_terms, triangle_terms
+from anchormesh.mesh import MeshValidationError
 from anchormesh.qem import _TRIU_COLS, _TRIU_ROWS, _optimal_points, all_vertex_quadrics
 from helpers import (
     Plane,
@@ -297,7 +298,7 @@ def test_refine_marks_refined_vertices_off_vertex():
 
 
 def test_refine_never_worse_than_coarse_position():
-    from anchormesh.qem import _refine_with_diagnostics
+    from anchormesh.qem import _refine
 
     rng = np.random.default_rng(61)
     target = make_sphere(2)
@@ -305,7 +306,8 @@ def test_refine_never_worse_than_coarse_position():
                          target.faces)
     base = decimate_to_base(make_sphere(2), 40)
     coarse, _ = generate_coarse_anchor(base, noisy)
-    fine, diagnostics = _refine_with_diagnostics(coarse, noisy)
+    diagnostics = []
+    fine = _refine(coarse, noisy, 1, diagnostics)
     assert diagnostics  # some collapses actually happened
     for _, selected_err, err_at_coarse in diagnostics:
         assert selected_err <= err_at_coarse + 1e-12
@@ -342,14 +344,15 @@ def test_refine_keeps_rejected_anchors_on_their_coarse_vertex():
     # not cost reconstruction D1, and an anchor that was not moved must sit
     # exactly on its coarse vertex with its correspondence intact
     import anchormesh as am
-    from anchormesh.qem import _refine_with_diagnostics
+    from anchormesh.qem import _refine
 
     spec = am.SequenceSpec(shape="sphere", resolution=3, frames=2, motion="bend",
                            rate=0.1, region=0.4, topology_jitter=True, seed=3)
     reference, target = am.generate_sequence(spec)
     base = decimate_to_base(reference, 184)
     coarse, _ = generate_coarse_anchor(base, target)
-    fine, diagnostics = _refine_with_diagnostics(coarse, target)
+    diagnostics = []
+    fine = _refine(coarse, target, 1, diagnostics)
 
     moved = fine.correspondence == OFF_VERTEX
     assert 0 < moved.sum() < base.n_vertices

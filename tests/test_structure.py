@@ -1,0 +1,53 @@
+"""Module boundaries of the library: no module of ``anchormesh`` imports
+another's private names or passes a private keyword, and the pair budget
+of the grid searches is defined and read in ``grid`` alone."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import anchormesh
+
+MODULES = sorted(Path(anchormesh.__file__).parent.glob("*.py"))
+
+
+def _private_crossings(source):
+    """``(line, name)`` of each relative import of an underscore name and of
+    each underscore keyword of a call in the module ``source``."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            hits += [(node.lineno, alias.name) for alias in node.names
+                     if alias.name.startswith("_")]
+        elif isinstance(node, ast.Call):
+            hits += [(node.lineno, f"{kw.arg}=") for kw in node.keywords
+                     if kw.arg is not None and kw.arg.startswith("_")]
+    return hits
+
+
+def test_the_check_sees_private_imports_and_keywords():
+    source = "\n".join([
+        "from __future__ import annotations",
+        "from .mesh import _ranges, unique_edges",
+        "from . import _private",
+        "from numpy import _core",  # not an anchormesh module
+        "f(_edges=1, split=2, **kwargs)",
+    ])
+    assert _private_crossings(source) == [(2, "_ranges"), (3, "_private"), (5, "_edges=")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+def test_no_private_name_crosses_a_module(path):
+    assert _private_crossings(path.read_text()) == []
+
+
+def test_the_block_budget_is_defined_and_read_in_grid_alone():
+    def names(path):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+
+    assert {path.stem for path in MODULES if "_BLOCK_PAIRS" in set(names(path))} == {"grid"}

@@ -13,7 +13,8 @@ from anchormesh import (
     make_sphere,
     save_mesh,
 )
-from anchormesh.synth import BOUNDARY_WEIGHT, _boundary_quadrics, _split_edges
+from anchormesh.qem import BOUNDARY_WEIGHT, _boundary_quadrics
+from anchormesh.synth import _split_edges
 from helpers import (
     connectivity_cases,
     dict_boundary_quadrics,
