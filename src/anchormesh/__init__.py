@@ -10,7 +10,6 @@ reconstructions with D1/D2 PSNR and BD-rate.
 from .coarse import (
     OFF_VERTEX,
     AnchorMesh,
-    MotionField,
     generate_coarse_anchor,
     traversal_order,
 )
@@ -47,7 +46,6 @@ from .quantize import (
     round_half_away_from_zero,
 )
 from .subdivide import (
-    DisplacementField,
     SubdividedMesh,
     apply_displacements,
     compute_displacements,

@@ -168,7 +168,6 @@ def cmd_sweep(args) -> int:
     if len(frame_paths) < 2:
         raise MeshError("sweep needs a sequence of >= 2 frames")
     frames = [_read_mesh_file(p) for p in frame_paths]
-    os.makedirs(args.out, exist_ok=True)
 
     bases = []
     for mesh in frames[:-1]:
@@ -196,6 +195,7 @@ def cmd_sweep(args) -> int:
     else:
         results = [row for group in groups for row in _sweep_group(group)]
 
+    os.makedirs(args.out, exist_ok=True)  # after the jobs: a sweep that fails writes nothing
     by_config = {label: [] for label, _ in ABLATION_CONFIGS}
     for row in results:
         by_config[row[0]].append(row[1:])
@@ -264,7 +264,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="disable QEM refinement (ablation)")
         p.add_argument("--no-adaptive-quant", action="store_true",
                        help="disable adaptive quantization (ablation)")
-        p.add_argument("--threads", type=int, help="worker processes")
 
     p = sub.add_parser("encode", help="encode a frame pair to a payload")
     p.add_argument("base")
@@ -289,6 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("out")
     p.add_argument("--alphas", help="comma-separated rate ladder")
     p.add_argument("--base-fraction", type=float, help="base mesh decimation ratio")
+    p.add_argument("--threads", type=int, help="worker processes")
     add_codec_flags(p)
     p.set_defaults(func=cmd_sweep)
 

@@ -21,14 +21,6 @@ OFF_VERTEX = -1
 
 
 @dataclass
-class MotionField:
-    """Per-reference-vertex motion vectors plus processed flags."""
-
-    vectors: np.ndarray  # (n, 3) float64
-    processed: np.ndarray  # (n,) bool
-
-
-@dataclass
 class AnchorMesh:
     """Mesh sharing the reference base connectivity, fitted to a target frame.
 
@@ -125,7 +117,8 @@ def generate_coarse_anchor(base: TriangleMesh, target: TriangleMesh,
     :class:`anchormesh.mesh.MeshValidationError` for non-finite base or
     target coordinates.
 
-    Returns ``(AnchorMesh, MotionField)``.
+    Returns ``(anchor, motion)``: the :class:`AnchorMesh` and the (n, 3)
+    float64 realized motions, bitwise ``anchor.mesh.vertices - base.vertices``.
     """
     if index is None:
         index = build_octree(target.vertices)
@@ -166,4 +159,4 @@ def generate_coarse_anchor(base: TriangleMesh, target: TriangleMesh,
         motion[wave_vertices] = target.vertices[j] - base.vertices[wave_vertices]
     anchor = AnchorMesh(TriangleMesh(target.vertices[correspondence], base.faces),
                         correspondence, "coarse", order)
-    return anchor, MotionField(motion, np.ones(n, dtype=bool))
+    return anchor, motion

@@ -19,22 +19,10 @@ from .mesh import TriangleMesh, unique_edges
 from .octree import build_octree
 from .payload import Payload, PayloadFormatError, BaseHashMismatchError, mesh_content_hash
 from .qem import refine_anchor
-from .quantize import (
-    QuantizationParams,
-    QuantizedDisplacementField,
-    adaptive_weights,
-    dequantize_field,
-    neighbor_counts,  # noqa: F401 -- codecbench's spans patch this name here
-    quantize_field,
-)
-from .subdivide import (
-    DisplacementField,
-    SubdividedMesh,
-    apply_displacements,
-    compute_displacements,
-    midpoint_subdivide,
-    subdivided_vertex_count,
-)
+from .quantize import QuantizationParams, dequantize_field, quantize_field
+from .quantize import neighbor_counts  # noqa: F401 -- codecbench's spans patch this name here
+from .subdivide import (SubdividedMesh, apply_displacements, compute_displacements,
+                        midpoint_subdivide, subdivided_vertex_count)
 
 
 # The CodecConfig fields that only quantization reads. Two configs equal in
@@ -51,11 +39,14 @@ def anchor_settings(config: CodecConfig) -> CodecConfig:
 
 @dataclass
 class EncodeResult:
+    """One encode's payload and the stages' outputs: ``field`` holds the
+    (n, 3) float64 displacements from the ``subdivided`` mesh's vertices to
+    the target surface."""
+
     payload: Payload
     anchor: AnchorMesh
     subdivided: SubdividedMesh
-    field: DisplacementField
-    quantized: QuantizedDisplacementField
+    field: np.ndarray
     stats: dict
     config: CodecConfig
     target: TriangleMesh
@@ -104,7 +95,7 @@ def encode_pair(base: TriangleMesh, target: TriangleMesh,
     )
     stats["anchor_vertices"] = base.n_vertices
     stats["subdivided_vertices"] = sub.mesh.n_vertices
-    return EncodeResult(payload, anchor, sub, field, quantized, stats, config, target)
+    return EncodeResult(payload, anchor, sub, field, stats, config, target)
 
 
 def _fit(base: TriangleMesh, target: TriangleMesh, config: CodecConfig, stats: dict):
@@ -147,15 +138,11 @@ def decode_payload(payload: Payload, base: TriangleMesh) -> TriangleMesh:
         )
     sub = midpoint_subdivide(TriangleMesh(payload.anchor_positions, base.faces),
                              payload.level, split=edges)
-    if payload.adaptive:
-        weights = adaptive_weights(sub.neighbor_counts, payload.params.hbar)
-    else:
-        weights = np.ones(sub.mesh.n_vertices)
-    quantized = QuantizedDisplacementField(payload.quantized, payload.params,
-                                           weights, payload.level)
     try:
         with np.errstate(over="ignore"):
-            recon = apply_displacements(sub, dequantize_field(quantized))
+            field = dequantize_field(payload.quantized, sub.neighbor_counts, payload.params,
+                                     payload.adaptive)
+            recon = apply_displacements(sub, field)
     except ValueError as exc:  # alpha * weight underflowed to zero
         raise PayloadFormatError(f"bad quantization params: {exc}") from exc
     if not np.isfinite(recon.vertices).all():

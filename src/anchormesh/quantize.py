@@ -4,7 +4,9 @@ The quantized value is round_half_away_from_zero(D * alpha * A + delta) per
 component, where the weight A = max(N, 1) / hbar grows with the vertex's
 neighbor count N: high-valence (detail-rich) regions get finer steps. The
 zero-neighbor clamp keeps the map invertible for isolated vertices. Weights
-are recomputed from connectivity at the decoder, never transmitted.
+are recomputed from connectivity at the decoder, never transmitted; both
+directions apply this module's one weight rule. Displacements in and out
+are (n, 3) float64 arrays; quantized values are (n, 3) int64 arrays.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import TriangleMesh, unique_edges
-from .subdivide import DisplacementField
 
 DEFAULT_HBAR = 6.0  # typical interior valence
 
@@ -39,12 +40,10 @@ class QuantizationParams:
 
 @dataclass
 class QuantizedDisplacementField:
-    """Integer triples plus the parameters and weights that produced them."""
+    """Integer triples plus the per-vertex weights that produced them."""
 
     values: np.ndarray  # (n, 3) int64
-    params: QuantizationParams
     weights: np.ndarray  # (n,) float64
-    level: int
 
 
 def neighbor_counts(mesh: TriangleMesh) -> np.ndarray:
@@ -69,29 +68,35 @@ def round_half_away_from_zero(x) -> np.ndarray:
     return np.where(x >= 0.0, np.floor(x + 0.5), np.ceil(x - 0.5)).astype(np.int64)
 
 
-def quantize_field(field: DisplacementField, counts, params: QuantizationParams,
+def _weights(counts, n: int, hbar: float, adaptive: bool) -> np.ndarray:
+    """:func:`adaptive_weights` of the ``n`` vertices' ``counts``, or 1s."""
+    if len(counts) != n:
+        raise ValueError("neighbor counts not aligned with displacement field")
+    return adaptive_weights(counts, hbar) if adaptive else np.ones(n)
+
+
+def quantize_field(field, counts, params: QuantizationParams,
                    adaptive: bool = True) -> QuantizedDisplacementField:
-    """Quantize every displacement component.
+    """Quantize every component of the (n, 3) displacement ``field``.
 
     ``adaptive=False`` forces uniform weights A = 1 (the fixed-step ablation
-    baseline); otherwise A = max(N, 1) / hbar per vertex.
+    baseline); otherwise A = max(N, 1) / hbar per vertex. Raises
+    ``ValueError`` unless every scaled value, so never NaN or inf, lies
+    strictly inside ±2^63 and thus rounds to an int64.
     """
-    counts = np.asarray(counts)
-    if len(counts) != len(field.vectors):
-        raise ValueError("neighbor counts not aligned with displacement field")
-    if adaptive:
-        weights = adaptive_weights(counts, params.hbar)
-    else:
-        weights = np.ones(len(counts))
-    scaled = field.vectors * (params.alpha * weights)[:, None] + params.delta
-    return QuantizedDisplacementField(round_half_away_from_zero(scaled), params,
-                                      weights, field.level)
+    weights = _weights(counts, len(field), params.hbar, adaptive)
+    scaled = field * (params.alpha * weights)[:, None] + params.delta
+    if not -2.0 ** 63 < scaled.min(initial=0.0) <= scaled.max(initial=0.0) < 2.0 ** 63:
+        raise ValueError(f"quantized displacements must be finite and inside the int64 "
+                         f"range: alpha {params.alpha:g}, delta {params.delta:g}")
+    return QuantizedDisplacementField(round_half_away_from_zero(scaled), weights)
 
 
-def dequantize_field(q: QuantizedDisplacementField) -> DisplacementField:
-    """Invert the affine map: D_hat = (D_q - delta) / (alpha * A)."""
-    scale = q.params.alpha * q.weights
+def dequantize_field(values, counts, params: QuantizationParams,
+                     adaptive: bool = True) -> np.ndarray:
+    """Invert :func:`quantize_field` with the same arguments on its (n, 3)
+    ``values``: D_hat = (D_q - delta) / (alpha * A)."""
+    scale = params.alpha * _weights(counts, len(values), params.hbar, adaptive)
     if np.any(scale <= 0.0):
         raise ValueError("non-positive quantization scale; weights must be > 0")
-    vectors = (q.values - q.params.delta) / scale[:, None]
-    return DisplacementField(vectors, q.level)
+    return (values - params.delta) / scale[:, None]

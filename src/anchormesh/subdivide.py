@@ -6,7 +6,7 @@ deterministic numbering. A level on ``n`` vertices with edge array ``edges``
 :func:`anchormesh.mesh.unique_edges`) keeps vertices ``0 .. n-1`` in their
 previous order and adds vertex ``n + i`` at the midpoint of ``edges[i]``.
 Displacements are world-axis residuals from each subdivided vertex to the
-nearest point on the target surface.
+nearest point on the target surface, one row of an (n, 3) array per vertex.
 """
 
 from __future__ import annotations
@@ -21,13 +21,7 @@ from .mesh import TriangleMesh, sorted_unique, unique_edges
 
 @dataclass
 class SubdividedMesh:
-    """A subdivided mesh, the edges its last level split and the neighbour
-    count of every vertex.
-
-    ``edges`` (k, 2) int64 holds the previous level's unique edges in
-    lexicographic order; vertex ``n_prev + i`` is the midpoint of
-    ``edges[i]`` and vertices below ``n_prev`` are carried over unchanged.
-    At level 0 it is empty.
+    """A subdivided mesh and the neighbour count of every vertex.
 
     ``neighbor_counts`` (n,) int64 equals
     :func:`anchormesh.quantize.neighbor_counts` of ``mesh``, counted on the
@@ -40,17 +34,7 @@ class SubdividedMesh:
     """
 
     mesh: TriangleMesh
-    level: int
-    edges: np.ndarray
     neighbor_counts: np.ndarray
-
-
-@dataclass
-class DisplacementField:
-    """Per-vertex residual vectors aligned with a subdivided mesh."""
-
-    vectors: np.ndarray  # (n, 3) float64
-    level: int
 
 
 def _subdivide_once(vertices, faces, split=None):
@@ -73,23 +57,21 @@ def _subdivide_once(vertices, faces, split=None):
 def midpoint_subdivide(mesh: TriangleMesh, levels: int, *, split=None) -> SubdividedMesh:
     """Split every triangle 1->4 per level using shared edge midpoints.
 
-    ``levels=0`` returns an identity copy. ``edges`` refers to the previous
-    level only. Each split counts its vertices' neighbours from the edges it
-    splits, so no edge pass runs over the subdivided mesh. ``split`` is
-    :func:`unique_edges` of ``mesh.faces`` where the caller has it already.
+    ``levels=0`` returns an identity copy. Each split counts its vertices'
+    neighbours from the edges it splits, so no edge pass runs over the
+    subdivided mesh. ``split`` is :func:`unique_edges` of ``mesh.faces``
+    where the caller has it already.
     """
     if levels < 0:
         raise ValueError("subdivision level must be >= 0")
     vertices, faces, n = mesh.vertices, mesh.faces, mesh.n_vertices
     split = unique_edges(faces, n) if split is None else split
-    edges = np.zeros((0, 2), dtype=np.int64)
     # without a split, the counts come from the mesh's own edges
     counts = None if levels else np.bincount(split[0].ravel(), minlength=n)
     for _ in range(levels):
-        vertices, faces, edges, counts = _subdivide_once(vertices, faces, split)
+        vertices, faces, _, counts = _subdivide_once(vertices, faces, split)
         split = None
-    return SubdividedMesh(TriangleMesh(vertices, faces), levels, edges,
-                          counts.astype(np.int64, copy=False))
+    return SubdividedMesh(TriangleMesh(vertices, faces), counts.astype(np.int64, copy=False))
 
 
 def subdivided_vertex_count(mesh: TriangleMesh, levels: int, *, split=None) -> int:
@@ -111,16 +93,15 @@ def subdivided_vertex_count(mesh: TriangleMesh, levels: int, *, split=None) -> i
     return vertices
 
 
-def compute_displacements(sub: SubdividedMesh, target: TriangleMesh) -> DisplacementField:
-    """Residual from each subdivided vertex to its nearest target surface point."""
+def compute_displacements(sub: SubdividedMesh, target: TriangleMesh) -> np.ndarray:
+    """(n, 3) residuals from each subdivided vertex to its nearest target
+    surface point."""
     positions, _, _, _ = closest_points_on_surface(target, sub.mesh.vertices)
-    return DisplacementField(positions - sub.mesh.vertices, sub.level)
+    return positions - sub.mesh.vertices
 
 
-def apply_displacements(sub: SubdividedMesh, field: DisplacementField) -> TriangleMesh:
-    """Vertex-wise addition of the field; connectivity is unchanged."""
-    if len(field.vectors) != sub.mesh.n_vertices:
-        raise ValueError(
-            f"field length {len(field.vectors)} != vertex count {sub.mesh.n_vertices}"
-        )
-    return TriangleMesh(sub.mesh.vertices + field.vectors, sub.mesh.faces)
+def apply_displacements(sub: SubdividedMesh, field) -> TriangleMesh:
+    """Vertex-wise addition of the (n, 3) ``field``; connectivity is unchanged."""
+    if len(field) != sub.mesh.n_vertices:
+        raise ValueError(f"field length {len(field)} != vertex count {sub.mesh.n_vertices}")
+    return TriangleMesh(sub.mesh.vertices + field, sub.mesh.faces)

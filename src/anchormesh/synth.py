@@ -75,6 +75,14 @@ class SequenceSpec:
     topology_jitter: bool = False
     seed: int = 0
 
+    def __post_init__(self):
+        if not math.isfinite(self.rate):
+            raise ValueError(f"rate must be finite, got {self.rate}")
+        for name in ("velocity", "axis"):
+            value = getattr(self, name)
+            if len(value) != 3 or not all(map(math.isfinite, value)):
+                raise ValueError(f"{name} must be three finite numbers, got {value}")
+
 
 def make_grid(resolution: int, size: float = 1.0) -> TriangleMesh:
     """Regular triangulated grid over [0, size]^2 at z = 0, row-major from

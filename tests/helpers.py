@@ -11,7 +11,6 @@ from anchormesh import (
     OFF_VERTEX,
     AnchorMesh,
     MeshError,
-    MotionField,
     PayloadFormatError,
     TriangleMesh,
     closest_points_on_surface,
@@ -21,6 +20,15 @@ from anchormesh.grid import sq_distances_to_terms, triangle_terms
 from anchormesh.mesh import DEGENERATE_AREA, unique_edges
 from anchormesh.qem import (_TRIU_COLS, _TRIU_ROWS, BOUNDARY_WEIGHT, CONDITION_LIMIT, _evaluate_raw,
                             all_vertex_quadrics)
+
+
+@dataclass
+class MotionField:
+    """The sequential oracle's per-vertex motions and which vertices it has
+    matched so far."""
+
+    vectors: np.ndarray  # (n, 3) float64
+    processed: np.ndarray  # (n,) bool
 
 
 @dataclass

@@ -253,3 +253,51 @@ def test_encode_exits_2_on_a_target_without_faces(sequence, tmp_path, capsys):
     assert main(["encode", str(sequence / "frame_0000.obj"), str(target), str(out)]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "MeshValidationError"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--alpha", "1e21"), ("--delta", "1e19")])
+def test_encode_exits_2_on_quantized_values_outside_int64(tmp_path_factory, tmp_path, capsys,
+                                                          flag, value):
+    # numpy's cast would turn them into INT64_MIN and only warn. The bend
+    # pair's anchor lies on its target to within 2.2e-16, so a rotating
+    # pair (|d| A up to ~0.17) gives the displacements that overflow
+    sequence = tmp_path_factory.mktemp("rotating")
+    assert main(["synth", str(sequence), "--resolution", "1", "--motion", "rotate",
+                 "--axis", "1,1,0", "--rate", "0.3", "--jitter", "--seed", "3"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out.bin"
+    assert main(["encode", str(sequence / "frame_0000.obj"), str(sequence / "frame_0001.obj"),
+                 str(out), flag, value]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "ValueError"
+    assert os.listdir(tmp_path) == []
+
+
+def test_sweep_exits_2_on_an_alpha_outside_int64(sequence, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["sweep", str(sequence), str(out), "--alphas", "8,1e21"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+    assert not out.exists()
+
+
+def test_encode_has_no_threads_flag(sequence, tmp_path, capsys):
+    # only a sweep runs worker processes
+    out = tmp_path / "out.bin"
+    with pytest.raises(SystemExit) as exc:
+        main(["encode", str(sequence / "frame_0000.obj"), str(sequence / "frame_0001.obj"),
+              str(out), "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--motion", "bend", "--rate", "inf"],
+    ["--motion", "translate", "--velocity", "nan,0,0"],
+    ["--motion", "rotate", "--axis", "0,1", "--rate", "0.1"],
+], ids=["rate", "velocity", "axis"])
+def test_synth_exits_2_on_a_non_finite_motion(tmp_path, capsys, flags):
+    out = tmp_path / "sequence"
+    assert main(["synth", str(out), *flags]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+    assert not out.exists()

@@ -68,6 +68,22 @@ def test_decode_makes_one_edge_pass_over_the_base(pair, monkeypatch):
     assert np.array_equal(got.faces, want.faces)
 
 
+@pytest.mark.parametrize("adaptive", [True, False], ids=["adaptive", "uniform"])
+def test_decode_is_within_half_a_step_of_the_encoded_field(pair, adaptive):
+    # the decoder applies the encoder's weight rule: adaptive weights, or 1.
+    # At the default hbar 6 nearly every vertex with a nonzero value has
+    # weight 1 (valence 6), and the two modes would decode alike
+    base, target = pair
+    config = am.CodecConfig(level=2, alpha=64.0, hbar=3.0, adaptive_quant=adaptive)
+    result = encode_pair(base, target, config)
+    sub = result.subdivided
+    weights = (am.adaptive_weights(sub.neighbor_counts, config.hbar) if adaptive
+               else np.ones(sub.mesh.n_vertices))
+    bound = 1.0 / (2.0 * config.alpha * weights)[:, None] + 1e-12
+    decoded = decode_payload(result.payload, base)
+    assert np.all(np.abs(decoded.vertices - (sub.mesh.vertices + result.field)) <= bound)
+
+
 # a new value of every field that only quantization reads
 _REQUANTIZED = {"alpha": 2.0, "delta": 0.3, "hbar": 3.0, "adaptive_quant": False}
 

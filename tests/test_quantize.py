@@ -10,12 +10,11 @@ from anchormesh import (
     quantize_field,
     round_half_away_from_zero,
 )
-from anchormesh.subdivide import DisplacementField
 from helpers import icosahedron
 
 
-def _field(vectors, level=0):
-    return DisplacementField(np.asarray(vectors, dtype=float).reshape(-1, 3), level)
+def _field(vectors):
+    return np.asarray(vectors, dtype=float).reshape(-1, 3)
 
 
 def test_params_validation():
@@ -68,16 +67,16 @@ def test_quantize_direct_example():
     assert q.values.tolist() == [[2, 2, 2]]
     assert q.weights.tolist() == [1.0]
     # and the roundtrip is exact because the scaled product is integral
-    back = dequantize_field(q)
-    assert back.vectors.tolist() == [[1.0, 1.0, 1.0]]
+    back = dequantize_field(q.values, [4], params)
+    assert back.tolist() == [[1.0, 1.0, 1.0]]
 
 
 def test_quantize_zero_neighbor_clamp():
     params = QuantizationParams(alpha=2.0, hbar=4.0)
     q = quantize_field(_field([[1, 1, 1]]), [0], params)
     assert q.weights.tolist() == [0.25]  # max(N,1)/hbar = 1/4
-    back = dequantize_field(q)
-    assert np.all(np.isfinite(back.vectors))
+    back = dequantize_field(q.values, [0], params)
+    assert np.all(np.isfinite(back))
 
 
 def test_quantize_requires_aligned_counts():
@@ -98,10 +97,10 @@ def test_roundtrip_error_bound():
     vectors = rng.uniform(-10, 10, size=(n, 3))
     counts = rng.integers(0, 12, size=n)
     params = QuantizationParams(alpha=3.0, delta=0.5, hbar=6.0)
-    q = quantize_field(DisplacementField(vectors, 0), counts, params)
-    back = dequantize_field(q)
+    q = quantize_field(vectors, counts, params)
+    back = dequantize_field(q.values, counts, params)
     bound = 1.0 / (2.0 * params.alpha * q.weights)[:, None] + 1e-12
-    assert np.all(np.abs(vectors - back.vectors) <= bound)
+    assert np.all(np.abs(vectors - back) <= bound)
 
 
 def test_doubling_valence_halves_worst_case_error():
@@ -112,9 +111,9 @@ def test_doubling_valence_halves_worst_case_error():
     def worst(valence):
         vectors = rng.uniform(-5, 5, size=(n, 3))
         counts = np.full(n, valence)
-        q = quantize_field(DisplacementField(vectors, 0), counts, params)
-        back = dequantize_field(q)
-        return np.abs(vectors - back.vectors).max()
+        q = quantize_field(vectors, counts, params)
+        back = dequantize_field(q.values, counts, params)
+        return np.abs(vectors - back).max()
 
     w1 = worst(3)
     w2 = worst(6)
@@ -128,3 +127,33 @@ def test_quantize_pipeline_weights_match_subdivided_connectivity():
     field = _field(np.zeros((mesh.n_vertices, 3)))
     q = quantize_field(field, counts, params)
     assert np.allclose(q.weights, np.maximum(counts, 1) / 6.0)
+
+
+def test_dequantize_applies_the_quantizer_weights():
+    # one weight rule in both directions: adaptive or uniform, each mode maps
+    # back exactly, and the other mode's weights would not
+    params = QuantizationParams(alpha=2.0, hbar=4.0)  # A = 8 / 4 = 2 when adaptive
+    for adaptive, value in ((True, 4), (False, 2)):
+        q = quantize_field(_field([[1, 1, 1]]), [8], params, adaptive=adaptive)
+        assert q.values.tolist() == [[value] * 3]
+        assert dequantize_field(q.values, [8], params, adaptive=adaptive).tolist() == [[1.0] * 3]
+        assert dequantize_field(q.values, [8], params, adaptive=not adaptive).tolist() != [[1.0] * 3]
+    with pytest.raises(ValueError):
+        dequantize_field(q.values, [1, 2], params)
+
+
+def test_quantize_rejects_values_outside_int64():
+    # the largest double below 2^63 rounds to an int64; 2^63 itself, larger
+    # values of either sign, NaN and inf raise instead of wrapping around
+    params = QuantizationParams(alpha=1.0)
+    below = np.nextafter(2.0 ** 63, 0.0)
+    q = quantize_field(_field([[below, -below, 0.0]]), [6], params, adaptive=False)
+    assert q.values.tolist() == [[int(below), -int(below), 0]]
+    for bad in (2.0 ** 63, -2.0 ** 63, 1e300, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="int64"):
+            quantize_field(_field([[0.0, bad, 0.0]]), [6], params, adaptive=False)
+    # a large offset or scale overflows the same way
+    with pytest.raises(ValueError, match="int64"):
+        quantize_field(_field([[0.0, 0.0, 0.0]]), [6], QuantizationParams(1.0, delta=1e19))
+    with pytest.raises(ValueError, match="int64"):
+        quantize_field(_field([[0.117, 0.0, 0.0]]), [6], QuantizationParams(1e21))

@@ -1,6 +1,7 @@
 """Module boundaries of the library: no module of ``anchormesh`` imports
 another's private names or passes a private keyword, and the pair budget
-of the grid searches is defined and read in ``grid`` alone."""
+of the grid searches is defined and read in ``grid`` alone, as the
+quantizer's weight rule is applied in ``quantize`` alone."""
 
 import ast
 from pathlib import Path
@@ -42,12 +43,24 @@ def test_no_private_name_crosses_a_module(path):
     assert _private_crossings(path.read_text()) == []
 
 
-def test_the_block_budget_is_defined_and_read_in_grid_alone():
-    def names(path):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                yield node.id
-            elif isinstance(node, ast.Attribute):
-                yield node.attr
+def _names(path):
+    """Every name and attribute the module at ``path`` reads or binds."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
 
-    assert {path.stem for path in MODULES if "_BLOCK_PAIRS" in set(names(path))} == {"grid"}
+
+def _modules_naming(name):
+    return {path.stem for path in MODULES if name in set(_names(path))}
+
+
+def test_the_block_budget_is_defined_and_read_in_grid_alone():
+    assert _modules_naming("_BLOCK_PAIRS") == {"grid"}
+
+
+def test_the_weight_rule_is_applied_in_quantize_alone():
+    # the decoder gets its weights through dequantize_field, as the
+    # encoder does through quantize_field
+    assert _modules_naming("adaptive_weights") == {"quantize"}

@@ -14,9 +14,9 @@ from anchormesh import (
     make_sphere,
     midpoint_subdivide,
 )
-from anchormesh.mesh import MeshValidationError
+from anchormesh.mesh import MeshValidationError, unique_edges
 from anchormesh.quantize import neighbor_counts
-from anchormesh.subdivide import DisplacementField, _subdivide_once, subdivided_vertex_count
+from anchormesh.subdivide import _subdivide_once, subdivided_vertex_count
 from helpers import (
     brute_force_surface_point,
     build_adjacency,
@@ -31,11 +31,8 @@ from helpers import (
 def test_level_zero_is_identity():
     m = make_sphere(1)
     sub = midpoint_subdivide(m, 0)
-    assert sub.level == 0
     assert np.array_equal(sub.mesh.vertices, m.vertices)
     assert np.array_equal(sub.mesh.faces, m.faces)
-    assert sub.edges.dtype == np.int64
-    assert sub.edges.shape == (0, 2)
 
 
 def test_negative_level_rejected():
@@ -50,7 +47,6 @@ def test_single_triangle_one_level():
     assert sub.mesh.n_faces == 4
     # originals first, midpoints in ascending sorted-edge order
     assert np.array_equal(sub.mesh.vertices[:3], m.vertices)
-    assert sub.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
     assert np.array_equal(sub.mesh.vertices[3:], [[0.5, 0, 0], [0, 0.5, 0], [0.5, 0.5, 0]])
 
 
@@ -149,12 +145,13 @@ def test_midpoint_subdivide_matches_repeated_loop_oracle():
     m = make_sphere(1)
     verts, faces = m.vertices, m.faces
     for level in range(1, 4):
+        edges, _ = unique_edges(faces, len(verts))
         verts, faces, parents = loop_subdivide_once(verts, faces)
         sub = midpoint_subdivide(m, level)
         assert np.array_equal(sub.mesh.vertices, verts)
         assert np.array_equal(sub.mesh.faces, faces)
-        n_prev = len(parents) - len(sub.edges)
-        assert parents[n_prev:] == [("midpoint", u, v) for u, v in sub.edges.tolist()]
+        n_prev = len(parents) - len(edges)
+        assert parents[n_prev:] == [("midpoint", u, v) for u, v in edges.tolist()]
 
 
 def test_midpoints_average_parents():
@@ -162,9 +159,10 @@ def test_midpoints_average_parents():
     m = random_mesh(rng, n_vertices=20, n_faces=30)
     sub = midpoint_subdivide(m, 1)
     n = m.n_vertices
-    assert sub.mesh.n_vertices == n + len(sub.edges)
+    edges, _ = unique_edges(m.faces, n)
+    assert sub.mesh.n_vertices == n + len(edges)
     assert np.array_equal(sub.mesh.vertices[:n], m.vertices)
-    for i, (u, v) in enumerate(sub.edges):
+    for i, (u, v) in enumerate(edges):
         expected = 0.5 * (m.vertices[u] + m.vertices[v])
         assert np.linalg.norm(sub.mesh.vertices[n + i] - expected) < 1e-12
 
@@ -188,14 +186,13 @@ def test_subdivision_deterministic():
     s2 = midpoint_subdivide(m, 2)
     assert np.array_equal(s1.mesh.vertices, s2.mesh.vertices)
     assert np.array_equal(s1.mesh.faces, s2.mesh.faces)
-    assert np.array_equal(s1.edges, s2.edges)
 
 
 def test_displacements_zero_on_surface():
     grid = make_grid(4)
     sub = midpoint_subdivide(grid, 1)  # still inside the same plane patch
     field = compute_displacements(sub, grid)
-    assert np.all(np.abs(field.vectors) < 1e-12)
+    assert np.all(np.abs(field) < 1e-12)
 
 
 def test_displacements_uniform_offset():
@@ -203,7 +200,7 @@ def test_displacements_uniform_offset():
     target = TriangleMesh(grid.vertices + [0, 0, 0.25], grid.faces)
     sub = midpoint_subdivide(grid, 1)
     field = compute_displacements(sub, target)
-    assert np.allclose(field.vectors, [0, 0, 0.25], atol=1e-12)
+    assert np.allclose(field, [0, 0, 0.25], atol=1e-12)
 
 
 def test_displacements_match_brute_force():
@@ -214,23 +211,21 @@ def test_displacements_match_brute_force():
     field = compute_displacements(sub, target)
     for i, v in enumerate(sub.mesh.vertices):
         _, _, sp = brute_force_surface_point(target, v)
-        assert np.array_equal(field.vectors[i], sp.position - v)
+        assert np.array_equal(field[i], sp.position - v)
 
 
 def test_apply_zero_identity_and_mismatch():
     sub = midpoint_subdivide(make_sphere(0), 1)
-    zero = DisplacementField(np.zeros((sub.mesh.n_vertices, 3)), 1)
-    recon = apply_displacements(sub, zero)
+    recon = apply_displacements(sub, np.zeros((sub.mesh.n_vertices, 3)))
     assert np.array_equal(recon.vertices, sub.mesh.vertices)
     assert np.array_equal(recon.faces, sub.mesh.faces)
     with pytest.raises(ValueError):
-        apply_displacements(sub, DisplacementField(np.zeros((3, 3)), 1))
+        apply_displacements(sub, np.zeros((3, 3)))
 
 
 def test_apply_negated_positions_moves_to_origin():
     sub = midpoint_subdivide(make_sphere(0), 1)
-    field = DisplacementField(-sub.mesh.vertices.copy(), 1)
-    recon = apply_displacements(sub, field)
+    recon = apply_displacements(sub, -sub.mesh.vertices)
     assert np.all(recon.vertices == 0.0)
 
 
@@ -255,6 +250,6 @@ def test_projection_idempotence():
     recon = apply_displacements(sub, first)
     sub2 = midpoint_subdivide(recon, 0)
     second = compute_displacements(sub2, target)
-    n1 = np.linalg.norm(first.vectors, axis=1)
-    n2 = np.linalg.norm(second.vectors, axis=1)
+    n1 = np.linalg.norm(first, axis=1)
+    n2 = np.linalg.norm(second, axis=1)
     assert np.all(n2 <= n1 + 1e-12)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,16 @@ def test_invalid_resolution_rejected():
         make_sphere(-1)
     with pytest.raises(ValueError):
         generate_sequence(SequenceSpec(shape="grid", resolution=0))
+
+
+@pytest.mark.parametrize("bad", [
+    dict(rate=math.inf), dict(rate=math.nan), dict(velocity=(math.nan, 0.0, 0.0)),
+    dict(axis=(0.0, 0.0, -math.inf)), dict(velocity=(1.0, 0.0)), dict(axis=(0.0, 0.0, 1.0, 0.0)),
+], ids=["rate-inf", "rate-nan", "velocity-nan", "axis-inf", "velocity-2", "axis-4"])
+def test_sequence_spec_rejects_a_motion_that_is_not_finite(bad):
+    # a non-finite motion would write NaN coordinates into every later frame
+    with pytest.raises(ValueError):
+        SequenceSpec(motion="translate", **bad)
 
 
 def test_static_sequence_identical_frames():
