@@ -71,26 +71,21 @@ def all_vertex_quadrics(mesh: TriangleMesh) -> np.ndarray:
 
     Each vertex sums the plane quadrics P*P^T of its incident faces, the
     plane 4-vector normalized to unit norm; degenerate faces contribute
-    nothing.
+    nothing (and a zero normal is never divided by).
     """
     acc = np.zeros((mesh.n_vertices, 10))
-    if mesh.n_faces == 0:
-        return acc
     a = mesh.vertices[mesh.faces[:, 0]]
     b = mesh.vertices[mesh.faces[:, 1]]
     c = mesh.vertices[mesh.faces[:, 2]]
     n = np.cross(b - a, c - a)
-    norms = np.linalg.norm(n, axis=1)
-    keep = 0.5 * norms > DEGENERATE_AREA
-    if not keep.any():
-        return acc
+    keep = 0.5 * np.linalg.norm(n, axis=1) > DEGENERATE_AREA
+    faces, n, a = mesh.faces[keep], n[keep], a[keep]
     d = -(n * a).sum(axis=1)
     p4 = np.concatenate([n, d[:, None]], axis=1)
     p4 = p4 / np.linalg.norm(p4, axis=1, keepdims=True)
     q = p4[:, _TRIU_ROWS] * p4[:, _TRIU_COLS]  # (m, 10)
-    q[~keep] = 0.0
     for corner in range(3):
-        np.add.at(acc, mesh.faces[:, corner], q)
+        np.add.at(acc, faces[:, corner], q)
     return acc
 
 
@@ -178,10 +173,6 @@ class _WorkingCopy:
         out.discard(v)
         return out
 
-    def has_edge(self, u: int, v: int) -> bool:
-        """Whether ``u`` and ``v`` share a live face."""
-        return not self.vfaces[u].isdisjoint(self.vfaces[v])
-
     def mesh(self) -> TriangleMesh:
         """The live faces in index order, compacted onto the vertices they
         use (in index order)."""
@@ -249,52 +240,118 @@ def decimate_to_base(mesh: TriangleMesh, target_vertex_count: int,
                      boundary_weight: float = BOUNDARY_WEIGHT) -> TriangleMesh:
     """Decimate by repeated minimal-error edge collapse until at most
     ``target_vertex_count`` vertices have a face (global lazy priority
-    queue); the result keeps only those.
+    queue); the result keeps only those, with the live faces in index order.
+
+    A heap entry ``(err, lo, hi, s_lo, s_hi, seq)`` holds an edge's
+    collapse error (``hi`` merges into ``lo``), the stamps its ends had when
+    it was pushed and a running number, which also finds the optimal point
+    in a table. An entry whose stamps are stale or whose edge has vanished
+    is dropped; the cheapest valid one is collapsed, and every edge of the
+    kept vertex is pushed again with the summed quadric ``(Q[lo] + Q[hi]) +
+    Q[w]``, falling back to its ends in (lo, hi) order.
+
+    The loop runs in rounds, each with one quadric solve. It pops a run of
+    valid entries whose face stars (the faces of either end) are pairwise
+    disjoint, up to the first valid entry whose star meets the run's, which
+    stays on the heap. Each candidate's neighbours after its collapse are
+    the corners of its star's faces that do not hold both ends, less the
+    ends, so all the run's new edges are solved at once. The run is then
+    collapsed in heap order, each candidate's new entries pushed as it
+    commits, up to the first candidate that the heap's least entry (a new
+    one) precedes or until the target is reached; the rest go back
+    unchanged. The result is bitwise the one-collapse-at-a-time loop's:
+
+    - A star disjoint from the earlier candidates' sees the same stamps,
+      edges, quadrics and positions as that loop would: a collapse changes
+      the faces of its own star and the quadric, position and stamp of its
+      kept vertex, which holds a face of that star.
+    - Invalidity is permanent: only the kept vertex of a collapse gains
+      faces, and its stamp moves. Dropping an entry early drops it for good.
+    - Heap keys are distinct (``seq``), so the pops depend on the set of
+      entries, not on the heap's layout.
 
     Boundary edges contribute weighted perpendicular-plane quadrics so open
-    borders collapse along themselves instead of shrinking. A target at or
-    above the current count returns the mesh unchanged.
+    borders collapse along themselves instead of shrinking. When at most
+    ``target_vertex_count`` vertices have a face, nothing is collapsed: a
+    mesh whose vertices all have one comes back unchanged, bit for bit.
     """
     if target_vertex_count < 4:
         raise ValueError("target vertex count must be >= 4")
     n = mesh.n_vertices
-    if target_vertex_count >= n:
-        return TriangleMesh(mesh.vertices, mesh.faces)
+    used = np.flatnonzero(np.bincount(mesh.faces.ravel(), minlength=n))
+    remaining = len(used)  # vertices with a face
+    if remaining <= target_vertex_count:
+        return TriangleMesh(mesh.vertices[used], np.searchsorted(used, mesh.faces))
     quadrics = all_vertex_quadrics(mesh) + _boundary_quadrics(mesh, boundary_weight)
     work = _WorkingCopy(mesh, quadrics)
+    faces, vfaces, positions = work.faces, work.vfaces, work.positions
     stamps = [0] * n
-    seq = 0
-
-    def entries(lo, hi):
-        """Heap entries of the edges (lo[i], hi[i]), numbered on from ``seq``."""
-        nonlocal seq
-        points, errors = _optimal_points(work.quadrics[lo] + work.quadrics[hi],
-                                         work.positions[lo], work.positions[hi])
-        out = [(err, u, v, stamps[u], stamps[v], seq + 1 + i, point) for i, (err, u, v, point)
-               in enumerate(zip(errors.tolist(), lo.tolist(), hi.tolist(), points))]
-        seq += len(out)
-        return out
-
     edges = unique_edges(mesh.faces, n)[0]
-    heap = entries(edges[:, 0], edges[:, 1])
-    heapq.heapify(heap)  # seq makes every entry distinct, so pops follow the entries alone
-    remaining = int(np.count_nonzero(np.bincount(mesh.faces.ravel(), minlength=n)))  # with a face
+    points, errors = _optimal_points(quadrics[edges[:, 0]] + quadrics[edges[:, 1]],
+                                     positions[edges[:, 0]], positions[edges[:, 1]])
+    heap = [(err, u, v, 0, 0, seq) for seq, (err, u, v)
+            in enumerate(zip(errors.tolist(), *edges.T.tolist()), 1)]
+    seq = len(heap)
+    table = np.empty((2 * seq + 1, 3))  # the point of entry seq in row seq
+    table[1:seq + 1] = points
+    heapq.heapify(heap)
     while remaining > target_vertex_count and heap:
-        err, u, v, su, sv, _, point = heapq.heappop(heap)
-        if su != stamps[u] or sv != stamps[v]:
-            continue
-        # the edge vanished; a collapsed vertex has no faces left, so this
-        # also drops every entry of one
-        if not work.has_edge(u, v):
-            continue
-        corners = work.collapse(u, v, point)
-        stamps[u] += 1
-        # v lost its faces; u and the other corners of the deleted faces may
-        # have lost their last one
-        remaining -= 1 + sum(not work.vfaces[w] for w in corners)
-        nb = np.sort(np.fromiter(work.neighbors_of(u), dtype=np.int64))
-        for entry in entries(np.minimum(u, nb), np.maximum(u, nb)):
-            heapq.heappush(heap, entry)
+        # gather a run of valid entries with pairwise disjoint stars
+        run, neighbors, taken = [], [], set()
+        while heap:
+            entry = heapq.heappop(heap)
+            u, v = entry[1], entry[2]
+            if entry[3] != stamps[u] or entry[4] != stamps[v]:
+                continue
+            deleted = vfaces[u] & vfaces[v]
+            if not deleted:
+                continue  # the edge vanished, as every edge of a collapsed vertex does
+            star = vfaces[u] | vfaces[v]
+            if not taken.isdisjoint(star):
+                heapq.heappush(heap, entry)
+                break
+            taken |= star
+            run.append(entry)
+            nb = {w for fi in star - deleted for w in faces[fi]}
+            nb.discard(u)
+            nb.discard(v)
+            neighbors.append(sorted(nb))
+        # solve every new edge of the run at once
+        counts = [len(nb) for nb in neighbors]
+        owner = np.repeat(np.arange(len(run)), counts)
+        kept = [entry[1] for entry in run]
+        keep = np.array(kept)[owner]
+        other = np.fromiter((w for nb in neighbors for w in nb), dtype=np.int64, count=len(owner))
+        merged = quadrics[kept] + quadrics[[entry[2] for entry in run]]
+        point, at_other = table[[entry[5] for entry in run]][owner], positions[other]
+        lo_first = (keep < other)[:, None]
+        points, errors = _optimal_points(merged[owner] + quadrics[other],
+                                         np.where(lo_first, point, at_other),
+                                         np.where(lo_first, at_other, point))
+        errors = errors.tolist()
+        lo = np.minimum(keep, other).tolist()
+        hi = np.maximum(keep, other).tolist()
+        # commit in heap order while the run's next entry is the heap's least
+        end, first = 0, seq + 1
+        if first + len(points) > len(table):
+            table = np.concatenate([table, np.empty((len(table) + len(points), 3))])
+        for i, entry in enumerate(run):
+            if remaining <= target_vertex_count or heap and heap[0] < entry:
+                for rest in run[i:]:
+                    heapq.heappush(heap, rest)
+                break
+            u = entry[1]
+            corners = work.collapse(u, entry[2], table[entry[5]])
+            stamps[u] += 1
+            # v lost its faces; u and the other corners of the deleted faces
+            # may have lost their last one
+            remaining -= 1 + sum(not vfaces[w] for w in corners)
+            start, end = end, end + counts[i]
+            for j in range(start, end):
+                seq += 1
+                heapq.heappush(heap, (errors[j], lo[j], hi[j], stamps[lo[j]], stamps[hi[j]],
+                                      seq))
+        table[first:first + end] = points[:end]
     return work.mesh()
 
 

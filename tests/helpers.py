@@ -651,8 +651,12 @@ def scalar_decimate_to_base(mesh: TriangleMesh, target_vertex_count: int,
     if target_vertex_count < 4:
         raise ValueError("target vertex count must be >= 4")
     n = mesh.n_vertices
-    if target_vertex_count >= n:
-        return TriangleMesh(mesh.vertices, mesh.faces)
+    used = sorted({v for f in mesh.faces.tolist() for v in f})
+    if len(used) <= target_vertex_count:
+        # nothing to collapse: the vertices with a face, renumbered in order
+        remap = {old: new for new, old in enumerate(used)}
+        return TriangleMesh(mesh.vertices[used], np.array(
+            [[remap[v] for v in f] for f in mesh.faces.tolist()], dtype=np.int64).reshape(-1, 3))
     pos = mesh.vertices.copy()
     quad = all_vertex_quadrics(mesh) + dict_boundary_quadrics(mesh, boundary_weight)
     faces = [list(f) for f in mesh.faces.tolist()]

@@ -15,6 +15,7 @@ from anchormesh import (
     make_sphere,
     save_mesh,
 )
+from anchormesh.mesh import unique_edges
 from anchormesh.qem import BOUNDARY_WEIGHT, _boundary_quadrics
 from anchormesh.synth import _split_edges
 from helpers import (
@@ -271,6 +272,38 @@ def _soups():
     return params
 
 
+def _with_isolated_vertices(mesh):
+    """``mesh`` with one vertex on no face before its first and one after its
+    last."""
+    verts = np.vstack([[[5.0, 5.0, 5.0]], mesh.vertices, [[-5.0, 5.0, 5.0]]])
+    return TriangleMesh(verts, mesh.faces + 1)
+
+
+def _coincident_split(mesh):
+    """``mesh`` split 1-to-4 with each edge's new vertex on the edge's lower
+    end: coincident vertices, zero-length edges and zero-area faces."""
+    edges, face_edges = unique_edges(mesh.faces, mesh.n_vertices)
+    a, b, c = mesh.faces.T
+    ab, bc, ca = (mesh.n_vertices + face_edges[:, i] for i in range(3))
+    faces = np.concatenate([np.c_[a, ab, ca], np.c_[b, bc, ab], np.c_[c, ca, bc],
+                            np.c_[ab, bc, ca]])
+    return TriangleMesh(np.vstack([mesh.vertices, mesh.vertices[edges[:, 0]]]), faces)
+
+
+def _jittered_frame(resolution, motion, seed):
+    return generate_sequence(SequenceSpec(
+        resolution=resolution, frames=2, motion=motion, rate=0.1, region=0.4,
+        topology_jitter=True, seed=seed))[1]
+
+
+def _sampled_targets():
+    """Every 7th target of a jittered level-2 frame, so that the target is
+    reached inside a run of collapses as well as at its end."""
+    frame = _jittered_frame(2, "bend", 7)
+    return [pytest.param(frame, target, id=f"jittered-l2-{target}")
+            for target in range(4, frame.n_vertices, 7)]
+
+
 @pytest.mark.parametrize("mesh,target", [
     pytest.param(make_sphere(3), 160, id="sphere"),
     pytest.param(make_grid(8), 30, id="open-grid"),
@@ -278,15 +311,33 @@ def _soups():
     pytest.param(generate_sequence(SequenceSpec(
         resolution=3, frames=1, motion="bend", rate=0.1, region=0.4, topology_jitter=True,
         seed=5))[0], 184, id="jittered-sphere"),
+    pytest.param(_jittered_frame(3, "rotate", 5), 184, id="jittered-rotate-l3"),
+    pytest.param(_with_isolated_vertices(make_sphere(1)), 41, id="isolated-vertices"),
+    # most edges have error 0 and tie on it; lo, hi, stamps and seq decide
+    pytest.param(_coincident_split(make_sphere(1)), 40, id="coincident-1/4"),
+    pytest.param(_coincident_split(make_sphere(1)), 81, id="coincident-1/2"),
+    *_sampled_targets(),
     *_soups(),
 ])
 def test_decimate_matches_scalar_oracle(mesh, target):
-    # batched solves per heap refill must leave the base of one scalar solve
-    # per pushed edge, bit for bit
+    # runs of collapses with one batched solve each must leave the base of
+    # one collapse and one scalar solve per pushed edge at a time, bit for bit
     got = decimate_to_base(mesh, target)
     want = scalar_decimate_to_base(mesh, target)
     assert got.vertices.tobytes() == want.vertices.tobytes()
     assert np.array_equal(got.faces, want.faces)
+
+
+@pytest.mark.parametrize("target", [44, 43, 42])
+def test_decimate_keeps_only_vertices_with_a_face_without_collapsing(target):
+    # 42 of the 44 vertices have a face, so no target from 42 up collapses
+    # anything: the two isolated vertices go and the sphere comes back
+    sphere = make_sphere(1)
+    mesh = _with_isolated_vertices(sphere)
+    for decimate in (decimate_to_base, scalar_decimate_to_base):
+        out = decimate(mesh, target)
+        assert out.vertices.tobytes() == sphere.vertices.tobytes()
+        assert np.array_equal(out.faces, sphere.faces)
 
 
 @pytest.mark.parametrize("mesh,target", _soups())
