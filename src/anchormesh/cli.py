@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 
 from .config import CodecConfig, load_config, parse_value
 from .mesh import MeshError, TriangleMesh, load_mesh, save_mesh
@@ -189,6 +188,8 @@ def cmd_sweep(args) -> int:
     # a fork pool starts all its workers at once: never more than the groups
     workers = min(config.threads, len(groups))
     if workers > 1:
+        # imported here: multiprocessing is a large import that only a pool needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = [row for rows in pool.map(_sweep_group, groups, chunksize=1)
                        for row in rows]

@@ -135,13 +135,11 @@ def generate_coarse_anchor(base: TriangleMesh, target: TriangleMesh,
     slot = np.empty(n, dtype=np.int64)  # of each vertex in by_wave
     slot[by_wave] = np.arange(n)
     # Predecessor rows by wave, then vertex, ascending within a vertex. A
-    # vertex past wave 0 (it has a predecessor) starts from its first
-    # predecessor's motion and adds the others in order, as the mean of
-    # their rows does: np.add.at adds them one at a time.
-    rows = predecessors[np.argsort(wave[predecessors[:, 0]], kind="stable")]
-    head = first_of_runs(rows[:, 0])
-    first = rows[head, 1]  # aligned with by_wave[bounds[1]:]
-    vertex, before = rows[~head].T
+    # vertex past wave 0 sums their motions in that order from zero (np.add.at
+    # adds one at a time). 0.0 + m is m but for the sign of an exact zero,
+    # and nearest reads a query only through (p - q) ** 2, q - low, q +- r
+    # and |q|: the matches are those of a sum from the first motion, bitwise.
+    vertex, before = predecessors[np.argsort(wave[predecessors[:, 0]], kind="stable")].T
     rest = np.searchsorted(wave[vertex], np.arange(len(bounds))).tolist()
     count = np.bincount(predecessors[:, 0], minlength=n)[:, None].astype(np.float64)
     motion = np.empty((n, 3))
@@ -151,7 +149,7 @@ def generate_coarse_anchor(base: TriangleMesh, target: TriangleMesh,
         wave_vertices = by_wave[a:b]
         q = base.vertices[wave_vertices]
         if w:
-            total = motion[first[a - bounds[1]:b - bounds[1]]]
+            total = np.zeros((b - a, 3))
             r = slice(rest[w], rest[w + 1])
             np.add.at(total, slot[vertex[r]] - a, motion[before[r]])
             q = q + total / count[wave_vertices]

@@ -41,6 +41,7 @@ from .mesh import (
     unique_edges,
     vertex_corners,
 )
+from .subdivide import CHILD_CORNERS
 
 # Upper-triangle layout of the symmetric 4x4 matrix:
 # indices 0..9 = xx, xy, xz, xw, yy, yz, yw, zz, zw, ww
@@ -236,8 +237,7 @@ def _boundary_quadrics(mesh: TriangleMesh, weight: float) -> np.ndarray:
     return acc
 
 
-def decimate_to_base(mesh: TriangleMesh, target_vertex_count: int,
-                     boundary_weight: float = BOUNDARY_WEIGHT) -> TriangleMesh:
+def decimate_to_base(mesh: TriangleMesh, target_vertex_count: int) -> TriangleMesh:
     """Decimate by repeated minimal-error edge collapse until at most
     ``target_vertex_count`` vertices have a face (global lazy priority
     queue); the result keeps only those, with the live faces in index order.
@@ -282,7 +282,7 @@ def decimate_to_base(mesh: TriangleMesh, target_vertex_count: int,
     remaining = len(used)  # vertices with a face
     if remaining <= target_vertex_count:
         return TriangleMesh(mesh.vertices[used], np.searchsorted(used, mesh.faces))
-    quadrics = all_vertex_quadrics(mesh) + _boundary_quadrics(mesh, boundary_weight)
+    quadrics = all_vertex_quadrics(mesh) + _boundary_quadrics(mesh, BOUNDARY_WEIGHT)
     work = _WorkingCopy(mesh, quadrics)
     faces, vfaces, positions = work.faces, work.vfaces, work.positions
     stamps = [0] * n
@@ -355,12 +355,6 @@ def decimate_to_base(mesh: TriangleMesh, target_vertex_count: int,
     return work.mesh()
 
 
-# 1-to-4 split of a fan face (x, u, w) with corners 3..5 at the midpoints of
-# xu, uw and wx, in the order :func:`anchormesh.subdivide.midpoint_subdivide`
-# emits its children.
-_FAN_SUBFACES = np.array([[0, 3, 5], [1, 4, 3], [2, 5, 4], [3, 4, 5]])
-
-
 def _triangles(table, corners):
     """Columns of the triangles whose corners are the columns ``corners``
     (m, 3) of the points ``table`` (3, k) for the closest-triangle searches:
@@ -372,29 +366,25 @@ def _triangles(table, corners):
     return np.concatenate([triangle_terms(a, b, c), center, radius[None]])
 
 
-def _pairs_in_groups(points, point_counts, tris, tri_counts):
-    """``(point, column)`` pairs of each point with every triangle of its
-    group, by point, then column: ``points`` (n, 3) and the :func:`_triangles`
-    columns ``tris`` (21, m) come in consecutive groups of the given sizes.
-    A pair is left out when the triangle's bounding sphere lies farther from
-    the point than the nearest centroid of the group."""
+def _least_sq_distances(points, point_counts, tris, tri_counts):
+    """Least squared distance from each of ``points`` (n, 3) to the
+    triangles of its group, as :func:`anchormesh.grid.sq_distances_to_terms`
+    measures it; inf for a group without triangles. ``points`` and the
+    :func:`_triangles` columns ``tris`` (21, m) come in consecutive groups
+    of the given sizes. A triangle is not measured from a point when its
+    bounding sphere lies farther from the point than the nearest centroid
+    of the group."""
     tri_counts = np.asarray(tri_counts, dtype=np.int64)
     per_point = np.repeat(tri_counts, point_counts)  # triangles in each point's group
     pi = np.repeat(np.arange(len(points)), per_point)
     ti = ranges(np.repeat(np.cumsum(tri_counts) - tri_counts, point_counts), per_point)
     # np.take keeps the gathered (rows, pairs) arrays contiguous; ``x[:, pi]`` does not
-    rel = np.take(np.ascontiguousarray(points.T), pi, axis=1) - np.take(tris[17:20], ti, axis=1)
+    columns = np.ascontiguousarray(points.T)
+    rel = np.take(columns, pi, axis=1) - np.take(tris[17:20], ti, axis=1)
     gap = np.sqrt(dot3(rel, rel))
     keep = gap - tris[20, ti] <= run_minima(gap, pi, len(points))[pi]
-    return pi[keep], ti[keep]
-
-
-def _closest_of_pairs(points, pi, ti, tris):
-    """Least squared distance from each of ``points`` (n, 3) to the
-    :func:`_triangles` columns ``tris`` it is paired with, for ``pi``
-    ascending, as :func:`anchormesh.grid.sq_distances_to_terms` measures it;
-    inf for a point without pairs."""
-    d2, _, _ = sq_distances_to_terms(np.take(np.ascontiguousarray(points.T), pi, axis=1),
+    pi, ti = pi[keep], ti[keep]
+    d2, _, _ = sq_distances_to_terms(np.take(columns, pi, axis=1),
                                      np.take(tris[:17], ti, axis=1))
     return run_minima(d2, pi, len(points))
 
@@ -403,14 +393,15 @@ class _MoveJudge:
     """Scores a move of one coarse anchor vertex by what the decoder rebuilds.
 
     The fan of an anchor vertex is its incident base faces. Split once at
-    edge midpoints, with every corner of the split moved to its closest
-    point on the target (as exact displacements would move it), the fan is
-    what the decoder rebuilds around the anchor. The error of an anchor is
-    the summed squared distance from the target vertices it covers to that
-    projected split fan; a target vertex is covered by the three anchors of
-    its closest coarse anchor face. A move of one anchor is scored with
-    every other anchor vertex where the coarse stage put it, on a target
-    vertex, which is its own projection.
+    edge midpoints (:data:`anchormesh.subdivide.CHILD_CORNERS`), with every
+    corner of the split moved to its closest point on the target (as exact
+    displacements would move it), the fan is what the decoder rebuilds
+    around the anchor. The error of an anchor is the summed squared distance
+    from the target vertices it covers to that projected split fan; a target
+    vertex is covered by the three anchors of its closest coarse anchor
+    face. A move of one anchor is scored with every other anchor vertex
+    where the coarse stage put it, on a target vertex, which is its own
+    projection.
 
     Both searches are the encoder's: a target vertex's closest coarse face
     is the one :func:`anchormesh.grid.closest_points_on_surface` finds
@@ -420,6 +411,11 @@ class _MoveJudge:
     that covers no target vertex has error 0 wherever it goes. Raises
     :class:`anchormesh.mesh.MeshValidationError` for a target without
     faces.
+
+    The fan table is built once, with the judge: every anchor's rim (its
+    neighbors, ascending) and fan faces (x, u, w) turned to start at it,
+    each with its edges xu, uw and wx among the coarse edges and the rim
+    slots of u and w.
     """
 
     def __init__(self, coarse: AnchorMesh, target: TriangleMesh):
@@ -427,60 +423,58 @@ class _MoveJudge:
         self.positions = pos = coarse.mesh.vertices
         faces = coarse.mesh.faces
         n = len(pos)
-        edges = unique_edges(faces, n)[0]
-        self.edge_keys = edges[:, 0] * n + edges[:, 1]
+        edges, face_edges = unique_edges(faces, n)
         # rim of every anchor: its neighbors, ascending, as directed edges
         directed = directed_edges(edges)
         self.rim = directed[:, 1]
         self.rim_count = np.bincount(directed[:, 0], minlength=n)
         self.rim_start = np.cumsum(self.rim_count) - self.rim_count
-        self.rim_keys = directed[:, 0] * n + directed[:, 1]
-        # fan of every anchor: its faces turned to start at it, by face index
+        # fan of every anchor: its faces turned to start at it, by face
+        # index, their edges (ab, bc, ca of the turned face) turned alike
         by_anchor, self.fan_count, self.fan_start = vertex_corners(faces, n)
         turn = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
         self.fan = faces[:, turn].reshape(-1, 3)[by_anchor]
+        self.fan_edges = face_edges[:, turn].reshape(-1, 3)[by_anchor]
+        x = self.fan[:, :1]
+        self.fan_slots = (np.searchsorted(directed[:, 0] * n + directed[:, 1],
+                                          x * n + self.fan[:, 1:]) - self.rim_start[x])
         # covered target vertices of every anchor, ascending; an anchor
         # without faces covers none
         face = (closest_points_on_surface(coarse.mesh, target.vertices)[1] if len(faces)
                 else np.zeros(0, dtype=np.int64))
         by_anchor, self.covered_count, self.covered_start = vertex_corners(faces[face], n)
         self.covered = by_anchor // 3
-        # projected edge midpoints
         self.grid = FaceGrid(target)
         self.midpoints = self.grid.closest(0.5 * (pos[edges[:, 0]] + pos[edges[:, 1]]))[0]
 
-    def _edge(self, u, w):
-        return np.searchsorted(self.edge_keys, np.minimum(u, w) * len(self.positions)
-                               + np.maximum(u, w))
-
-    def errors(self, anchors, points, at_coarse=False):
+    def errors(self, anchors, points):
         """Error of each of ``anchors`` moved to its point in ``points``.
 
-        ``at_coarse``, one flag or one per anchor, marks the anchors whose
-        point is their coarse vertex. Their spoke midpoints ``0.5 * (pos[x] +
-        pos[v])`` are bitwise the edge midpoints ``0.5 * (pos[lo] +
-        pos[hi])``, since IEEE addition commutes, so their projections come
-        from ``midpoints`` and only the point itself is projected: a vertex's
-        projection need not be bitwise the vertex. The scores are those of
-        the same anchors without the flag, exactly.
+        An anchor whose point equals its coarse vertex is at its coarse
+        vertex: its spoke midpoints ``0.5 * (pos[x] + pos[v])`` are bitwise
+        the edge midpoints ``0.5 * (pos[lo] + pos[hi])``, since IEEE
+        addition commutes, so their projections come from ``midpoints`` and
+        only the point itself is projected (a vertex's projection need not
+        be bitwise the vertex). Its score is exactly that of projecting
+        every corner.
 
         The corners are projected, the split fans' table rows built and the
         covered vertices gathered once per call. The fans are then measured
-        (triangle columns, candidate pairs, least distances, per-anchor sums)
-        over runs of anchors whose candidate pairs, covered vertices times 4
-        fan faces each, fit one pair budget (:func:`anchormesh.grid.blocks`;
-        an anchor beyond it is a run of its own), so a call holds its
-        corners, fan rows, covered vertices, the mesh and one block of
-        triangles and pairs. An anchor's score
-        depends on its own pairs only, so the runs do not change it.
+        (triangle columns, least distances, per-anchor sums) over runs of
+        anchors whose candidate pairs, covered vertices times 4 fan faces
+        each, fit one pair budget (:func:`anchormesh.grid.blocks`; an anchor
+        beyond it is a run of its own), so a call holds its corners, fan
+        rows, covered vertices, the mesh and one block of triangles and
+        pairs. An anchor's score depends on its own pairs only, so the runs
+        do not change it.
         """
         n = len(self.positions)
         anchors = np.asarray(anchors, dtype=np.int64)
         points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-        at_coarse = np.broadcast_to(at_coarse, anchors.shape)
+        moved = np.any(points != self.positions[anchors], axis=1)
         # corners to project, per anchor: its point, then the midpoints of
-        # its spokes in rim order unless it is at its coarse vertex
-        spokes = np.where(at_coarse, 0, self.rim_count[anchors])
+        # its spokes in rim order if it moved
+        spokes = np.where(moved, self.rim_count[anchors], 0)
         counts = 1 + spokes
         starts = np.cumsum(counts) - counts
         corners = np.repeat(points, counts, axis=0)
@@ -490,21 +484,16 @@ class _MoveJudge:
         corners[spoke] = 0.5 * (corners[spoke] + self.positions[rim])
         table = np.concatenate([self.positions, self.midpoints,
                                 self.grid.closest(corners)[0]]).T.copy()
-        # split fan faces (x, u, w) of every anchor as rows of the table
+        # split fan faces (x, u, w) of every anchor as the table rows of
+        # (x, u, w, xu, uw, wx); a moved anchor's xu and wx are its spokes
         fan_count = self.fan_count[anchors]
-        x, u, w = self.fan[ranges(self.fan_start[anchors], fan_count)].T
+        fan = ranges(self.fan_start[anchors], fan_count)
         owner = np.repeat(np.arange(len(anchors)), fan_count)
         center = (n + len(self.midpoints) + starts)[owner]
-        edge_row = at_coarse[owner]
-
-        def spoke_row(v):  # row of the projected midpoint of x and its rim vertex v
-            return np.where(edge_row, n + self._edge(x, v),
-                            center + 1 + np.searchsorted(self.rim_keys, x * n + v)
-                            - self.rim_start[x])
-
-        rows = np.column_stack([center, u, w, spoke_row(u), n + self._edge(u, w),
-                                spoke_row(w)])
-        corner = rows[:, _FAN_SUBFACES].reshape(-1, 3)  # of each split fan triangle
+        rows = np.column_stack([center, self.fan[fan, 1:], n + self.fan_edges[fan]])
+        fan_moved = moved[owner]
+        rows[fan_moved, 3::2] = center[fan_moved, None] + 1 + self.fan_slots[fan[fan_moved]]
+        corner = rows[:, CHILD_CORNERS].reshape(-1, 3)  # of each split fan triangle
         tri_count = 4 * fan_count
         covered_count = self.covered_count[anchors]
         covered = self.target.vertices[self.covered[ranges(self.covered_start[anchors],
@@ -516,8 +505,7 @@ class _MoveJudge:
             block_tris = _triangles(table, corner[tri_end[s] - tri_count[s]:tri_end[e - 1]])
             block_covered = covered[covered_end[s] - covered_count[s]:covered_end[e - 1]]
             block_counts = covered_count[s:e]
-            pairs = _pairs_in_groups(block_covered, block_counts, block_tris, tri_count[s:e])
-            d2 = _closest_of_pairs(block_covered, *pairs, block_tris)
+            d2 = _least_sq_distances(block_covered, block_counts, block_tris, tri_count[s:e])
             out[s:e] = np.bincount(np.repeat(np.arange(e - s), block_counts), weights=d2,
                                    minlength=e - s)
         return out
@@ -526,26 +514,17 @@ class _MoveJudge:
 def _best_collapses(quadrics, positions, c, nb) -> dict:
     """Optimal collapse of every edge ``(c[i], nb[i])``, and the best per
     distinct ``c`` (minimal error, ties to the lexicographically smallest
-    edge) as ``{c: (neighbor, point, edge quadric, error)}``."""
-    qe = quadrics[c] + quadrics[nb]
-    points, errors = _optimal_points(qe, positions[c], positions[nb])
+    edge) as ``{c: (neighbor, point)}``."""
+    points, errors = _optimal_points(quadrics[c] + quadrics[nb], positions[c], positions[nb])
     order = np.lexsort((np.maximum(c, nb), np.minimum(c, nb), errors, c))
     best = order[np.diff(c[order], prepend=-1) != 0]
-    return {int(c[i]): (int(nb[i]), points[i], qe[i], errors[i]) for i in best}
-
-
-def _best_collapse(work: _WorkingCopy, c: int, anchor_targets: set):
-    """Minimal-error collapse of a working-copy edge at target vertex ``c``
-    whose other end is not an anchor's correspondent, as ``(neighbor,
-    point, edge quadric, error)``; ``None`` when there is no such edge."""
-    nb = np.fromiter(work.neighbors_of(c) - anchor_targets, dtype=np.int64)
-    return _best_collapses(work.quadrics, work.positions, np.full(len(nb), c), nb).get(c)
+    return {int(c[i]): (int(nb[i]), points[i]) for i in best}
 
 
 def _first_collapses(target: TriangleMesh, work: _WorkingCopy, corr: np.ndarray) -> dict:
-    """:func:`_best_collapse` on the untouched working copy ``work`` of
-    ``target`` for every correspondent in ``corr`` that has a candidate edge,
-    keyed by the correspondent."""
+    """:func:`_best_collapses` on the untouched working copy ``work`` of
+    ``target`` of every edge from a correspondent in ``corr`` to a vertex
+    that is none, keyed by the correspondent."""
     edges = unique_edges(target.faces, target.n_vertices)[0]
     held = np.zeros(target.n_vertices, dtype=bool)
     held[corr] = True
@@ -553,69 +532,6 @@ def _first_collapses(target: TriangleMesh, work: _WorkingCopy, corr: np.ndarray)
     flip = held[edges[:, 1]]
     edges[flip] = edges[flip, ::-1]  # correspondent first
     return _best_collapses(work.quadrics, work.positions, edges[:, 0], edges[:, 1])
-
-
-def _refine(coarse: AnchorMesh, target: TriangleMesh, collapses_per_anchor: int,
-            diagnostics=None) -> AnchorMesh:
-    """:func:`refine_anchor`; appends one ``(anchor, selected quadric error,
-    that edge quadric at the anchor's coarse position)`` per kept move to the
-    list ``diagnostics`` when one is given."""
-    if coarse.stage != "coarse":
-        raise ValueError(f"expected a coarse anchor, got stage {coarse.stage!r}")
-    corr = coarse.correspondence
-    if np.any(corr < 0) or np.any(corr >= target.n_vertices):
-        raise ValueError("coarse anchor has invalid target correspondences")
-    work = _WorkingCopy(target, all_vertex_quadrics(target))
-    anchor_targets = set(corr.tolist())
-    order = traversal_order(coarse.mesh) if coarse.order is None else coarse.order.tolist()
-    judge = _MoveJudge(coarse, target)
-    # Every anchor's first collapse is found up front, on the untouched
-    # working copy, and judged in one batch with the anchor at its coarse
-    # vertex. A kept collapse at c with neighbor nb changes the candidates of
-    # c, nb and their neighbors only; an anchor whose correspondent is among
-    # those is searched again in turn, and judged again only if its point
-    # changed: the judge scores a point the same whatever the working copy.
-    # An anchor without a first move never gets one, since a collapse only
-    # ever replaces a non-correspondent by the correspondent that keeps it.
-    first = _first_collapses(target, work, corr)
-    movable = [ai for ai in order if int(corr[ai]) in first]
-    scores = judge.errors(
-        np.r_[movable, movable],
-        np.concatenate([coarse.mesh.vertices[movable],
-                        np.reshape([first[int(corr[ai])][1] for ai in movable], (-1, 3))]),
-        at_coarse=np.arange(2 * len(movable)) < len(movable))
-    fine_errors = dict(zip(movable, scores[:len(movable)]))
-    first_error = dict(zip(movable, scores[len(movable):]))
-    touched = set()
-    fine_positions = coarse.mesh.vertices.copy()
-    out_corr = corr.copy()
-    for ai in order:
-        c = int(corr[ai])
-        for step in range(collapses_per_anchor):
-            if step == 0 and c not in touched:
-                move = first.get(c)
-            else:
-                move = _best_collapse(work, c, anchor_targets)
-            if move is None:
-                break
-            if step == 0 and c in first and (move is first[c]
-                                             or np.array_equal(move[1], first[c][1])):
-                error = first_error[ai]
-            else:
-                error = judge.errors([ai], [move[1]])[0]
-            if not error < fine_errors[ai]:
-                break
-            nb, point, qe, err = move
-            touched |= {c, nb} | work.neighbors_of(c) | work.neighbors_of(nb)
-            if diagnostics is not None:
-                at_coarse = max(float(_evaluate_raw(qe, coarse.mesh.vertices[ai])), 0.0)
-                diagnostics.append((ai, err, at_coarse))
-            work.collapse(c, nb, point)  # c inherits the edge quadric qe
-            fine_positions[ai] = point
-            fine_errors[ai] = error
-            out_corr[ai] = OFF_VERTEX
-    return AnchorMesh(TriangleMesh(fine_positions, coarse.mesh.faces), out_corr, "fine",
-                      coarse.order)
 
 
 def refine_anchor(coarse: AnchorMesh, target: TriangleMesh,
@@ -642,9 +558,65 @@ def refine_anchor(coarse: AnchorMesh, target: TriangleMesh,
     incident to it) to its fan split once at edge midpoints with every
     corner projected onto the target by the encoder's own closest-point
     search, every other anchor vertex at its coarse position
-    (:class:`_MoveJudge`). The paper leaves the acceptance rule open; this
-    one is the codec's own. Connectivity is untouched, and the result
-    depends only on the arguments. Raises
-    :class:`anchormesh.mesh.MeshValidationError` for a target without faces.
+    (:class:`_MoveJudge`, whose fan table is built once per call). The
+    judge tells an anchor at its coarse vertex from its point alone, so the
+    coarse errors and the first moves go to it as one batch. The paper
+    leaves the acceptance rule open; this one is the codec's own.
+    Connectivity is untouched, and the result depends only on the
+    arguments. Raises :class:`anchormesh.mesh.MeshValidationError` for a
+    target without faces.
     """
-    return _refine(coarse, target, collapses_per_anchor)
+    if coarse.stage != "coarse":
+        raise ValueError(f"expected a coarse anchor, got stage {coarse.stage!r}")
+    corr = coarse.correspondence
+    if np.any(corr < 0) or np.any(corr >= target.n_vertices):
+        raise ValueError("coarse anchor has invalid target correspondences")
+    work = _WorkingCopy(target, all_vertex_quadrics(target))
+    anchor_targets = set(corr.tolist())
+    order = traversal_order(coarse.mesh) if coarse.order is None else coarse.order.tolist()
+    judge = _MoveJudge(coarse, target)
+    # Every anchor's first collapse is found up front, on the untouched
+    # working copy, and judged in one batch with the anchor at its coarse
+    # vertex. A kept collapse at c with neighbor nb changes the candidates of
+    # c, nb and their neighbors only; an anchor whose correspondent is among
+    # those is searched again in turn, and judged again only if its point
+    # changed: the judge scores a point the same whatever the working copy.
+    # An anchor without a first move never gets one, since a collapse only
+    # ever replaces a non-correspondent by the correspondent that keeps it.
+    first = _first_collapses(target, work, corr)
+    movable = [ai for ai in order if int(corr[ai]) in first]
+    scores = judge.errors(
+        np.r_[movable, movable],
+        np.concatenate([coarse.mesh.vertices[movable],
+                        np.reshape([first[int(corr[ai])][1] for ai in movable], (-1, 3))]))
+    fine_errors = dict(zip(movable, scores[:len(movable)]))
+    first_error = dict(zip(movable, scores[len(movable):]))
+    touched = set()
+    fine_positions = coarse.mesh.vertices.copy()
+    out_corr = corr.copy()
+    for ai in order:
+        c = int(corr[ai])
+        for step in range(collapses_per_anchor):
+            if step == 0 and c not in touched:
+                move = first.get(c)
+            else:  # edges of c to a vertex that is no correspondent
+                nb = np.fromiter(work.neighbors_of(c) - anchor_targets, dtype=np.int64)
+                move = _best_collapses(work.quadrics, work.positions, np.full(len(nb), c),
+                                       nb).get(c)
+            if move is None:
+                break
+            if step == 0 and c in first and (move is first[c]
+                                             or np.array_equal(move[1], first[c][1])):
+                error = first_error[ai]
+            else:
+                error = judge.errors([ai], [move[1]])[0]
+            if not error < fine_errors[ai]:
+                break
+            nb, point = move
+            touched |= {c, nb} | work.neighbors_of(c) | work.neighbors_of(nb)
+            work.collapse(c, nb, point)  # c inherits the summed edge quadric
+            fine_positions[ai] = point
+            fine_errors[ai] = error
+            out_corr[ai] = OFF_VERTEX
+    return AnchorMesh(TriangleMesh(fine_positions, coarse.mesh.faces), out_corr, "fine",
+                      coarse.order)

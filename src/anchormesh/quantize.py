@@ -40,10 +40,9 @@ class QuantizationParams:
 
 @dataclass
 class QuantizedDisplacementField:
-    """Integer triples plus the per-vertex weights that produced them."""
+    """Integer triples, one per vertex."""
 
     values: np.ndarray  # (n, 3) int64
-    weights: np.ndarray  # (n,) float64
 
 
 def neighbor_counts(mesh: TriangleMesh) -> np.ndarray:
@@ -89,7 +88,7 @@ def quantize_field(field, counts, params: QuantizationParams,
     if not -2.0 ** 63 < scaled.min(initial=0.0) <= scaled.max(initial=0.0) < 2.0 ** 63:
         raise ValueError(f"quantized displacements must be finite and inside the int64 "
                          f"range: alpha {params.alpha:g}, delta {params.delta:g}")
-    return QuantizedDisplacementField(round_half_away_from_zero(scaled), weights)
+    return QuantizedDisplacementField(round_half_away_from_zero(scaled))
 
 
 def dequantize_field(values, counts, params: QuantizationParams,

@@ -41,10 +41,6 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
 
-    def uniform(self) -> float:
-        """Uniform double in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * (2.0 ** -53)
-
     def randint(self, n: int) -> int:
         """Uniform int in [0, n); modulo bias is negligible for desk-scale n."""
         return self.next_u64() % n
@@ -84,13 +80,13 @@ class SequenceSpec:
                 raise ValueError(f"{name} must be three finite numbers, got {value}")
 
 
-def make_grid(resolution: int, size: float = 1.0) -> TriangleMesh:
-    """Regular triangulated grid over [0, size]^2 at z = 0, row-major from
-    the origin corner."""
+def make_grid(resolution: int) -> TriangleMesh:
+    """Regular triangulated grid over [0, 1]^2 at z = 0, row-major from the
+    origin corner."""
     if resolution < 1:
         raise ValueError("grid resolution must be >= 1")
     r = resolution
-    xs = np.arange(r + 1) * (size / r)
+    xs = np.arange(r + 1) * (1.0 / r)
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     verts = np.stack([gx.ravel(), gy.ravel(), np.zeros((r + 1) ** 2)], axis=1)
     faces = []
@@ -105,7 +101,7 @@ def make_grid(resolution: int, size: float = 1.0) -> TriangleMesh:
     return TriangleMesh(verts, np.array(faces, dtype=np.int64))
 
 
-def make_cube(resolution: int, size: float = 1.0) -> TriangleMesh:
+def make_cube(resolution: int) -> TriangleMesh:
     """Closed unit-cube surface with resolution^2 quads per face, vertices
     welded on the integer lattice."""
     if resolution < 1:
@@ -118,7 +114,7 @@ def make_cube(resolution: int, size: float = 1.0) -> TriangleMesh:
         key = (i, j, k)
         if key not in key_to_index:
             key_to_index[key] = len(verts)
-            verts.append((i * size / r, j * size / r, k * size / r))
+            verts.append((i / r, j / r, k / r))
         return key_to_index[key]
 
     faces = []

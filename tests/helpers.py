@@ -560,8 +560,8 @@ def scalar_best_collapse(work, quadrics: np.ndarray, c: int, anchor_targets: set
     """Minimal-error collapse of a working-copy edge at target vertex ``c``
     whose other end is not an anchor's correspondent, as ``(neighbor,
     point, edge quadric, error)``; ``None`` when there is no such edge.
-    Ties go to the lexicographically smallest edge. The oracle for
-    ``qem._best_collapse``."""
+    Ties go to the lexicographically smallest edge. The oracle for the
+    fine stage's search, ``qem._best_collapses`` on the edges of ``c``."""
     best_key = None
     best = None
     for nb in sorted(work.neighbors_of(c) - anchor_targets):

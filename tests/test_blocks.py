@@ -92,9 +92,8 @@ def test_judge_errors_do_not_depend_on_the_block_budget(monkeypatch, pair):
     anchors = np.r_[np.arange(n), np.arange(n)]
     moved = coarse.mesh.vertices + np.random.default_rng(5).normal(0, 0.05, (n, 3))
     points = np.vstack([coarse.mesh.vertices, moved])
-    # fused as refinement batches them: the coarse half flagged
-    at_coarse = np.arange(2 * n) < n
-    outs = _at_every_budget(monkeypatch, lambda: judge.errors(anchors, points, at_coarse))
+    # fused as refinement batches them: the coarse half at its coarse vertices
+    outs = _at_every_budget(monkeypatch, lambda: judge.errors(anchors, points))
     for got in outs[:-1]:
         assert np.array_equal(got, outs[-1])
     cost = judge.covered_count * 4 * judge.fan_count

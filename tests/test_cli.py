@@ -1,9 +1,13 @@
 import collections
+import concurrent.futures
 import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 import anchormesh as am
@@ -17,6 +21,17 @@ def sequence(tmp_path_factory):
     out = tmp_path_factory.mktemp("sequence")
     assert main(["synth", str(out), "--resolution", "1", "--frames", "2", "--motion", "bend",
                  "--rate", "0.1", "--jitter", "--seed", "3"]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def rotating(tmp_path_factory):
+    """A two-frame jittered rotating sphere written by ``anchormesh synth``:
+    unlike the bend pair, whose displacements all quantize to 0, it gives
+    non-zero quantized values."""
+    out = tmp_path_factory.mktemp("rotating")
+    assert main(["synth", str(out), "--resolution", "1", "--motion", "rotate", "--axis", "1,1,0",
+                 "--rate", "0.3", "--jitter", "--seed", "3"]) == 0
     return out
 
 
@@ -123,7 +138,7 @@ class _RecordingPool:
 def test_sweep_pool_is_bounded_by_the_jobs(sequence, tmp_path, monkeypatch, threads, workers):
     # 4 ablations x 2 alphas x 1 frame pair = 8 jobs in 3 groups: the two
     # QEM ablations share their anchor settings, so one fit
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     _sweep(sequence, tmp_path, "--alphas", "2,8", "--threads", threads)
     assert _RecordingPool.sizes == workers
@@ -256,21 +271,48 @@ def test_encode_exits_2_on_a_target_without_faces(sequence, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag,value", [("--alpha", "1e21"), ("--delta", "1e19")])
-def test_encode_exits_2_on_quantized_values_outside_int64(tmp_path_factory, tmp_path, capsys,
+def test_encode_exits_2_on_quantized_values_outside_int64(rotating, tmp_path, capsys,
                                                           flag, value):
     # numpy's cast would turn them into INT64_MIN and only warn. The bend
     # pair's anchor lies on its target to within 2.2e-16, so a rotating
     # pair (|d| A up to ~0.17) gives the displacements that overflow
-    sequence = tmp_path_factory.mktemp("rotating")
-    assert main(["synth", str(sequence), "--resolution", "1", "--motion", "rotate",
-                 "--axis", "1,1,0", "--rate", "0.3", "--jitter", "--seed", "3"]) == 0
     capsys.readouterr()
     out = tmp_path / "out.bin"
-    assert main(["encode", str(sequence / "frame_0000.obj"), str(sequence / "frame_0001.obj"),
+    assert main(["encode", str(rotating / "frame_0000.obj"), str(rotating / "frame_0001.obj"),
                  str(out), flag, value]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and json.loads(err[0])["error"] == "ValueError"
     assert os.listdir(tmp_path) == []
+
+
+def test_encode_decode_eval_round_trip_quantizes_non_zero_values(rotating, tmp_path, capsys):
+    # the files the commands write are the in-process encode and decode, bit
+    # for bit, on a pair whose payload holds non-zero values
+    base_path, target_path = rotating / "frame_0000.obj", rotating / "frame_0001.obj"
+    coded, decoded = tmp_path / "pair.bin", tmp_path / "decoded.obj"
+    assert main(["encode", str(base_path), str(target_path), str(coded)]) == 0
+    assert main(["decode", str(coded), str(base_path), str(decoded)]) == 0
+    capsys.readouterr()
+    assert main(["eval", str(target_path), str(decoded)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    base, target = _frames(rotating)
+    data = am.write_payload(am.encode_pair(base, target, am.CodecConfig()).payload)
+    assert coded.read_bytes() == data
+    payload = am.read_payload(data, base.n_vertices)
+    assert np.count_nonzero(payload.quantized) > 0
+    recon = am.decode_payload(payload, base)
+    assert decoded.read_bytes() == am.save_mesh(recon)
+    want = am.distortion(target, recon)
+    assert (report["d1_psnr"], report["d2_psnr"]) == (want.d1_psnr, want.d2_psnr)
+    assert math.isfinite(want.d1_psnr) and math.isfinite(want.d2_psnr)
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only a sweep with --threads above 1 starts a pool and imports one
+    src = os.path.dirname(os.path.dirname(am.__file__))
+    code = "import sys, anchormesh.cli; sys.exit('multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_sweep_exits_2_on_an_alpha_outside_int64(sequence, tmp_path, capsys):

@@ -297,8 +297,12 @@ def test_refine_marks_refined_vertices_off_vertex():
     assert np.any(fine.correspondence == OFF_VERTEX)
 
 
-def test_refine_never_worse_than_coarse_position():
-    from anchormesh.qem import _refine
+def test_refine_never_worse_than_coarse_position(monkeypatch):
+    # every move the fine stage proposes is the optimal point of its edge
+    # quadric: no worse there than at the correspondent's position on the
+    # working copy, for the first moves and for those searched again after
+    # collapses changed the copy
+    from anchormesh import qem
 
     rng = np.random.default_rng(61)
     target = make_sphere(2)
@@ -306,13 +310,25 @@ def test_refine_never_worse_than_coarse_position():
                          target.faces)
     base = decimate_to_base(make_sphere(2), 40)
     coarse, _ = generate_coarse_anchor(base, noisy)
-    diagnostics = []
-    fine = _refine(coarse, noisy, 1, diagnostics)
-    assert diagnostics  # some collapses actually happened
-    for _, selected_err, err_at_coarse in diagnostics:
-        assert selected_err <= err_at_coarse + 1e-12
-    # positions differ from coarse somewhere (QEM actually moved points)
-    assert not np.array_equal(fine.mesh.vertices, coarse.mesh.vertices)
+    searches = []
+    propose = qem._best_collapses
+
+    def checked(quadrics, positions, c, nb):
+        best = propose(quadrics, positions, c, nb)
+        for ci, (ni, point) in best.items():
+            edge = quadrics[ci] + quadrics[ni]
+            selected = max(float(qem._evaluate_raw(edge, point)), 0.0)
+            assert selected <= max(float(qem._evaluate_raw(edge, positions[ci])), 0.0) + 1e-12
+        searches.append(len(best))
+        return best
+
+    monkeypatch.setattr(qem, "_best_collapses", checked)
+    for collapses in (1, 2):
+        searches.clear()
+        fine = refine_anchor(coarse, noisy, collapses)
+        assert searches[0] > 1 and sum(searches[1:]) > 0  # first moves, then searches again
+        # positions differ from coarse somewhere (QEM actually moved points)
+        assert not np.array_equal(fine.mesh.vertices, coarse.mesh.vertices)
 
 
 def test_refine_improves_sphere_reconstruction():
@@ -344,19 +360,16 @@ def test_refine_keeps_rejected_anchors_on_their_coarse_vertex():
     # not cost reconstruction D1, and an anchor that was not moved must sit
     # exactly on its coarse vertex with its correspondence intact
     import anchormesh as am
-    from anchormesh.qem import _refine
 
     spec = am.SequenceSpec(shape="sphere", resolution=3, frames=2, motion="bend",
                            rate=0.1, region=0.4, topology_jitter=True, seed=3)
     reference, target = am.generate_sequence(spec)
     base = decimate_to_base(reference, 184)
     coarse, _ = generate_coarse_anchor(base, target)
-    diagnostics = []
-    fine = _refine(coarse, target, 1, diagnostics)
+    fine = refine_anchor(coarse, target, 1)
 
     moved = fine.correspondence == OFF_VERTEX
     assert 0 < moved.sum() < base.n_vertices
-    assert sorted(ai for ai, _, _ in diagnostics) == np.flatnonzero(moved).tolist()
     kept = ~moved
     assert np.array_equal(fine.mesh.vertices[kept], coarse.mesh.vertices[kept])
     assert np.array_equal(fine.correspondence[kept], coarse.correspondence[kept])
@@ -411,9 +424,11 @@ def _random_base_pair():
 @pytest.mark.parametrize("make_pair", [_bend_pair, _random_base_pair])
 def test_move_judge_at_coarse_reuses_the_projected_midpoints(make_pair):
     # at its coarse vertex an anchor's spoke midpoints are bitwise the edge
-    # midpoints the judge projected up front; taking those projections must
-    # give exactly the scores of projecting every corner, alone or batched
-    # with moved anchors as refinement batches them
+    # midpoints the judge projected up front, so the judge takes those
+    # projections for a point equal to the coarse vertex; an anchor's score
+    # must not depend on the moved anchors batched with it, as refinement
+    # batches them (test_move_judge_error_matches_a_direct_evaluation checks
+    # the scores themselves)
     from anchormesh.qem import _MoveJudge
 
     base, target = make_pair()
@@ -423,10 +438,8 @@ def test_move_judge_at_coarse_reuses_the_projected_midpoints(make_pair):
     anchors = np.arange(n)
     at_vertex = coarse.mesh.vertices[anchors]
     projected = judge.errors(anchors, at_vertex)
-    assert np.array_equal(judge.errors(anchors, at_vertex, at_coarse=True), projected)
     points = at_vertex + np.random.default_rng(5).normal(0, 0.05, (n, 3))
-    fused = judge.errors(np.r_[anchors, anchors], np.vstack([at_vertex, points]),
-                         at_coarse=np.arange(2 * n) < n)
+    fused = judge.errors(np.r_[anchors, anchors], np.vstack([at_vertex, points]))
     assert np.array_equal(fused, np.r_[projected, judge.errors(anchors, points)])
     assert np.any(projected > 0.0)
 
@@ -459,7 +472,9 @@ def test_move_judge_error_matches_a_direct_evaluation():
     # closest target points by an exhaustive scan (u and w are coarse
     # anchors on target vertices, their own projections), and sum over the
     # covered target vertices the least distance to the sub-triangles of
-    # the fan
+    # the fan. The first two anchors sit on their coarse vertex, where the
+    # judge takes its up-front projections of the coarse edge midpoints in
+    # place of the spoke midpoints
     import anchormesh as am
     from anchormesh.qem import _MoveJudge
 

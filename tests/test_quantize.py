@@ -10,6 +10,7 @@ from anchormesh import (
     quantize_field,
     round_half_away_from_zero,
 )
+from anchormesh.quantize import adaptive_weights
 from helpers import icosahedron
 
 
@@ -65,7 +66,7 @@ def test_quantize_direct_example():
     params = QuantizationParams(alpha=2.0, delta=0.0, hbar=4.0)
     q = quantize_field(_field([[1, 1, 1]]), [4], params)
     assert q.values.tolist() == [[2, 2, 2]]
-    assert q.weights.tolist() == [1.0]
+    assert adaptive_weights([4], params.hbar).tolist() == [1.0]
     # and the roundtrip is exact because the scaled product is integral
     back = dequantize_field(q.values, [4], params)
     assert back.tolist() == [[1.0, 1.0, 1.0]]
@@ -74,7 +75,8 @@ def test_quantize_direct_example():
 def test_quantize_zero_neighbor_clamp():
     params = QuantizationParams(alpha=2.0, hbar=4.0)
     q = quantize_field(_field([[1, 1, 1]]), [0], params)
-    assert q.weights.tolist() == [0.25]  # max(N,1)/hbar = 1/4
+    assert adaptive_weights([0], params.hbar).tolist() == [0.25]  # max(N,1)/hbar = 1/4
+    assert q.values.tolist() == [[1, 1, 1]]  # 1 * 2 * 1/4 rounds away from zero
     back = dequantize_field(q.values, [0], params)
     assert np.all(np.isfinite(back))
 
@@ -87,8 +89,7 @@ def test_quantize_requires_aligned_counts():
 def test_nonadaptive_mode_uses_unit_weights():
     params = QuantizationParams(alpha=2.0, hbar=4.0)
     q = quantize_field(_field([[1, 1, 1]]), [8], params, adaptive=False)
-    assert q.weights.tolist() == [1.0]
-    assert q.values.tolist() == [[2, 2, 2]]
+    assert q.values.tolist() == [[2, 2, 2]]  # alpha * A = 2 * 1, not 2 * 8 / 4
 
 
 def test_roundtrip_error_bound():
@@ -99,7 +100,8 @@ def test_roundtrip_error_bound():
     params = QuantizationParams(alpha=3.0, delta=0.5, hbar=6.0)
     q = quantize_field(vectors, counts, params)
     back = dequantize_field(q.values, counts, params)
-    bound = 1.0 / (2.0 * params.alpha * q.weights)[:, None] + 1e-12
+    weights = adaptive_weights(counts, params.hbar)
+    bound = 1.0 / (2.0 * params.alpha * weights)[:, None] + 1e-12
     assert np.all(np.abs(vectors - back) <= bound)
 
 
@@ -124,9 +126,11 @@ def test_quantize_pipeline_weights_match_subdivided_connectivity():
     mesh = make_sphere(1)
     counts = neighbor_counts(mesh)
     params = QuantizationParams(alpha=2.0, hbar=6.0)
-    field = _field(np.zeros((mesh.n_vertices, 3)))
-    q = quantize_field(field, counts, params)
-    assert np.allclose(q.weights, np.maximum(counts, 1) / 6.0)
+    q = quantize_field(_field(np.ones((mesh.n_vertices, 3))), counts, params)
+    weights = adaptive_weights(counts, params.hbar)
+    assert np.allclose(weights, np.maximum(counts, 1) / 6.0)
+    want = round_half_away_from_zero(params.alpha * weights)
+    assert np.array_equal(q.values, np.repeat(want[:, None], 3, axis=1))
 
 
 def test_dequantize_applies_the_quantizer_weights():

@@ -35,13 +35,6 @@ def test_splitmix_reference_values():
     assert rng.next_u64() == 3203168211198807973
 
 
-def test_splitmix_uniform_range():
-    rng = SplitMix64(42)
-    xs = [rng.uniform() for _ in range(1000)]
-    assert all(0.0 <= x < 1.0 for x in xs)
-    assert 0.4 < np.mean(xs) < 0.6
-
-
 def test_shapes_have_expected_sizes():
     assert make_sphere(0).n_vertices == 12
     assert make_sphere(2).n_vertices == 162
