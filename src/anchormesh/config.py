@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .octree import DEFAULT_LEAF_CAPACITY, DEFAULT_MAX_DEPTH
-from .quantize import DEFAULT_HBAR
+from .quantize import DEFAULT_HBAR, QuantizationParams
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,14 @@ class CodecConfig:
     def __post_init__(self):
         if not 0 <= self.level <= 255:  # the payload's level byte
             raise ValueError(f"level must be in 0..255, got {self.level}")
+        QuantizationParams(self.alpha, self.delta, self.hbar)  # the quantizer's own checks
+        if self.collapses_per_anchor < 1:
+            raise ValueError(f"collapses_per_anchor must be at least 1, "
+                             f"got {self.collapses_per_anchor}")
+        if self.leaf_capacity < 1:
+            raise ValueError(f"leaf_capacity must be at least 1, got {self.leaf_capacity}")
+        if self.max_depth < 0:
+            raise ValueError(f"max_depth must be at least 0, got {self.max_depth}")
         if not 0.0 < self.base_fraction <= 1.0:
             raise ValueError(f"base_fraction must be in (0, 1], got {self.base_fraction}")
         if self.threads < 1:

@@ -1,6 +1,6 @@
-"""Exact grid searches: the cell index (:class:`CellBins`), the face grid
-behind :func:`closest_points_on_surface`, the point-triangle kernel, the
-rounding pad and the pair blocks.
+"""Exact grid searches: the cell rule (:func:`cell_of`), the cell index
+(:class:`CellBins`), the face grid behind :func:`closest_points_on_surface`,
+the point-triangle kernel, the rounding pad and the pair blocks.
 
 Both searches of the codec, closest surface points here and nearest points
 in :mod:`anchormesh.octree`, take a bound from the query's own cells, then
@@ -59,9 +59,11 @@ def owner_blocks(owner, count, budgets=1):
         yield int(bounds[s]), int(bounds[e])
 
 
-def _cell_of(points, low, width, last):
+def cell_of(points, low, width, last):
     """Cell of each of ``points`` (k, 3) in a grid of cells ``width`` wide
-    from ``low``, clipped to ``0..last`` (floats) on every axis."""
+    from ``low``: ``floor((x - low) / width)``, clipped to ``0..last``
+    (floats) on every axis. Every grid of the codec places its points, faces
+    and queries by this rule."""
     cell = (points - low) / width
     return np.clip(cell, 0.0, last, out=cell).astype(np.int64)
 
@@ -104,7 +106,7 @@ class CellBins:
         """Cell of each of ``points`` (k, 3), clipped to the grid. The
         transposed view of a (3, k) array is several times faster here than
         a (k, 3) array, whose short rows make numpy broadcast slowly."""
-        return _cell_of(points, self.low, self.width, self.last)
+        return cell_of(points, self.low, self.width, self.last)
 
     def box(self, cols, d2, pad):
         """Inclusive cell box ``(lo, hi)`` of the cube ``q +- r`` around each
@@ -173,7 +175,7 @@ class FaceGrid:
         while True:
             inner = np.floor(extent / h) + 1.0
             if np.prod(inner) <= 8.0 * m:
-                lo, hi = (_cell_of(x.T, low, h, inner - 1.0) for x in (fmin, fmax))
+                lo, hi = (cell_of(x.T, low, h, inner - 1.0) for x in (fmin, fmax))
                 if (hi - lo + 1).prod(axis=1).sum() <= 16 * m:
                     break
             h *= 2.0

@@ -7,14 +7,11 @@ cubic cells of one octree level and kept as arrays sorted by cell key, so a
 query gathers whole runs of points, a column of cells at a time, instead of
 walking nodes.
 
-It answers what the pointer octree of the paper's coarse stage answers. The
-cells are the nodes at one depth of the pointer octree over the same points:
-the points' bounding cube, inflated by 1e-9, split half-open (a coordinate
-equal to a node's center goes to the upper child) with the same arithmetic.
-The depth is the shallowest at which no cell holds more than
-``leaf_capacity`` points, so every leaf of the pointer octree is a cell or a
-union of cells (or part of one, where the depth cap of :func:`build_octree`
-stops the index first).
+The cells are those of one octree level over the points' bounding cube,
+inflated by 1e-9: a point's cell is :func:`anchormesh.grid.cell_of`, the
+rule by which every query of this index and every face of the face grid
+finds its cells too. The depth is the shallowest at which no cell holds
+more than ``leaf_capacity`` points, within the caps of :func:`build_octree`.
 
 The search has the shape of the closest-point search of
 :mod:`anchormesh.grid`, whose cell index, rounding pad and pair blocks it
@@ -29,11 +26,11 @@ depends on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import PAD, CellBins, owner_blocks
+from .grid import PAD, CellBins, cell_of, owner_blocks
 from .mesh import MeshValidationError, ranges, run_starts
 
 DEFAULT_LEAF_CAPACITY = 16
@@ -43,41 +40,24 @@ DEFAULT_MAX_DEPTH = 21
 @dataclass(frozen=True, eq=False)
 class Octree:
     """Points binned into the ``side ** 3`` cells of one octree level,
-    ``side = 2 ** depth``.
+    ``side = 2 ** depth``, each cell ``width`` wide from ``low``.
 
     ``cell`` holds each point's integer cell and ``bins`` the points binned
     by it in a :class:`anchormesh.grid.CellBins` grid, the structure the
     closest-point face grid uses too. ``sorted_cols`` holds the points in
-    the order of ``bins.order``, coordinates first. A cell's box is
-    ``low + cell * width`` to ``low + (cell + 1) * width``, up to rounding.
+    the order of ``bins.order``, coordinates first.
     """
 
     points: np.ndarray
-    center: np.ndarray
-    half_width: float
     depth: int
+    side: int
+    low: np.ndarray
+    width: float
     cell: np.ndarray
-    side: int = field(init=False)
-    low: np.ndarray = field(init=False)
-    width: float = field(init=False)
-    bins: CellBins = field(init=False)
-    sorted_cols: np.ndarray = field(init=False)  # (3, n)
-    mag: float = field(init=False)  # largest coordinate magnitude
-    block: np.ndarray = field(init=False)  # key offsets of a block's nine z-columns
-
-    def __post_init__(self):
-        side = 1 << self.depth
-        low = self.center - self.half_width
-        width = 2.0 * self.half_width / side
-        bins = CellBins(low, width, np.full(3, side), self.cell)
-        dx, dy = np.divmod(np.arange(9), 3)
-        for name, value in (
-                ("side", side), ("low", low), ("width", width), ("bins", bins),
-                ("sorted_cols", np.ascontiguousarray(np.take(self.points, bins.order, axis=0).T)),
-                ("mag", float(np.abs(self.points).max())),
-                # from a cell's key to the bottom cell of each column around it
-                ("block", (dx - 1) * bins.strides[0] + (dy - 1) * bins.strides[1] - 1)):
-            object.__setattr__(self, name, value)
+    bins: CellBins
+    sorted_cols: np.ndarray  # (3, n)
+    mag: float  # largest coordinate magnitude
+    block: np.ndarray  # key offsets of a block's nine z-columns
 
 
 def build_octree(points, leaf_capacity: int = DEFAULT_LEAF_CAPACITY,
@@ -85,17 +65,21 @@ def build_octree(points, leaf_capacity: int = DEFAULT_LEAF_CAPACITY,
     """Index a non-empty point set (duplicates allowed).
 
     The depth is the shallowest at which no cell holds more than
-    ``leaf_capacity`` points, as no leaf of the pointer octree does, but at
-    most ``max_depth`` and at most the depth where the grid would have more
-    than eight cells per point: duplicates, a flat or a clustered cloud
-    never ask for more cells than that. Raises
-    :class:`anchormesh.mesh.MeshValidationError` for non-finite coordinates.
+    ``leaf_capacity`` points, but at most ``max_depth`` and at most the
+    depth where the grid would have more than eight cells per point:
+    duplicates, a flat or a clustered cloud never ask for more cells than
+    that. Each point's cell is found once, at the deepest depth allowed; a
+    coarser cell is a right shift of it, exactly, as the cell widths differ
+    by powers of two. Raises :class:`anchormesh.mesh.MeshValidationError`
+    for non-finite coordinates.
     """
     pts = np.array(points, dtype=np.float64, copy=True).reshape(-1, 3)
     if len(pts) == 0:
         raise ValueError("cannot build an octree over an empty point set")
     if leaf_capacity < 1:
         raise ValueError("leaf_capacity must be >= 1")
+    if max_depth < 0:
+        raise ValueError("max_depth must be >= 0")
     if not np.isfinite(pts).all():
         raise MeshValidationError("point index requires finite coordinates")
     pts.setflags(write=False)
@@ -103,23 +87,24 @@ def build_octree(points, leaf_capacity: int = DEFAULT_LEAF_CAPACITY,
     cols = np.ascontiguousarray(pts.T)  # reductions along a length-3 axis are slow
     lo = cols.min(axis=1)
     hi = cols.max(axis=1)
-    center = 0.5 * (lo + hi)
     half = float((hi - lo).max()) * 0.5 + PAD
+    low = 0.5 * (lo + hi) - half
     cap = min(max_depth, (n.bit_length() - 1) // 3 + 1)  # deepest with 8 ** depth <= 8 n
-    cell = np.zeros((n, 3), dtype=np.int64)
-    node = np.broadcast_to(center, (n, 3))  # center of each point's node
-    quarter = half
-    depth = 0
-    while depth < cap:
+    deepest = cell_of(cols.T, low, 2.0 * half / (1 << cap), (1 << cap) - 1.0)
+    for depth in range(cap + 1):
         side = 1 << depth
-        if np.bincount((cell[:, 0] * side + cell[:, 1]) * side + cell[:, 2]).max() <= leaf_capacity:
+        cell = deepest >> (cap - depth)
+        if depth == cap or np.bincount(
+                (cell[:, 0] * side + cell[:, 1]) * side + cell[:, 2]).max() <= leaf_capacity:
             break
-        upper = pts >= node
-        quarter *= 0.5
-        node = node + np.where(upper, quarter, -quarter)
-        cell = 2 * cell + upper
-        depth += 1
-    return Octree(pts, center, half, depth, cell)
+    width = 2.0 * half / side
+    bins = CellBins(low, width, np.full(3, side), cell)
+    dx, dy = np.divmod(np.arange(9), 3)
+    return Octree(pts, depth, side, low, width, cell, bins,
+                  sorted_cols=np.ascontiguousarray(np.take(pts, bins.order, axis=0).T),
+                  mag=float(np.abs(pts).max()),
+                  # from a cell's key to the bottom cell of each column around it
+                  block=(dx - 1) * bins.strides[0] + (dy - 1) * bins.strides[1] - 1)
 
 
 def _nearest_in_columns(index: Octree, cols, owner, first, count):

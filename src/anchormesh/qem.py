@@ -206,15 +206,16 @@ class _WorkingCopy:
         return corners
 
 
-def _boundary_quadrics(mesh: TriangleMesh, weight: float) -> np.ndarray:
+def _boundary_quadrics(mesh: TriangleMesh, edges, face_edges) -> np.ndarray:
     """Constraint quadrics pinning open boundaries: for each edge with exactly
     one incident face, a plane through the edge perpendicular to that face,
-    scaled by ``weight``. Returns (n, 10) coefficients to add.
+    scaled by ``BOUNDARY_WEIGHT``. ``edges`` and ``face_edges`` are the
+    :func:`anchormesh.mesh.unique_edges` of ``mesh``. Returns (n, 10)
+    coefficients to add.
 
     Boundary edges are visited in face order, ab, bc, ca within a face, each
     from its lower to its higher vertex index."""
     acc = np.zeros((mesh.n_vertices, 10))
-    edges, face_edges = unique_edges(mesh.faces, mesh.n_vertices)
     once = np.bincount(face_edges.ravel(), minlength=len(edges)) == 1
     for fi, corner in zip(*np.nonzero(once[face_edges])):
         u, v = edges[face_edges[fi, corner]].tolist()
@@ -231,7 +232,7 @@ def _boundary_quadrics(mesh: TriangleMesh, weight: float) -> np.ndarray:
         bn = bn / bn_norm
         p4 = np.array([bn[0], bn[1], bn[2], -float(bn @ mesh.vertices[u])])
         p4 = p4 / np.linalg.norm(p4)
-        q = weight * (p4[_TRIU_ROWS] * p4[_TRIU_COLS])
+        q = BOUNDARY_WEIGHT * (p4[_TRIU_ROWS] * p4[_TRIU_COLS])
         acc[u] += q
         acc[v] += q
     return acc
@@ -282,11 +283,11 @@ def decimate_to_base(mesh: TriangleMesh, target_vertex_count: int) -> TriangleMe
     remaining = len(used)  # vertices with a face
     if remaining <= target_vertex_count:
         return TriangleMesh(mesh.vertices[used], np.searchsorted(used, mesh.faces))
-    quadrics = all_vertex_quadrics(mesh) + _boundary_quadrics(mesh, BOUNDARY_WEIGHT)
+    edges, face_edges = unique_edges(mesh.faces, n)
+    quadrics = all_vertex_quadrics(mesh) + _boundary_quadrics(mesh, edges, face_edges)
     work = _WorkingCopy(mesh, quadrics)
     faces, vfaces, positions = work.faces, work.vfaces, work.positions
     stamps = [0] * n
-    edges = unique_edges(mesh.faces, n)[0]
     points, errors = _optimal_points(quadrics[edges[:, 0]] + quadrics[edges[:, 1]],
                                      positions[edges[:, 0]], positions[edges[:, 1]])
     heap = [(err, u, v, 0, 0, seq) for seq, (err, u, v)

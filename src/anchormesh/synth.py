@@ -147,8 +147,8 @@ _ICO_FACES = np.array([
 ], dtype=np.int64)
 
 
-def make_sphere(level: int, radius: float = 1.0) -> TriangleMesh:
-    """Icosphere: icosahedron midpoint-subdivided ``level`` times, vertices
+def make_sphere(level: int) -> TriangleMesh:
+    """Unit icosphere: icosahedron midpoint-subdivided ``level`` times, vertices
     projected onto the sphere after every split (12/42/162/642/... vertices)."""
     if level < 0:
         raise ValueError("sphere subdivision level must be >= 0")
@@ -158,12 +158,11 @@ def make_sphere(level: int, radius: float = 1.0) -> TriangleMesh:
         (0, -1, phi), (0, 1, phi), (0, -1, -phi), (0, 1, -phi),
         (phi, 0, -1), (phi, 0, 1), (-phi, 0, -1), (-phi, 0, 1),
     ], dtype=np.float64)
-    sphere = TriangleMesh(verts / np.linalg.norm(verts, axis=1, keepdims=True) * radius,
-                          _ICO_FACES)
+    sphere = TriangleMesh(verts / np.linalg.norm(verts, axis=1, keepdims=True), _ICO_FACES)
     for _ in range(level):
         split = midpoint_subdivide(sphere, 1).mesh
-        verts = split.vertices / np.linalg.norm(split.vertices, axis=1, keepdims=True) * radius
-        sphere = TriangleMesh(verts, split.faces)
+        sphere = TriangleMesh(split.vertices / np.linalg.norm(split.vertices, axis=1, keepdims=True),
+                              split.faces)
     return sphere
 
 

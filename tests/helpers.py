@@ -766,10 +766,6 @@ class PointerOctree:
     def center(self) -> np.ndarray:
         return self.root.center
 
-    @property
-    def half_width(self) -> float:
-        return self.root.half
-
 
 def pointer_octree(points, leaf_capacity: int = 16, max_depth: int = 21) -> PointerOctree:
     """Build an octree over a non-empty point set (duplicates allowed)."""
@@ -856,18 +852,6 @@ def pointer_nearest(octree: PointerOctree, query):
                     seq += 1
                     heapq.heappush(heap, (bd2, seq, child))
     return best_i, math.sqrt(best_d2)
-
-
-def octree_leaves(node, out=None) -> list:
-    """The leaves under ``node``, depth first, children in octant order."""
-    out = [] if out is None else out
-    if node.indices is not None:
-        out.append(node)
-    else:
-        for child in node.children:
-            if child is not None:
-                octree_leaves(child, out)
-    return out
 
 
 def queue_traversal_order(base: TriangleMesh, adjacency: AdjacencyMap = None) -> list:

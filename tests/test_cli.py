@@ -285,6 +285,23 @@ def test_encode_exits_2_on_quantized_values_outside_int64(rotating, tmp_path, ca
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("line", [
+    "collapses_per_anchor = 0", "collapses_per_anchor = -3", "leaf_capacity = 0",
+    "max_depth = -5", "alpha = -1", "hbar = 0", "delta = nan"])
+def test_encode_exits_2_on_a_config_value_outside_its_domain(rotating, tmp_path, capsys, line):
+    # zero collapses per anchor skipped the fine stage silently, exit 0; the
+    # others failed only at encode, without the file's path and line
+    config_path = tmp_path / "codec.cfg"
+    config_path.write_text(line + "\n")
+    out = tmp_path / "out.bin"
+    capsys.readouterr()
+    assert main(["encode", str(rotating / "frame_0000.obj"), str(rotating / "frame_0001.obj"),
+                 str(out), "--config", str(config_path)]) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "ValueError" and error["message"].startswith(f"{config_path}:1: ")
+    assert os.listdir(tmp_path) == ["codec.cfg"]
+
+
 def test_encode_decode_eval_round_trip_quantizes_non_zero_values(rotating, tmp_path, capsys):
     # the files the commands write are the in-process encode and decode, bit
     # for bit, on a pair whose payload holds non-zero values

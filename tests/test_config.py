@@ -77,7 +77,16 @@ def test_bad_number_raises(tmp_path):
     ("level = 256\n", 1, "level must be in 0..255, got 256"),
     ("alpha = 2\nbase_fraction = inf\n", 2, "base_fraction must be in"),
     ("base_fraction = 0\n", 1, "base_fraction must be in"),
-], ids=["empty-ladder", "zero-threads", "level-256", "infinite-fraction", "zero-fraction"])
+    ("level = 3\ncollapses_per_anchor = 0\n", 2, "collapses_per_anchor must be at least 1, got 0"),
+    ("collapses_per_anchor = -3\n", 1, "collapses_per_anchor must be at least 1, got -3"),
+    ("leaf_capacity = 0\n", 1, "leaf_capacity must be at least 1, got 0"),
+    ("max_depth = -5\n", 1, "max_depth must be at least 0, got -5"),
+    ("alpha = -1\n", 1, "alpha must be > 0"),
+    ("hbar = 0\n", 1, "hbar must be > 0"),
+    ("delta = nan\n", 1, "alpha, delta and hbar must be finite"),
+], ids=["empty-ladder", "zero-threads", "level-256", "infinite-fraction", "zero-fraction",
+        "zero-collapses", "negative-collapses", "zero-leaf-capacity", "negative-max-depth",
+        "negative-alpha", "zero-hbar", "nan-delta"])
 def test_rejected_value_reports_path_and_line(tmp_path, text, line, message):
     path = _write(tmp_path, text)
     with pytest.raises(ValueError, match=f"^{path}:{line}: {message}"):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anchormesh import MeshValidationError, octree
-from helpers import brute_force_nearest, octree_leaves
+from anchormesh import MeshValidationError, grid, octree
+from helpers import brute_force_nearest
 from helpers import pointer_nearest as nearest
 from helpers import pointer_octree as build_octree
 
@@ -150,6 +150,8 @@ def test_index_rejects_what_the_oracle_rejects():
         octree.build_octree(np.zeros((0, 3)))
     with pytest.raises(ValueError):
         octree.build_octree([[0, 0, 0]], leaf_capacity=0)
+    with pytest.raises(ValueError, match="max_depth"):
+        octree.build_octree([[0, 0, 0]], max_depth=-1)
 
 
 def test_index_duplicates_stop_at_the_cell_cap():
@@ -162,16 +164,19 @@ def test_index_duplicates_stop_at_the_cell_cap():
     assert octree.build_octree(pts, leaf_capacity=8, max_depth=1).depth == 1
 
 
-def test_index_cells_are_the_pointer_octree_nodes():
+def test_index_cells_are_the_grid_cells_at_the_shallowest_depth():
     rng = np.random.default_rng(21)
     pts = rng.uniform(-3, 3, size=(10_000, 3))
     index = octree.build_octree(pts)
     assert np.array_equal(np.sort(index.bins.order), np.arange(len(pts)))
+    assert np.array_equal(index.cell, grid.cell_of(pts, index.low, index.width, index.side - 1.0))
     counts = np.diff(index.bins.starts)
     assert counts.max() <= octree.DEFAULT_LEAF_CAPACITY
     assert index.side ** 3 <= 8 * len(pts)
-    # the shallowest such depth: one level up, some cell holds too many
-    parent = index.cell >> 1
+    # the shallowest such depth: one level up, where the same rule gives
+    # each cell's parent, some cell holds too many
+    parent = grid.cell_of(pts, index.low, 2.0 * index.width, index.side // 2 - 1.0)
+    assert np.array_equal(parent, index.cell >> 1)
     assert np.unique(parent, axis=0, return_counts=True)[1].max() > octree.DEFAULT_LEAF_CAPACITY
     keys = index.bins.key(index.cell)
     for key in np.flatnonzero(counts)[:200]:
@@ -180,22 +185,26 @@ def test_index_cells_are_the_pointer_octree_nodes():
         assert np.all(np.diff(members) > 0)  # ascending within a cell
     lo = index.low + index.cell * index.width
     assert np.all(pts >= lo - 1e-12) and np.all(pts <= lo + index.width + 1e-12)
-    tree = build_octree(pts, leaf_capacity=1, max_depth=index.depth + 2)
-    assert np.array_equal(tree.center, index.center) and tree.half_width == index.half_width
-    root_low = tree.center - tree.half_width
-    for leaf in octree_leaves(tree.root):
-        at = np.floor((leaf.center - root_low) / (2 * leaf.half)).astype(np.int64)
-        shift = leaf.depth - index.depth
-        want = at >> shift if shift >= 0 else at
-        got = index.cell[leaf.indices] >> max(-shift, 0)
-        assert np.all(got == want)
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 4])
+@pytest.mark.parametrize("scale", [1e-3, 0.1, 0.3, 1.0, 1e3])
+def test_index_bins_each_point_in_the_cell_a_query_on_it_starts_from(scale, capacity):
+    # the build places points by the rule that queries use (grid.cell_of);
+    # lattice coordinates often fall on the planes between cells
+    rng = np.random.default_rng(capacity)
+    for _ in range(20):
+        low, high = rng.integers(1, 9, size=2)
+        pts = rng.integers(-low, high + 1, size=(int(rng.integers(2, 401)), 3)) * scale
+        index = octree.build_octree(pts, leaf_capacity=capacity)
+        assert np.array_equal(index.bins.cell_of(pts), index.cell)
 
 
 def test_index_half_open_cell_assignment():
     # a point exactly on the splitting plane goes to the upper cell
     pts = np.array([[0.0, 0, 0], [2.0, 0, 0], [1.0, 0, 0]])  # center x = 1.0
     index = octree.build_octree(pts, leaf_capacity=1)
-    assert index.center[0] == 1.0 and index.depth >= 1
+    assert index.depth == 1 and index.low[0] + index.width == 1.0  # the plane x = 1
     assert index.cell[2, 0] == index.cell[1, 0] > index.cell[0, 0]
 
 

@@ -231,8 +231,8 @@ def test_apply_negated_positions_moves_to_origin():
 
 def test_lossless_roundtrip_lands_on_surface():
     cube = unit_cube()
-    src = make_sphere(1, radius=0.4)
-    src = TriangleMesh(src.vertices + 0.5, src.faces)  # sphere inside the cube
+    src = make_sphere(1)
+    src = TriangleMesh(src.vertices * 0.4 + 0.5, src.faces)  # sphere inside the cube
     sub = midpoint_subdivide(src, 2)
     field = compute_displacements(sub, cube)
     recon = apply_displacements(sub, field)
