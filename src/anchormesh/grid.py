@@ -1,20 +1,20 @@
 """Exact grid searches: the cell rule (:func:`cell_of`), the cell index
-(:class:`CellBins`), the face grid behind :func:`closest_points_on_surface`,
-the point-triangle kernel, the rounding pad and the pair blocks.
+(:class:`CellBins`) and its one search (:func:`least`), the face grid behind
+:func:`closest_points_on_surface`, the point-triangle kernel, the rounding
+pad and the pair blocks.
 
-Both searches of the codec, closest surface points here and nearest points
-in :mod:`anchormesh.octree`, take a bound from the query's own cells, then
-gather once the cell box that the bound reaches (:meth:`CellBins.box`).
-Every pair search, the fine-stage judge's too, forms its pairs in
-:func:`blocks` of one pair budget, which this module alone sets.
+Closest surface points here and nearest points in :mod:`anchormesh.octree`
+are both :func:`least`, each by its own measure. Every pair search, the
+fine-stage judge's too, forms its pairs in :func:`blocks` of one pair
+budget, which this module alone sets.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .mesh import (DEGENERATE_AREA, MeshValidationError, TriangleMesh, ranges, run_minima,
-                   run_starts, sorted_unique)
+from .mesh import (DEGENERATE_AREA, MeshValidationError, TriangleMesh, ranges, run_starts,
+                   sorted_unique)
 
 # Inflation of a grid search's reach, relative to the reach and to the
 # largest coordinate: see ``CellBins.box``.
@@ -74,17 +74,22 @@ class CellBins:
 
     Keys count the cells of the grid padded by one empty cell on every side
     in x-major order, so that the 3 x 3 x 3 block around a cell never leaves
-    it. Item ``i`` is binned in cell ``lo[i]`` or, where ``hi`` is given, in
-    every cell of the inclusive cell box ``[lo[i], hi[i]]``: ``order`` holds
-    the items sorted by cell key, ascending within a cell, ``starts[key]`` is
-    the first slot of a cell in ``order`` and ``starts[-1]`` the number of
-    entries.
+    it. Item ``i`` is binned in cell ``lo[i]`` or, where ``hi`` is given
+    (``boxed``), in every cell of the inclusive cell box ``[lo[i], hi[i]]``:
+    ``order`` holds the items sorted by cell key, ascending within a cell,
+    ``starts[key]`` is the first slot of a cell in ``order`` and
+    ``starts[-1]`` the number of entries.
     """
 
     def __init__(self, low, width, shape, lo, hi=None):
         self.low, self.width, self.last = low, width, shape - 1.0
+        self.boxed = hi is not None
         dims = shape + 2
         self.strides = np.array([dims[1] * dims[2], dims[2], 1])
+        # by radius 0 or 1: a cell's key to the bottom of each column around it
+        dx, dy = np.divmod(np.arange(9), 3)
+        self.around = (np.zeros(1, dtype=np.int64),
+                       (dx - 1) * self.strides[0] + (dy - 1) * self.strides[1] - 1)
         if hi is None:
             owner, keys = np.arange(len(lo)), self.key(lo)
         else:
@@ -139,10 +144,90 @@ class CellBins:
         first = self.starts[key]
         return owner, first, self.starts[key + height] - first
 
-    def entries(self, owner, first, count):
-        """``(owner, item)`` for every entry of each run
-        ``order[first:first + count]``."""
-        return np.repeat(owner, count), self.order[ranges(first, count)]
+
+def least(bins, cols, measure, radius, pad, n_items):
+    """Per query of ``cols`` (3, k), the item of ``bins`` at the least
+    squared distance and the ``measure`` of that pair, as ``(item,
+    measured)``, with ties to the lowest item: what a scan of every item
+    finds.
+
+    ``measure(q, item)`` gives a tuple of arrays (..., m) for the (query,
+    item) pairs from query coordinates ``q`` (3, m), the last their squared
+    distances, elementwise, so a pair gives the same bits in any batch. An
+    item within ``r`` of a query ``q`` must be binned in a cell of the box
+    that :meth:`CellBins.box` gives ``q +- r``, its ``pad`` covering the
+    rounding.
+
+    - *Bound.* ``q`` is measured against the items of the cells within
+      ``radius`` (0 or 1) of its own on every axis, and the least distance
+      bounds its minimum: ``r^2``, or ``inf`` where those cells are empty.
+    - *Settle.* Where the box of ``q +- r`` lies inside those cells, every
+      item within ``r`` has been measured. It does when ``r < radius *
+      width - pad``: every other cell is ``radius`` widths or more from
+      ``q``, which lies on each axis in the middle of those cells or off the
+      grid past their margin side.
+    - *Gather.* Every other query measures once the items of every cell its
+      box covers, the whole grid for ``r^2 = inf``; a pair met in several
+      cells, where items are binned as boxes, once.
+
+    Either way every item at the minimum is measured. Pairs are formed in
+    blocks of whole queries within one pair budget (:func:`owner_blocks`),
+    and for the gather within one budget of cell columns too; a query's
+    answer depends on its own pairs only, so the blocks do not change it.
+    """
+    home = bins.cell_of(cols.T)
+    column = bins.key(home)[:, None] + bins.around[radius]
+    owner = np.repeat(np.arange(len(home)), column.shape[1])
+    first = bins.starts[column].ravel()
+    count = bins.starts[column + 2 * radius + 1].ravel() - first
+    item, measured = _least_in_runs(bins, cols, measure, n_items, owner, first, count)
+    reach = max(radius * bins.width - pad, 0.0)
+    settled = measured[-1] < reach * reach
+    if not settled.all():  # most nearest-point calls end here: skip the box
+        todo = np.flatnonzero(~settled)
+        lo, hi = bins.box(np.take(cols, todo, axis=1), measured[-1][todo], pad)
+        beyond = ((lo < home[todo] - radius) | (hi > home[todo] + radius)).any(axis=1)
+        todo, lo, hi = todo[beyond], lo[beyond], hi[beyond]
+        span = hi - lo + 1
+        for s, e in blocks(span[:, 0] * span[:, 1]):
+            item[todo[s:e]], gathered = _least_in_runs(
+                bins, np.take(cols, todo[s:e], axis=1), measure, n_items,
+                *bins.columns(lo[s:e], hi[s:e]), gather=True)
+            for out, x in zip(measured, gathered):
+                out[..., todo[s:e]] = x
+    return item, measured
+
+
+def _least_in_runs(bins, cols, measure, n_items, owner, first, count, gather=False):
+    """:func:`least` over the entries ``order[first:first + count]`` of each
+    run of queries ``owner`` (ascending), ``n_items`` and ``inf`` for a query
+    without any; a gather over items binned as boxes measures a pair once."""
+    k = cols.shape[1]
+    item = np.full(k, n_items)
+    best = None  # the measure's arrays per query, shaped by the first block
+    unique = gather and bins.boxed
+    # a gathered face recurs in each covered cell it touches, ~4 times on the
+    # codec's queries, and an entry is two integers where a measured pair is
+    # ~30 floats: four budgets of entries make about one budget of pairs
+    for a, b in owner_blocks(owner, count, 4 if unique else 1):
+        who = np.repeat(owner[a:b], count[a:b])
+        found = bins.order[ranges(first[a:b], count[a:b])]
+        if unique:
+            who, found = np.divmod(sorted_unique(who * n_items + found), n_items)
+        measured = measure(np.take(cols, who, axis=1), found)
+        if best is None:
+            best = [np.full(x.shape[:-1] + (k,), np.inf) for x in measured]
+        if len(who):
+            dist, d2 = measured[-1], best[-1]
+            starts = run_starts(who)
+            d2[who[starts]] = np.minimum.reduceat(dist, starts)
+            tied = np.flatnonzero(dist == d2[who])  # the pairs at their query's minimum
+            np.minimum.at(item, who[tied], found[tied])
+            if len(measured) > 1:  # the rest of each winning pair's measure
+                win = tied[found[tied] == item[who[tied]]]
+                for out, x in zip(best, measured[:-1]):
+                    out[..., who[win]] = x[..., win]
+    return item, best
 
 
 class FaceGrid:
@@ -167,7 +252,8 @@ class FaceGrid:
         fmin = np.minimum(np.minimum(a, b), c)
         fmax = np.maximum(np.maximum(a, b), c)
         low = fmin.min(axis=1)
-        extent = fmax.max(axis=1) - low
+        with np.errstate(over="ignore"):  # finite coordinates may span more than a float holds
+            extent = fmax.max(axis=1) - low
         if not np.isfinite(extent).all():
             raise MeshValidationError("closest-point query requires finite coordinates")
         h = float((fmax - fmin).max(axis=0).mean()) or float(extent.max()) or 1.0
@@ -198,76 +284,20 @@ class FaceGrid:
         """Closest point on the mesh surface to each of ``points`` (k, 3), as
         ``(positions, faces, bary, sq_dists)`` arrays.
 
-        Each (query, face) pair is measured by :meth:`measure`: its ``(v,
-        w)`` give the face's point ``a + v (b - a) + w (c - a)`` with
-        barycentric weights ``(1 - v - w, v, w)``, and the pair's distance is
-        the squared length of that point minus the query. Per query the least
-        distance wins, with ties to the lowest face index, exactly as a scan
-        of every face finds it. The grid narrows that scan to few faces per
-        query:
-
-        - *Bound.* A query ``q`` is measured against the faces binned in its
-          own cell, and the least of those distances bounds its minimum:
-          ``r^2``. Some face's point lies ``r`` from ``q``; where the cell
-          holds no face, ``r^2 = inf``.
-        - *Gather.* A face's point is a convex combination of its corners, up
-          to rounding, so a face whose point is within ``r`` of ``q`` has a
-          bounding box that meets the box ``q +- r`` and is binned in a cell
-          that the box covers (:meth:`CellBins.box`). ``r`` is inflated by
-          ``1e-9`` of itself and of the largest face coordinate, which covers
-          the rounding of the point and its distance. Where the box lies in
-          ``q``'s own cell, the faces measured for the bound are all the
-          candidates. Otherwise the faces of every covered cell are gathered,
-          once, and measured; for ``r^2 = inf`` that is the whole grid.
-          Either way every face at the minimum is measured, in ascending
-          order per query, and the first one wins.
-
-        Memory is bounded per block: the pairs are formed in blocks of whole
-        queries that hold at most ``_BLOCK_PAIRS`` home-cell pairs or, for
-        the gather, ``_BLOCK_PAIRS`` cell columns and ``4 * _BLOCK_PAIRS``
-        gathered cell entries (a query beyond that is a block of its own),
-        so a call holds its per-query arrays, the grid and one block. A
-        query's answer depends on its own pairs only, so the blocks do not
-        change it. Raises :class:`MeshValidationError` for non-finite
-        queries.
+        The face and its :meth:`measure` are :func:`least` from the query's
+        own cell. A face's point is a convex combination of its corners, up
+        to rounding, so a face within ``r`` of ``q`` has a bounding box that
+        meets ``q +- r``; a pad of ``1e-9`` of the largest face coordinate
+        covers the rounding. The point is ``a + v (b - a) + w (c - a)``, with
+        barycentric weights ``(1 - v - w, v, w)``. Raises
+        :class:`MeshValidationError` for non-finite queries.
         """
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
         if not np.isfinite(pts).all():
             raise MeshValidationError("closest-point query requires finite coordinates")
-        cells = self.cells
-        cols = np.ascontiguousarray(pts.T)
-        n = len(pts)
-        out = (np.empty((n, 3)), np.empty(n, dtype=np.int64), np.empty((n, 3)), np.empty(n))
-        home = cells.key(cells.cell_of(cols.T))
-        first = cells.starts[home]
-        count = cells.starts[home + 1] - first
-        lo = np.empty((n, 3), dtype=np.int64)
-        hi = np.empty((n, 3), dtype=np.int64)
-        for s, e in blocks(count):
-            owner, face = cells.entries(np.arange(e - s), first[s:e], count[s:e])
-            measured = self.measure(np.take(cols, s + owner, axis=1), face)
-            bound = run_minima(measured[3], owner, e - s)
-            lo[s:e], hi[s:e] = cells.box(cols[:, s:e], bound, self.pad)
-            inside = (lo[s:e] == hi[s:e]).all(axis=1)
-            _settle(out, s + owner, face, measured, inside[owner] & (measured[3] <= bound[owner]))
-        far = np.flatnonzero((lo != hi).any(axis=1))
-        lo, hi = lo[far], hi[far]
-        span = hi - lo + 1
-        m = self.terms.shape[1]
-        for s, e in blocks(span[:, 0] * span[:, 1]):
-            columns = cells.columns(lo[s:e], hi[s:e])
-            # a gathered face recurs once per covered cell it touches, ~4
-            # times on the codec's queries, and an entry is two integers
-            # where a measured pair is ~30 floats: four budgets of entries
-            # make about one budget of pairs
-            for a, b in owner_blocks(columns[0], columns[2], 4):
-                owner, face = cells.entries(*(x[a:b] for x in columns))
-                owner, face = np.divmod(sorted_unique(owner * m + face), m)
-                query = far[s:e][owner]
-                measured = self.measure(np.take(cols, query, axis=1), face)
-                least = run_minima(measured[3], owner, e - s)
-                _settle(out, query, face, measured, measured[3] <= least[owner])
-        return out
+        face, (point, v, w, d2) = least(self.cells, np.ascontiguousarray(pts.T), self.measure,
+                                        0, self.pad, self.terms.shape[1])
+        return point.T.copy(), face, np.stack([1.0 - v - w, v, w], axis=1), d2
 
 
 def closest_points_on_surface(mesh: TriangleMesh, points):
@@ -281,17 +311,6 @@ def closest_points_on_surface(mesh: TriangleMesh, points):
     mesh without faces and for non-finite coordinates.
     """
     return FaceGrid(mesh).closest(points)
-
-
-def _settle(out, query, face, measured, least):
-    """Write into ``out`` the first pair marked ``least`` of each query, from
-    the :meth:`FaceGrid.measure` of (query, face) pairs grouped by query
-    with faces ascending."""
-    take = np.flatnonzero(least)
-    take = take[run_starts(query[take])]
-    point, v, w, d2 = (x[..., take] for x in measured)
-    for array, value in zip(out, (point.T, face[take], np.stack([1.0 - v - w, v, w], axis=1), d2)):
-        array[query[take]] = value
 
 
 def dot3(u, v):
@@ -314,6 +333,8 @@ def triangle_terms(a, b, c):
     d11 = dot3(ac, ac)
     dbc = d00 - 2.0 * d01 + d11
     denom = d00 * d11 - d01 * d01  # |ab x ac|^2
+    # the sliver rule on the Lagrange identity, from the dot products the
+    # kernel needs, not on mesh.face_normals: the cross product rounds apart
     flat = 0.5 * np.sqrt(np.maximum(denom, 0.0)) > DEGENERATE_AREA
     return np.concatenate([a, ab, ac, np.stack([
         d00, d01, d11, np.where(d00 > 0.0, d00, np.inf), np.where(d11 > 0.0, d11, np.inf),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # Faces with area at or below this are treated as slivers: they have no
-# usable plane and are skipped when accumulating quadrics.
+# usable plane and are skipped when accumulating quadrics (face_normals).
 DEGENERATE_AREA = 1e-12
 
 
@@ -149,6 +149,16 @@ def save_mesh(mesh: TriangleMesh) -> bytes:
     for a, b, c in mesh.faces.tolist():
         lines.append(f"f {a + 1} {b + 1} {c + 1}")
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def face_normals(mesh: TriangleMesh):
+    """``(normals, norms, sliver)`` of each face (a, b, c): the normal
+    ``(b - a) x (c - a)``, its length, twice the face's area, and whether
+    the face is a sliver, of area at most ``DEGENERATE_AREA`` or NaN."""
+    a, b, c = (mesh.vertices[mesh.faces[:, i]] for i in range(3))
+    normals = np.cross(b - a, c - a)
+    norms = np.linalg.norm(normals, axis=1)
+    return normals, norms, ~(0.5 * norms > DEGENERATE_AREA)
 
 
 def unique_edges(faces, n_vertices: int):

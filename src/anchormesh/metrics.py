@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import closest_points_on_surface
-from .mesh import DEGENERATE_AREA, MeshValidationError, TriangleMesh
+from .mesh import MeshValidationError, TriangleMesh, face_normals
 
 
 @dataclass(frozen=True)
@@ -47,15 +47,9 @@ class RDCurve:
 
 
 def _unit_normals(mesh: TriangleMesh):
-    """Per-face unit normals plus a mask of degenerate faces."""
-    a = mesh.vertices[mesh.faces[:, 0]]
-    b = mesh.vertices[mesh.faces[:, 1]]
-    c = mesh.vertices[mesh.faces[:, 2]]
-    n = np.cross(b - a, c - a)
-    norms = np.linalg.norm(n, axis=1)
-    degenerate = 0.5 * norms <= DEGENERATE_AREA
-    safe = np.where(degenerate, 1.0, norms)
-    return n / safe[:, None], degenerate
+    """Per-face unit normals plus a mask of sliver faces."""
+    n, norms, sliver = face_normals(mesh)
+    return n / np.where(sliver, 1.0, norms)[:, None], sliver
 
 
 def _directional_errors(samples: TriangleMesh, surface: TriangleMesh):

@@ -36,6 +36,7 @@ from .mesh import (
     DEGENERATE_AREA,
     TriangleMesh,
     directed_edges,
+    face_normals,
     ranges,
     run_minima,
     unique_edges,
@@ -75,13 +76,9 @@ def all_vertex_quadrics(mesh: TriangleMesh) -> np.ndarray:
     nothing (and a zero normal is never divided by).
     """
     acc = np.zeros((mesh.n_vertices, 10))
-    a = mesh.vertices[mesh.faces[:, 0]]
-    b = mesh.vertices[mesh.faces[:, 1]]
-    c = mesh.vertices[mesh.faces[:, 2]]
-    n = np.cross(b - a, c - a)
-    keep = 0.5 * np.linalg.norm(n, axis=1) > DEGENERATE_AREA
-    faces, n, a = mesh.faces[keep], n[keep], a[keep]
-    d = -(n * a).sum(axis=1)
+    n, _, sliver = face_normals(mesh)
+    faces, n = mesh.faces[~sliver], n[~sliver]
+    d = -(n * mesh.vertices[faces[:, 0]]).sum(axis=1)
     p4 = np.concatenate([n, d[:, None]], axis=1)
     p4 = p4 / np.linalg.norm(p4, axis=1, keepdims=True)
     q = p4[:, _TRIU_ROWS] * p4[:, _TRIU_COLS]  # (m, 10)
@@ -220,6 +217,8 @@ def _boundary_quadrics(mesh: TriangleMesh, edges, face_edges) -> np.ndarray:
     for fi, corner in zip(*np.nonzero(once[face_edges])):
         u, v = edges[face_edges[fi, corner]].tolist()
         fa, fb, fc = mesh.vertices[mesh.faces[fi]]
+        # one boundary face at a time, not mesh.face_normals over every face:
+        # a lone vector's norm may round apart from a batched one
         fn = np.cross(fb - fa, fc - fa)
         fn_norm = np.linalg.norm(fn)
         if 0.5 * fn_norm <= DEGENERATE_AREA:

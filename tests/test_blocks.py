@@ -61,8 +61,12 @@ def test_nearest_points_do_not_depend_on_the_block_budget(monkeypatch):
                          rng.normal(size=(20, 3)) * 5.0])
     # a query whose 3 x 3 x 3 block of cells holds no point gathers the
     # whole grid: most of those inside the sphere
-    starts = index.bins.starts
-    column = index.bins.key(index.bins.cell_of(queries))[:, None] + index.block
+    bins = index.bins
+    starts = bins.starts
+    dx, dy = np.divmod(np.arange(9), 3)
+    # the key of the bottom cell of each of the nine z-columns around a cell
+    column = bins.key(bins.cell_of(queries))[:, None] + (
+        (dx - 1) * bins.strides[0] + (dy - 1) * bins.strides[1] - 1)
     assert np.sum((starts[column + 3] - starts[column]).sum(axis=1) == 0) >= 40
     outs = _at_every_budget(monkeypatch, lambda: octree.nearest(index, queries))
     for got in outs[:-1]:

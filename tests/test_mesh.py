@@ -16,7 +16,7 @@ from anchormesh import (
     make_sphere,
     save_mesh,
 )
-from anchormesh.mesh import unique_edges, vertex_corners
+from anchormesh.mesh import DEGENERATE_AREA, face_normals, unique_edges, vertex_corners
 from helpers import (
     DegenerateFaceError,
     brute_force_surface_point,
@@ -211,6 +211,19 @@ def test_face_plane_degenerate_raises():
     m = TriangleMesh([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [[0, 1, 2]])
     with pytest.raises(DegenerateFaceError):
         face_plane(m, 0)
+
+
+def test_face_normals_mark_slivers_at_the_degenerate_area():
+    # right triangles of area 1/2, 0 (collinear) and just over and under the
+    # sliver area, whose legs are powers of two
+    legs = [1.0, 0.0, 2.0**-38, 2.0**-39]
+    verts = np.array([[x, y, 0.0] for leg in legs for x, y in ((0, 0), (1, 0), (0, leg))])
+    mesh = TriangleMesh(verts, np.arange(12).reshape(4, 3))
+    normals, norms, sliver = face_normals(mesh)
+    assert np.array_equal(normals, [[0, 0, leg] for leg in legs])
+    assert np.array_equal(norms, legs)
+    assert 0.5 * 2.0**-39 <= DEGENERATE_AREA < 0.5 * 2.0**-38
+    assert sliver.tolist() == [False, True, False, True]
 
 
 def test_face_plane_residual_and_norm_random():
@@ -615,6 +628,10 @@ def test_surface_non_finite_coordinates_raise():
     with pytest.raises(MeshValidationError):
         closest_points_on_surface(unit_cube(), [[np.nan, 0.0, 0.0]])
     verts = np.array([[0, 0, 0], [1, 0, 0], [0, np.inf, 0]], dtype=float)
+    with pytest.raises(MeshValidationError):
+        closest_points_on_surface(TriangleMesh(verts, [[0, 1, 2]]), [[0.0, 0.0, 0.0]])
+    # finite coordinates whose extent a float cannot hold
+    verts = np.array([[-1e308, 0, 0], [1e308, 0, 0], [0, 1, 0]])
     with pytest.raises(MeshValidationError):
         closest_points_on_surface(TriangleMesh(verts, [[0, 1, 2]]), [[0.0, 0.0, 0.0]])
 

@@ -217,6 +217,9 @@ def test_index_build_and_query_reject_non_finite_coordinates(bad):
         octree.build_octree(broken)
     with pytest.raises(MeshValidationError):
         octree.nearest(octree.build_octree(pts), broken)
+    # finite coordinates whose extent a float cannot hold
+    with pytest.raises(MeshValidationError, match="extent"):
+        octree.build_octree(np.vstack([pts, [[1e308, 0, 0], [-1e308, 0, 0]]]))
 
 
 def test_index_nearest_answers_a_batch():
