@@ -16,6 +16,17 @@ import numpy as np
 # usable plane and are skipped when accumulating quadrics (face_normals).
 DEGENERATE_AREA = 1e-12
 
+# The largest coordinate magnitude a mesh may hold, so that the codec's
+# arithmetic on it stays finite. Its widest products are sixth-degree: a
+# quadric's plane (n, d), with n = (b - a) x (c - a) and d = -n.a, is
+# normalized by sqrt(|n|^2 + d^2), and d^2 stays under 432 L^6 for
+# coordinates within L, 4.3e302 at L = 1e50, below the float maximum. The
+# point-triangle kernel's fourth-degree terms alone would allow about 1e76,
+# and a squared point distance 1e154. A unit sphere pair scaled by 1e51
+# encodes, decodes and evaluates without an overflow; scaled by 1e52 the
+# plane norm overflows.
+COORDINATE_LIMIT = 1e50
+
 
 class MeshError(Exception):
     """Base class for mesh construction and query failures."""
@@ -37,9 +48,13 @@ class MeshValidationError(MeshError):
 class TriangleMesh:
     """Indexed triangle soup: ``vertices`` (n, 3) float64, ``faces`` (m, 3) int64.
 
-    Arrays are copied and frozen on construction and on unpickling, so
-    instances are safe to share across threads and processes. Face and vertex
-    order is significant and preserved by OBJ round trips.
+    Every face indexes three distinct vertices, and no coordinate exceeds
+    ``COORDINATE_LIMIT`` in magnitude; NaN is no magnitude and is left to
+    the searches, which reject it. The constructor copies the arrays, on
+    unpickling too, and checks both rules; :meth:`derived` checks the
+    coordinates only. Either way the arrays are frozen, so instances are
+    safe to share across threads and processes. Face and vertex order is
+    significant and preserved by OBJ round trips.
     """
 
     vertices: np.ndarray
@@ -62,6 +77,26 @@ class TriangleMesh:
                 raise MeshValidationError(
                     f"face {int(np.flatnonzero(repeated)[0])} repeats a vertex index"
                 )
+        self._freeze(verts, faces)
+
+    @classmethod
+    def derived(cls, vertices, faces) -> "TriangleMesh":
+        """A mesh the library split or displaced from a checked one:
+        ``vertices`` (n, 3) float64 and ``faces`` (m, 3) int64 that index
+        them without repeats, as a checked mesh's faces and their splits
+        do. The arrays are frozen in place, not copied; only the
+        coordinates are checked, since a displaced one may leave the range."""
+        mesh = object.__new__(cls)
+        mesh._freeze(vertices, faces)
+        return mesh
+
+    def _freeze(self, verts, faces):
+        """Check the coordinates, then freeze the arrays and keep them."""
+        if (np.abs(verts) > COORDINATE_LIMIT).any():
+            raise MeshValidationError(
+                f"vertex coordinate beyond +-{COORDINATE_LIMIT:g}, where the codec's "
+                f"arithmetic would overflow"
+            )
         verts.setflags(write=False)
         faces.setflags(write=False)
         object.__setattr__(self, "vertices", verts)
@@ -169,13 +204,7 @@ def unique_edges(faces, n_vertices: int):
     ab, bc and ca edges.
     """
     a, b = faces.T.ravel(), faces[:, [1, 2, 0]].T.ravel()  # ab, bc, ca blocks
-    keys = np.minimum(a, b) * n_vertices + np.maximum(a, b)
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-    first = first_of_runs(sorted_keys)
-    index = np.empty(len(keys), dtype=np.int64)
-    index[order] = np.cumsum(first) - 1
-    unique = sorted_keys[first]
+    unique, index = unique_inverse(np.minimum(a, b) * n_vertices + np.maximum(a, b))
     edges = np.stack([unique // n_vertices, unique % n_vertices], axis=1)
     return edges, index.reshape(3, -1).T
 
@@ -202,6 +231,17 @@ def sorted_unique(keys):
     and a mask, where ``np.unique`` may hash."""
     keys = np.sort(keys)
     return keys[first_of_runs(keys)]
+
+
+def unique_inverse(keys):
+    """``(unique, index)``: the distinct values of the integer array
+    ``keys``, ascending, and the index in ``unique`` of each key."""
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    first = first_of_runs(sorted_keys)
+    index = np.empty(len(keys), dtype=np.int64)
+    index[order] = np.cumsum(first) - 1
+    return sorted_keys[first], index
 
 
 def first_of_runs(values):

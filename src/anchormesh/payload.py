@@ -10,7 +10,8 @@ Layout (little-endian throughout):
         as 2 int64, its vertices as float64 and its faces as int64, row-major
         (32 bytes)
     anchor vertex positions: 3 * n finite float64, base-vertex order (n comes
-        from the base mesh supplied at decode time)
+        from the base mesh supplied at decode time); the decoder also
+        requires them within +-``mesh.COORDINATE_LIMIT``
     subdivision level: u8
     quantization params alpha, delta, hbar: 3 finite float64
     quantized displacements: zigzag varints in vertex order, x,y,z interleaved;

@@ -9,32 +9,35 @@ byte-identical payloads and reconstructions.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
 from .coarse import AnchorMesh, generate_coarse_anchor
 from .config import CodecConfig
-from .mesh import TriangleMesh, unique_edges
+from .mesh import COORDINATE_LIMIT, MeshValidationError, TriangleMesh
 from .octree import build_octree
 from .payload import Payload, PayloadFormatError, BaseHashMismatchError, mesh_content_hash
 from .qem import refine_anchor
 from .quantize import QuantizationParams, dequantize_field, quantize_field
 from .quantize import neighbor_counts  # noqa: F401 -- codecbench's spans patch this name here
 from .subdivide import (SubdividedMesh, apply_displacements, compute_displacements,
-                        midpoint_subdivide, subdivided_vertex_count)
+                        edge_table, midpoint_subdivide, subdivided_vertex_count)
 
 
 # The CodecConfig fields that only quantization reads. Two configs equal in
 # every other field fit the same anchor, subdivision and displacements.
 QUANTIZATION_FIELDS = ("alpha", "delta", "hbar", "adaptive_quant")
+_ANCHOR_FIELDS = attrgetter(*(field.name for field in fields(CodecConfig)
+                              if field.name not in QUANTIZATION_FIELDS))
 
 
-def anchor_settings(config: CodecConfig) -> CodecConfig:
-    """``config`` with every field of ``QUANTIZATION_FIELDS`` at its default:
-    equal for two configs exactly when one encode's fit serves the other."""
-    return config.override(**{name: getattr(CodecConfig, name)
-                              for name in QUANTIZATION_FIELDS})
+def anchor_settings(config: CodecConfig) -> tuple:
+    """The values of every ``CodecConfig`` field outside
+    ``QUANTIZATION_FIELDS``, in field order: equal for two configs exactly
+    when one encode's fit serves the other, and hashable."""
+    return _ANCHOR_FIELDS(config)
 
 
 @dataclass
@@ -128,23 +131,25 @@ def decode_payload(payload: Payload, base: TriangleMesh) -> TriangleMesh:
         raise BaseHashMismatchError("payload was encoded against a different base mesh")
     if len(payload.anchor_positions) != base.n_vertices:
         raise PayloadFormatError("anchor vertex count does not match the base mesh")
-    # one edge pass over the base serves the length check and the first split
-    edges = unique_edges(base.faces, base.n_vertices)
-    expected = subdivided_vertex_count(base, payload.level, split=edges)
+    if not (np.abs(payload.anchor_positions) <= COORDINATE_LIMIT).all():
+        raise PayloadFormatError(f"anchor positions must lie within +-{COORDINATE_LIMIT:g}")
+    # the base's one edge sort serves the length check and every split
+    table = edge_table(base.faces, base.n_vertices)
+    expected = subdivided_vertex_count(base, payload.level, split=table)
     if len(payload.quantized) != expected:
         raise PayloadFormatError(
             f"displacement stream holds {len(payload.quantized)} triples, "
             f"expected {expected} for subdivision level {payload.level}"
         )
     sub = midpoint_subdivide(TriangleMesh(payload.anchor_positions, base.faces),
-                             payload.level, split=edges)
+                             payload.level, split=table)
     try:
         with np.errstate(over="ignore"):
             field = dequantize_field(payload.quantized, sub.neighbor_counts, payload.params,
                                      payload.adaptive)
-            recon = apply_displacements(sub, field)
+            return apply_displacements(sub, field)
     except ValueError as exc:  # alpha * weight underflowed to zero
         raise PayloadFormatError(f"bad quantization params: {exc}") from exc
-    if not np.isfinite(recon.vertices).all():
-        raise PayloadFormatError("quantization params overflow the reconstruction")
-    return recon
+    except MeshValidationError as exc:  # a displaced coordinate left the mesh range
+        raise PayloadFormatError(f"quantization params overflow the reconstruction: {exc}") \
+            from exc

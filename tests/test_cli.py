@@ -260,6 +260,21 @@ def test_encode_exits_2_on_a_non_finite_coordinate(sequence, tmp_path, capsys, f
     assert not out.exists()
 
 
+def test_encode_exits_2_on_a_base_vertex_beyond_the_coordinate_limit(rotating, tmp_path,
+                                                                     capsys):
+    # two base vertices at +-1e300 once matched point 0 at distance inf, and
+    # encode wrote a payload
+    lines = (rotating / "frame_0000.obj").read_text().splitlines()
+    rows = [i for i, line in enumerate(lines) if line.startswith("v ")][:2]
+    lines[rows[0]], lines[rows[1]] = "v 1e300 0 0", "v -1e300 0 0"
+    base = tmp_path / "huge_base.obj"
+    base.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out.bin"
+    assert main(["encode", str(base), str(rotating / "frame_0001.obj"), str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "MeshValidationError"
+    assert not out.exists()
+
+
 def test_encode_exits_2_on_a_target_without_faces(sequence, tmp_path, capsys):
     lines = (sequence / "frame_0001.obj").read_text().splitlines()
     target = tmp_path / "faceless.obj"

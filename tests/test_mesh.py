@@ -16,7 +16,8 @@ from anchormesh import (
     make_sphere,
     save_mesh,
 )
-from anchormesh.mesh import DEGENERATE_AREA, face_normals, unique_edges, vertex_corners
+from anchormesh.mesh import (COORDINATE_LIMIT, DEGENERATE_AREA, face_normals, unique_edges,
+                             vertex_corners)
 from helpers import (
     DegenerateFaceError,
     brute_force_surface_point,
@@ -50,6 +51,31 @@ def test_mesh_arrays_are_frozen():
     m = TriangleMesh(np.zeros((3, 3)), [[0, 1, 2]])
     with pytest.raises(ValueError):
         m.vertices[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nextafter(COORDINATE_LIMIT, np.inf), -1e300, np.inf],
+                         ids=["just-beyond", "-1e300", "inf"])
+def test_mesh_rejects_a_coordinate_beyond_the_limit(bad):
+    # beyond it the codec's arithmetic overflows: a nearest-point query at
+    # 1e300 matched point 0 at distance inf
+    verts = np.eye(3)
+    verts[0, 0], verts[1, 1] = COORDINATE_LIMIT, -COORDINATE_LIMIT
+    TriangleMesh(verts, [[0, 1, 2]])
+    TriangleMesh.derived(verts.copy(), np.array([[0, 1, 2]]))
+    verts[2, 2] = bad
+    with pytest.raises(MeshValidationError, match="beyond"):
+        TriangleMesh(verts, [[0, 1, 2]])
+    with pytest.raises(MeshValidationError, match="beyond"):
+        TriangleMesh.derived(verts, np.array([[0, 1, 2]]))
+    with pytest.raises(MeshValidationError, match="beyond"):
+        load_mesh(f"v 0 0 0\nv 1 0 0\nv 0 0 {float(bad)!r}\nf 1 2 3\n")
+
+
+def test_derived_mesh_freezes_its_own_arrays():
+    verts, faces = np.zeros((3, 3)), np.array([[0, 1, 2]])
+    mesh = TriangleMesh.derived(verts, faces)
+    assert mesh.vertices is verts and mesh.faces is faces
+    assert not verts.flags.writeable and not faces.flags.writeable
 
 
 def test_pickled_mesh_is_equal_and_frozen():

@@ -228,6 +228,17 @@ def test_non_finite_anchor_position_raises(encoded, value, tmp_path):
     _assert_cli_decode_exits_3(bytes(data), base, tmp_path)
 
 
+def test_anchor_position_beyond_the_coordinate_limit_raises(encoded, tmp_path):
+    # finite, so the read passes it; the decoder refuses it before any split
+    base, payload = encoded
+    data = bytearray(write_payload(payload))
+    struct.pack_into("<d", data, HEADER, 1e300)  # first anchor coordinate
+    mutated = read_payload(bytes(data), base.n_vertices)
+    with pytest.raises(PayloadFormatError, match="anchor positions"):
+        decode_payload(mutated, base)
+    _assert_cli_decode_exits_3(bytes(data), base, tmp_path)
+
+
 @pytest.mark.parametrize("alpha", [5e-324, 1e-310])
 def test_hostile_alpha_raises_payload_format_error(encoded, alpha, tmp_path):
     # 5e-324 times a weight below one rounds to a zero scale; 1e-310 leaves a

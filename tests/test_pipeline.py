@@ -45,27 +45,46 @@ def test_decode_rejects_another_base(pair):
 
 
 def test_decode_makes_one_edge_pass_over_the_base(pair, monkeypatch):
-    # the stream-length check and the first split share the base's edges,
-    # and the decoded vertices are those of separate passes
-    from anchormesh import pipeline, subdivide
+    # at every level the base's one edge pass serves the stream-length check
+    # and the first split, each later split takes its edges from the one
+    # before, and the decoded vertices are those of an unpatched decode
+    from anchormesh import mesh, pipeline, quantize, subdivide
     from anchormesh.mesh import unique_edges
 
     base, target = pair
-    payload = encode_pair(base, target).payload
-    want = decode_payload(payload, base)
+    payloads = [encode_pair(base, target, am.CodecConfig(level=level, qem_refine=False)).payload
+                for level in range(5)]
+    wants = [decode_payload(payload, base) for payload in payloads]
     passes = []
 
     def counted(faces, n_vertices):
         passes.append(len(faces))
         return unique_edges(faces, n_vertices)
 
-    monkeypatch.setattr(pipeline, "unique_edges", counted)
-    monkeypatch.setattr(subdivide, "unique_edges", counted)
-    got = decode_payload(payload, base)
-    assert passes.count(base.n_faces) == 1
-    assert len(passes) == payload.level
-    assert np.array_equal(got.vertices, want.vertices)
-    assert np.array_equal(got.faces, want.faces)
+    for module in (mesh, pipeline, quantize, subdivide):  # wherever a caller finds it
+        monkeypatch.setattr(module, "unique_edges", counted, raising=False)
+    for payload, want in zip(payloads, wants):
+        passes.clear()
+        got = decode_payload(payload, base)
+        assert passes == [base.n_faces], payload.level
+        assert np.array_equal(got.vertices, want.vertices)
+        assert np.array_equal(got.faces, want.faces)
+
+
+def test_a_pair_near_the_coordinate_limit_codes_without_overflow(pair):
+    # the limit keeps the quadrics' sixth-degree plane norms finite, so every
+    # stage runs on the pair scaled near it, and an overflow would raise. At
+    # half the limit this coarse alpha's reconstruction stays inside it too
+    from anchormesh.mesh import COORDINATE_LIMIT
+
+    scale = 0.5 * COORDINATE_LIMIT / max(np.abs(m.vertices).max() for m in pair)
+    base, target = (am.TriangleMesh(m.vertices * scale, m.faces) for m in pair)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        assert am.decimate_to_base(target, 40).n_vertices == 40
+        result = encode_pair(base, target, am.CodecConfig(alpha=8.0 / scale))
+        report = am.distortion(target, decode_payload(result.payload, base))
+    assert np.isfinite([report.d1_psnr, report.d2_psnr]).all()
+    assert np.count_nonzero(result.payload.quantized)
 
 
 @pytest.mark.parametrize("adaptive", [True, False], ids=["adaptive", "uniform"])

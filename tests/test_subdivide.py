@@ -16,7 +16,8 @@ from anchormesh import (
 )
 from anchormesh.mesh import MeshValidationError, unique_edges
 from anchormesh.quantize import neighbor_counts
-from anchormesh.subdivide import _subdivide_once, subdivided_vertex_count
+from anchormesh.subdivide import (_next_table, _subdivide_once, edge_table,
+                                  subdivided_vertex_count)
 from helpers import (
     brute_force_surface_point,
     build_adjacency,
@@ -139,6 +140,47 @@ def face_lists(draw):
 @given(face_lists())
 def test_subdivision_counts_match_neighbor_counts_property(mesh):
     _assert_counts_match_oracles(mesh)
+
+
+def _assert_derived_levels_match_oracles(mesh, levels=4):
+    # each level's edge table, derived from the level before, is the one a
+    # sort of that level's faces gives; vertices, faces and counts are the
+    # loop oracle's
+    verts, faces = mesh.vertices, mesh.faces
+    table = edge_table(faces, len(verts))
+    for level in range(levels + 1):
+        if level:
+            table = _next_table(faces, len(verts), table)
+            verts, faces, _ = loop_subdivide_once(verts, faces)
+            edges, face_edges = unique_edges(faces, len(verts))
+            assert np.array_equal(table[0], edges)
+            assert np.array_equal(table[1], face_edges)
+            assert np.array_equal(table[2], edge_table(faces, len(verts))[2])
+            assert all(x.dtype == np.int64 for x in table)
+        sub = midpoint_subdivide(mesh, level)
+        assert np.array_equal(sub.mesh.vertices, verts)
+        assert np.array_equal(sub.mesh.faces, faces)
+        assert np.array_equal(sub.neighbor_counts, unique_rows_neighbor_counts(sub.mesh))
+
+
+def _wide_vertex_numbers():
+    # faces on vertices numbered past 2^16, whose halves are sorted by wide
+    # keys from the first split on, not by the 16-bit stable sort
+    m = make_sphere(1)
+    vertices = np.vstack([np.zeros((1 << 16, 3)), m.vertices])
+    return pytest.param(TriangleMesh(vertices, m.faces + (1 << 16)), id="wide vertex numbers")
+
+
+@pytest.mark.parametrize("mesh", _valid_connectivity_cases() + [_wide_vertex_numbers()])
+def test_derived_edge_tables_match_a_sort_of_each_level(mesh):
+    # to level 4 or ~82k faces: the oracles take ~3 s on sphere3's 328k
+    _assert_derived_levels_match_oracles(mesh, 4 if mesh.n_faces <= 320 else 3)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(face_lists())
+def test_derived_edge_tables_match_a_sort_of_each_level_property(mesh):
+    _assert_derived_levels_match_oracles(mesh)
 
 
 def test_midpoint_subdivide_matches_repeated_loop_oracle():
