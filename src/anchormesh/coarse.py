@@ -113,9 +113,7 @@ def generate_coarse_anchor(base: TriangleMesh, target: TriangleMesh,
     An estimate reads only predecessors, so the vertices of one
     :func:`dependency_waves` wave are matched together by one batched
     :func:`anchormesh.octree.nearest` query, wave after wave; without motion
-    estimation every vertex is in wave 0. The index and its queries raise
-    :class:`anchormesh.mesh.MeshValidationError` for non-finite base or
-    target coordinates.
+    estimation every vertex is in wave 0.
 
     Returns ``(anchor, motion)``: the :class:`AnchorMesh` and the (n, 3)
     float64 realized motions, bitwise ``anchor.mesh.vertices - base.vertices``.

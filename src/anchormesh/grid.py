@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import (DEGENERATE_AREA, MeshValidationError, TriangleMesh, ranges, run_starts,
-                   sorted_unique)
+from .mesh import (DEGENERATE_AREA, QUERY_LIMIT, MeshValidationError, TriangleMesh,
+                   checked_points, ranges, run_starts, sorted_unique)
 
 # Inflation of a grid search's reach, relative to the reach and to the
 # largest coordinate: see ``CellBins.box``.
@@ -57,6 +57,13 @@ def owner_blocks(owner, count, budgets=1):
     bounds = np.searchsorted(owner, np.arange(len(per_owner) + 1))
     for s, e in blocks(per_owner, budgets):
         yield int(bounds[s]), int(bounds[e])
+
+
+def query_columns(queries):
+    """The coordinates of ``queries`` (k, 3), coordinates first (3, k), as
+    both searches take them: :func:`anchormesh.mesh.checked_points` within
+    ``mesh.QUERY_LIMIT``, so that no distance overflows."""
+    return np.ascontiguousarray(checked_points(queries, "query", QUERY_LIMIT).T)
 
 
 def cell_of(points, low, width, last):
@@ -240,7 +247,7 @@ class FaceGrid:
     face. The grid also keeps each face's :func:`triangle_terms` and the
     reach padding of :meth:`closest`. Query coordinates and face terms are
     held coordinates first, (3, k). Raises :class:`MeshValidationError` for
-    a mesh without faces and for non-finite coordinates.
+    a mesh without faces.
     """
 
     def __init__(self, mesh: TriangleMesh):
@@ -252,10 +259,7 @@ class FaceGrid:
         fmin = np.minimum(np.minimum(a, b), c)
         fmax = np.maximum(np.maximum(a, b), c)
         low = fmin.min(axis=1)
-        with np.errstate(over="ignore"):  # finite coordinates may span more than a float holds
-            extent = fmax.max(axis=1) - low
-        if not np.isfinite(extent).all():
-            raise MeshValidationError("closest-point query requires finite coordinates")
+        extent = fmax.max(axis=1) - low
         h = float((fmax - fmin).max(axis=0).mean()) or float(extent.max()) or 1.0
         m = mesh.n_faces
         while True:
@@ -290,12 +294,10 @@ class FaceGrid:
         meets ``q +- r``; a pad of ``1e-9`` of the largest face coordinate
         covers the rounding. The point is ``a + v (b - a) + w (c - a)``, with
         barycentric weights ``(1 - v - w, v, w)``. Raises
-        :class:`MeshValidationError` for non-finite queries.
+        :class:`MeshValidationError` for queries that :func:`query_columns`
+        rejects.
         """
-        pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-        if not np.isfinite(pts).all():
-            raise MeshValidationError("closest-point query requires finite coordinates")
-        face, (point, v, w, d2) = least(self.cells, np.ascontiguousarray(pts.T), self.measure,
+        face, (point, v, w, d2) = least(self.cells, query_columns(points), self.measure,
                                         0, self.pad, self.terms.shape[1])
         return point.T.copy(), face, np.stack([1.0 - v - w, v, w], axis=1), d2
 
@@ -308,7 +310,7 @@ def closest_points_on_surface(mesh: TriangleMesh, points):
     closest point of the surface, its face (the lowest on ties), its
     barycentric weights in that face and its squared distance, exactly as a
     scan of every face finds them. Raises :class:`MeshValidationError` for a
-    mesh without faces and for non-finite coordinates.
+    mesh without faces and for queries that :func:`query_columns` rejects.
     """
     return FaceGrid(mesh).closest(points)
 

@@ -24,8 +24,18 @@ DEGENERATE_AREA = 1e-12
 # point-triangle kernel's fourth-degree terms alone would allow about 1e76,
 # and a squared point distance 1e154. A unit sphere pair scaled by 1e51
 # encodes, decodes and evaluates without an overflow; scaled by 1e52 the
-# plane norm overflows.
+# plane norm overflows. Close to the limit the codec can still refuse what
+# it made: a pair whose largest coordinate is exactly 1e50 has a QEM point
+# beyond it, and its reconstruction crosses it by the quantization error,
+# which is why the near-limit test codes its pair at half the limit.
 COORDINATE_LIMIT = 1e50
+# The largest query coordinate magnitude a search takes: below it a squared
+# distance to any mesh point stays near 3e200, inside the float range, where
+# from a query at 1e300 every distance overflowed to inf and the search
+# answered point or face 0. The codec's own queries lie far inside it: a
+# motion-compensated one within 3 COORDINATE_LIMIT, a judged QEM point within
+# about its solve's condition limit (1e12) times the largest mesh coordinate.
+QUERY_LIMIT = COORDINATE_LIMIT ** 2
 
 
 class MeshError(Exception):
@@ -48,11 +58,10 @@ class MeshValidationError(MeshError):
 class TriangleMesh:
     """Indexed triangle soup: ``vertices`` (n, 3) float64, ``faces`` (m, 3) int64.
 
-    Every face indexes three distinct vertices, and no coordinate exceeds
-    ``COORDINATE_LIMIT`` in magnitude; NaN is no magnitude and is left to
-    the searches, which reject it. The constructor copies the arrays, on
-    unpickling too, and checks both rules; :meth:`derived` checks the
-    coordinates only. Either way the arrays are frozen, so instances are
+    Every face indexes three distinct vertices, and every coordinate passes
+    :func:`checked_points`, so none is NaN. The constructor copies the
+    arrays, on unpickling too, and checks both rules; :meth:`derived` checks
+    the coordinates only. Either way the arrays are frozen, so instances are
     safe to share across threads and processes. Face and vertex order is
     significant and preserved by OBJ round trips.
     """
@@ -92,11 +101,7 @@ class TriangleMesh:
 
     def _freeze(self, verts, faces):
         """Check the coordinates, then freeze the arrays and keep them."""
-        if (np.abs(verts) > COORDINATE_LIMIT).any():
-            raise MeshValidationError(
-                f"vertex coordinate beyond +-{COORDINATE_LIMIT:g}, where the codec's "
-                f"arithmetic would overflow"
-            )
+        checked_points(verts, "vertex")
         verts.setflags(write=False)
         faces.setflags(write=False)
         object.__setattr__(self, "vertices", verts)
@@ -114,6 +119,18 @@ class TriangleMesh:
     @property
     def n_faces(self) -> int:
         return len(self.faces)
+
+
+def checked_points(points, what: str, limit: float = COORDINATE_LIMIT) -> np.ndarray:
+    """``points`` as a (k, 3) float64 array, a view where it already is
+    one, after checking that every coordinate lies within ``+-limit``: the
+    one coordinate rule of the codec, under which its arithmetic stays
+    finite. The one comparison ``abs(x) <= limit`` is false for NaN and
+    +-inf too. Raises :class:`MeshValidationError` naming ``what``."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    if not (np.abs(pts) <= limit).all():
+        raise MeshValidationError(f"{what} coordinate beyond +-{limit:g} or NaN")
+    return pts
 
 
 def load_mesh(data) -> TriangleMesh:
@@ -189,11 +206,11 @@ def save_mesh(mesh: TriangleMesh) -> bytes:
 def face_normals(mesh: TriangleMesh):
     """``(normals, norms, sliver)`` of each face (a, b, c): the normal
     ``(b - a) x (c - a)``, its length, twice the face's area, and whether
-    the face is a sliver, of area at most ``DEGENERATE_AREA`` or NaN."""
+    the face is a sliver, of area at most ``DEGENERATE_AREA``."""
     a, b, c = (mesh.vertices[mesh.faces[:, i]] for i in range(3))
     normals = np.cross(b - a, c - a)
     norms = np.linalg.norm(normals, axis=1)
-    return normals, norms, ~(0.5 * norms > DEGENERATE_AREA)
+    return normals, norms, 0.5 * norms <= DEGENERATE_AREA
 
 
 def unique_edges(faces, n_vertices: int):

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import PAD, CellBins, cell_of, dot3, least
-from .mesh import MeshValidationError
+from .grid import PAD, CellBins, cell_of, dot3, least, query_columns
+from .mesh import checked_points
 
 DEFAULT_LEAF_CAPACITY = 16
 DEFAULT_MAX_DEPTH = 21
@@ -57,25 +57,21 @@ def build_octree(points, leaf_capacity: int = DEFAULT_LEAF_CAPACITY,
     that. Each point's cell is found once, at the deepest depth allowed; a
     coarser cell is a right shift of it, exactly, as the cell widths differ
     by powers of two. Raises :class:`anchormesh.mesh.MeshValidationError`
-    for non-finite coordinates and for an extent beyond the float range.
+    for points that :func:`anchormesh.mesh.checked_points` rejects.
     """
-    pts = np.array(points, dtype=np.float64, copy=True).reshape(-1, 3)
+    pts = checked_points(points, "indexed point")
     if len(pts) == 0:
         raise ValueError("cannot build an octree over an empty point set")
     if leaf_capacity < 1:
         raise ValueError("leaf_capacity must be >= 1")
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
-    if not np.isfinite(pts).all():
-        raise MeshValidationError("point index requires finite coordinates")
     n = len(pts)
-    cols = np.ascontiguousarray(pts.T)  # reductions along a length-3 axis are slow
+    # a copy, frozen below; reductions along a length-3 axis are slow
+    cols = np.array(pts.T, order="C")
     lo = cols.min(axis=1)
     hi = cols.max(axis=1)
-    with np.errstate(over="ignore"):  # finite coordinates may span more than a float holds
-        half = float((hi - lo).max()) * 0.5 + PAD
-    if not np.isfinite(half):
-        raise MeshValidationError("point index requires a finite extent")
+    half = float((hi - lo).max()) * 0.5 + PAD
     low = 0.5 * (lo + hi) - half
     cap = min(max_depth, (n.bit_length() - 1) // 3 + 1)  # deepest with 8 ** depth <= 8 n
     deepest = cell_of(cols.T, low, 2.0 * half / (1 << cap), (1 << cap) - 1.0)
@@ -95,12 +91,10 @@ def nearest(index: Octree, queries):
     """Nearest indexed point to each query of ``queries`` (k, 3), as arrays
     ``(indices, distances)``: :func:`anchormesh.grid.least` from the 3 x 3 x
     3 block of cells around each query's own, padded by 1e-9 of the largest
-    point or query coordinate. Raises :class:`MeshValidationError` for
-    non-finite queries."""
-    q = np.asarray(queries, dtype=np.float64).reshape(-1, 3)
-    if not np.isfinite(q).all():
-        raise MeshValidationError("nearest-point query requires finite coordinates")
-    cols = np.ascontiguousarray(q.T)
+    point or query coordinate. Raises
+    :class:`anchormesh.mesh.MeshValidationError` for queries that
+    :func:`anchormesh.grid.query_columns` rejects."""
+    cols = query_columns(queries)
     pad = PAD * max(index.mag, float(np.abs(cols).max(initial=0.0)))
 
     def measure(at, point):

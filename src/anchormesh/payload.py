@@ -9,9 +9,9 @@ Layout (little-endian throughout):
     base mesh identifier: SHA-256 over the base mesh's vertex and face counts
         as 2 int64, its vertices as float64 and its faces as int64, row-major
         (32 bytes)
-    anchor vertex positions: 3 * n finite float64, base-vertex order (n comes
-        from the base mesh supplied at decode time); the decoder also
-        requires them within +-``mesh.COORDINATE_LIMIT``
+    anchor vertex positions: 3 * n float64, base-vertex order (n comes from
+        the base mesh supplied at decode time), each within the mesh
+        coordinate rule (``mesh.checked_points``)
     subdivision level: u8
     quantization params alpha, delta, hbar: 3 finite float64
     quantized displacements: zigzag varints in vertex order, x,y,z interleaved;
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import TriangleMesh
+from .mesh import MeshValidationError, TriangleMesh, checked_points
 from .quantize import QuantizationParams
 
 MAGIC = b"ANCF"
@@ -141,10 +141,11 @@ def read_payload(data: bytes, n_anchor_vertices: int) -> Payload:
     pos_bytes = 24 * n_anchor_vertices
     if len(data) < offset + pos_bytes + 1 + 24:
         raise PayloadFormatError("payload truncated before displacement stream")
-    positions = np.frombuffer(data, dtype="<f8", count=3 * n_anchor_vertices,
-                              offset=offset).reshape(-1, 3).astype(np.float64)
-    if not np.isfinite(positions).all():
-        raise PayloadFormatError("anchor positions must be finite")
+    try:
+        positions = checked_points(np.frombuffer(data, dtype="<f8", count=3 * n_anchor_vertices,
+                                                 offset=offset).astype(np.float64), "anchor")
+    except MeshValidationError as exc:
+        raise PayloadFormatError(f"bad anchor positions: {exc}") from exc
     offset += pos_bytes
     level = data[offset]
     offset += 1

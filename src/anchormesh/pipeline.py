@@ -16,7 +16,7 @@ import numpy as np
 
 from .coarse import AnchorMesh, generate_coarse_anchor
 from .config import CodecConfig
-from .mesh import COORDINATE_LIMIT, MeshValidationError, TriangleMesh
+from .mesh import MeshValidationError, TriangleMesh
 from .octree import build_octree
 from .payload import Payload, PayloadFormatError, BaseHashMismatchError, mesh_content_hash
 from .qem import refine_anchor
@@ -131,8 +131,10 @@ def decode_payload(payload: Payload, base: TriangleMesh) -> TriangleMesh:
         raise BaseHashMismatchError("payload was encoded against a different base mesh")
     if len(payload.anchor_positions) != base.n_vertices:
         raise PayloadFormatError("anchor vertex count does not match the base mesh")
-    if not (np.abs(payload.anchor_positions) <= COORDINATE_LIMIT).all():
-        raise PayloadFormatError(f"anchor positions must lie within +-{COORDINATE_LIMIT:g}")
+    try:
+        anchor = TriangleMesh(payload.anchor_positions, base.faces)
+    except MeshValidationError as exc:  # an anchor coordinate NaN or beyond the mesh range
+        raise PayloadFormatError(f"bad anchor positions: {exc}") from exc
     # the base's one edge sort serves the length check and every split
     table = edge_table(base.faces, base.n_vertices)
     expected = subdivided_vertex_count(base, payload.level, split=table)
@@ -141,8 +143,7 @@ def decode_payload(payload: Payload, base: TriangleMesh) -> TriangleMesh:
             f"displacement stream holds {len(payload.quantized)} triples, "
             f"expected {expected} for subdivision level {payload.level}"
         )
-    sub = midpoint_subdivide(TriangleMesh(payload.anchor_positions, base.faces),
-                             payload.level, split=table)
+    sub = midpoint_subdivide(anchor, payload.level, split=table)
     try:
         with np.errstate(over="ignore"):
             field = dequantize_field(payload.quantized, sub.neighbor_counts, payload.params,

@@ -53,11 +53,12 @@ def test_mesh_arrays_are_frozen():
         m.vertices[0, 0] = 1.0
 
 
-@pytest.mark.parametrize("bad", [np.nextafter(COORDINATE_LIMIT, np.inf), -1e300, np.inf],
-                         ids=["just-beyond", "-1e300", "inf"])
+@pytest.mark.parametrize("bad", [np.nextafter(COORDINATE_LIMIT, np.inf), -1e300, np.inf, np.nan],
+                         ids=["just-beyond", "-1e300", "inf", "nan"])
 def test_mesh_rejects_a_coordinate_beyond_the_limit(bad):
     # beyond it the codec's arithmetic overflows: a nearest-point query at
-    # 1e300 matched point 0 at distance inf
+    # 1e300 matched point 0 at distance inf. NaN is refused by the same
+    # comparison
     verts = np.eye(3)
     verts[0, 0], verts[1, 1] = COORDINATE_LIMIT, -COORDINATE_LIMIT
     TriangleMesh(verts, [[0, 1, 2]])
@@ -660,6 +661,31 @@ def test_surface_non_finite_coordinates_raise():
     verts = np.array([[-1e308, 0, 0], [1e308, 0, 0], [0, 1, 0]])
     with pytest.raises(MeshValidationError):
         closest_points_on_surface(TriangleMesh(verts, [[0, 1, 2]]), [[0.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("far", [1e300, -1e300])
+def test_surface_query_beyond_the_query_limit_raises(far):
+    # every squared distance from it overflowed, and face 0 came back at
+    # distance inf, where faces 229 and 69 are nearest
+    with pytest.raises(MeshValidationError, match="query coordinate beyond"):
+        closest_points_on_surface(make_sphere(2), [[far, 0.0, 0.0]])
+
+
+def test_surface_query_at_the_query_limit_runs_without_a_warning():
+    # a needle just above the sliver area has the largest plane-projection
+    # terms for its size; from the corners and axes of the query cube they
+    # stay finite, and the answers are the scan's
+    from anchormesh.mesh import QUERY_LIMIT
+
+    height = 2.5 * DEGENERATE_AREA  # area 1.25 DEGENERATE_AREA
+    needle = TriangleMesh([[0.0, 0, 0], [1.0, 0, 0], [1.0, height, 0]], [[0, 1, 2]])
+    corners = np.array(np.meshgrid(*[[-1.0, 1.0]] * 3)).reshape(3, -1).T
+    queries = QUERY_LIMIT * np.vstack([corners, np.eye(3), -np.eye(3)])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got = closest_points_on_surface(needle, queries)
+    want = brute_force_surface_points(needle, queries)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 def test_triangle_sq_distances_match_exact_kernel():

@@ -208,18 +208,37 @@ def test_index_half_open_cell_assignment():
     assert index.cell[2, 0] == index.cell[1, 0] > index.cell[0, 0]
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200, -1e200, 1e300])
 def test_index_build_and_query_reject_non_finite_coordinates(bad):
+    # points beyond the mesh limit and queries beyond the query limit,
+    # finite or not: at +-1e200 the index was built, and its distances
+    # overflowed to inf
     pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0]])
     broken = pts.copy()
     broken[1, 2] = bad
-    with pytest.raises(MeshValidationError):
+    with pytest.raises(MeshValidationError, match="indexed point coordinate beyond"):
         octree.build_octree(broken)
-    with pytest.raises(MeshValidationError):
+    with pytest.raises(MeshValidationError, match="query coordinate beyond"):
         octree.nearest(octree.build_octree(pts), broken)
     # finite coordinates whose extent a float cannot hold
-    with pytest.raises(MeshValidationError, match="extent"):
+    with pytest.raises(MeshValidationError, match="indexed point coordinate beyond"):
         octree.build_octree(np.vstack([pts, [[1e308, 0, 0], [-1e308, 0, 0]]]))
+
+
+def test_index_nearest_refuses_a_query_whose_distances_overflow():
+    # at 1e300 every squared distance overflowed, and point 0 came back at
+    # distance inf where point 2 is nearest; at the query limit they stay
+    # finite, and the answer is the scan's
+    from anchormesh.mesh import QUERY_LIMIT
+
+    pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
+    index = octree.build_octree(pts)
+    with pytest.raises(MeshValidationError, match="query coordinate beyond"):
+        octree.nearest(index, [[1e300, 0, 0]])
+    with np.errstate(over="raise", invalid="raise"):
+        idx, dist = octree.nearest(index, [[QUERY_LIMIT, 0, 0], [-QUERY_LIMIT, 0, 0]])
+    assert [(int(i), float(d)) for i, d in zip(idx, dist)] == [
+        brute_force_nearest(pts, q) for q in ([QUERY_LIMIT, 0, 0], [-QUERY_LIMIT, 0, 0])]
 
 
 def test_index_nearest_answers_a_batch():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import struct
 import warnings
@@ -229,14 +230,34 @@ def test_non_finite_anchor_position_raises(encoded, value, tmp_path):
 
 
 def test_anchor_position_beyond_the_coordinate_limit_raises(encoded, tmp_path):
-    # finite, so the read passes it; the decoder refuses it before any split
+    # finite, but beyond the mesh rule: the read refuses it, and so does the
+    # decoder where the payload was built in memory
     base, payload = encoded
     data = bytearray(write_payload(payload))
     struct.pack_into("<d", data, HEADER, 1e300)  # first anchor coordinate
-    mutated = read_payload(bytes(data), base.n_vertices)
     with pytest.raises(PayloadFormatError, match="anchor positions"):
-        decode_payload(mutated, base)
+        read_payload(bytes(data), base.n_vertices)
+    anchors = payload.anchor_positions.copy()
+    anchors[0, 0] = 1e300
+    with pytest.raises(PayloadFormatError, match="anchor positions"):
+        decode_payload(dataclasses.replace(payload, anchor_positions=anchors), base)
     _assert_cli_decode_exits_3(bytes(data), base, tmp_path)
+
+
+@pytest.mark.parametrize("value", [np.nan, 1e300])
+def test_decode_refuses_a_bad_anchor_before_any_split(encoded, monkeypatch, value):
+    # a payload built in memory skips the read: the decoder's anchor mesh
+    # applies the coordinate rule before the base's edges are sorted
+    base, payload = encoded
+    anchors = payload.anchor_positions.copy()
+    anchors[3, 1] = value
+
+    def no_split(*args, **kwargs):
+        raise AssertionError("edge_table called before the anchors were checked")
+
+    monkeypatch.setattr(pipeline, "edge_table", no_split)
+    with pytest.raises(PayloadFormatError, match="anchor positions"):
+        decode_payload(dataclasses.replace(payload, anchor_positions=anchors), base)
 
 
 @pytest.mark.parametrize("alpha", [5e-324, 1e-310])

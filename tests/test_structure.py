@@ -1,7 +1,8 @@
 """Module boundaries of the library: no module of ``anchormesh`` imports
 another's private names or passes a private keyword, and the pair budget
 of the grid searches is defined and read in ``grid`` alone, as the
-quantizer's weight rule is applied in ``quantize`` alone."""
+coordinate limit is named in ``mesh`` alone and the quantizer's weight rule
+is applied in ``quantize`` alone."""
 
 import ast
 from pathlib import Path
@@ -58,6 +59,12 @@ def _modules_naming(name):
 
 def test_the_block_budget_is_defined_and_read_in_grid_alone():
     assert _modules_naming("_BLOCK_PAIRS") == {"grid"}
+
+
+def test_the_coordinate_limit_is_named_in_mesh_alone():
+    # every other module reaches the coordinate rule through
+    # mesh.checked_points, or the query bound through mesh.QUERY_LIMIT
+    assert _modules_naming("COORDINATE_LIMIT") == {"mesh"}
 
 
 def test_the_weight_rule_is_applied_in_quantize_alone():
