@@ -1,8 +1,21 @@
 """Command-line driver: encode, decode, eval, sweep, synth.
 
-Exit codes: 0 ok, 2 input/validation error, 3 payload error. Errors are
-reported as one-line JSON on stderr; all file outputs are written atomically
-(temp file + rename).
+Flags are fields: each codec flag sets the
+:class:`anchormesh.config.CodecConfig` field of its ``dest`` and each synth
+flag the :class:`anchormesh.synth.SequenceSpec` field. ``--level``,
+``--alpha``, ``--delta``, ``--hbar``, ``--base-fraction``, ``--threads`` and
+the synth flags set their namesakes; ``--alphas`` sets ``alpha_ladder``,
+``--jitter`` ``topology_jitter``, and ``--no-motion-est``, ``--no-qem`` and
+``--no-adaptive-quant`` set ``motion_estimation``, ``qem_refine`` and
+``adaptive_quant`` to false. A flag's value is read as a config-file line's
+is (:func:`anchormesh.config.parse_fields`), and a flag overrides the
+``--config`` file.
+
+Exit codes: 0 ok, 2 input/validation error, 3 payload error. Such errors,
+a malformed flag value among them, are reported as one-line JSON
+``{"error": <exception class>, "message": ...}`` on stderr; an unknown flag
+or a value outside a flag's choices is argparse's usage error, exit 2. All
+file outputs are written atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -10,13 +23,15 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
 import sys
 import tempfile
+from dataclasses import fields
 
-from .config import CodecConfig, load_config, parse_value
+from .config import CodecConfig, load_config, parse_fields
 from .mesh import MeshError, TriangleMesh, load_mesh, save_mesh
 from .metrics import RDCurve, bd_rate, distortion
 from .payload import PayloadError, read_payload, write_payload
@@ -50,40 +65,17 @@ def _read_mesh_file(path) -> TriangleMesh:
         return load_mesh(fh.read())
 
 
-def _psnr_json(value: float):
+def _inf_as_text(value: float):
     return "inf" if math.isinf(value) else value
 
 
 def _report_json(report) -> dict:
-    return {
-        "d1_psnr": _psnr_json(report.d1_psnr),
-        "d2_psnr": _psnr_json(report.d2_psnr),
-        "mse_d1": report.mse_d1,
-        "mse_d2": report.mse_d2,
-        "peak": report.peak,
-    }
+    return {f.name: _inf_as_text(getattr(report, f.name)) for f in fields(report)}
 
 
 def _config_from_args(args) -> CodecConfig:
-    config = CodecConfig()
-    if getattr(args, "config", None):
-        config = load_config(args.config, config)
-    overrides = {}
-    for key in ("level", "alpha", "delta", "hbar", "threads"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "no_motion_est", False):
-        overrides["motion_estimation"] = False
-    if getattr(args, "no_qem", False):
-        overrides["qem_refine"] = False
-    if getattr(args, "no_adaptive_quant", False):
-        overrides["adaptive_quant"] = False
-    if getattr(args, "alphas", None) is not None:  # "--alphas=" is an empty ladder
-        overrides["alpha_ladder"] = parse_value("alphas", tuple, args.alphas)
-    if getattr(args, "base_fraction", None) is not None:
-        overrides["base_fraction"] = args.base_fraction
-    return config.override(**overrides)
+    config = load_config(args.config) if args.config else CodecConfig()
+    return config.override(**parse_fields(CodecConfig, vars(args)))
 
 
 def cmd_encode(args) -> int:
@@ -117,19 +109,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = SequenceSpec(
-        shape=args.shape,
-        resolution=args.resolution,
-        frames=args.frames,
-        motion=args.motion,
-        velocity=tuple(float(v) for v in args.velocity.split(",")),
-        axis=tuple(float(v) for v in args.axis.split(",")),
-        rate=args.rate,
-        region=args.region,
-        topology_jitter=args.jitter,
-        seed=args.seed,
-    )
-    frames = generate_sequence(spec)
+    frames = generate_sequence(SequenceSpec(**parse_fields(SequenceSpec, vars(args))))
     os.makedirs(args.out, exist_ok=True)
     for t, mesh in enumerate(frames):
         _atomic_write(os.path.join(args.out, f"frame_{t:04d}.obj"), save_mesh(mesh))
@@ -197,49 +177,35 @@ def cmd_sweep(args) -> int:
         results = [row for group in groups for row in _sweep_group(group)]
 
     os.makedirs(args.out, exist_ok=True)  # after the jobs: a sweep that fails writes nothing
-    by_config = {label: [] for label, _ in ABLATION_CONFIGS}
-    for row in results:
-        by_config[row[0]].append(row[1:])
-
-    curves = {}
-    warnings = []
-    for label, rows in by_config.items():
-        rows.sort()
+    baseline = ABLATION_CONFIGS[0][0]
+    curves, comparisons, skipped, failed = {}, {}, [], []
+    for label, _ in ABLATION_CONFIGS:
+        rows = sorted(row[1:] for row in results if row[0] == label)
         text = io.StringIO(newline="")
         writer = csv.writer(text)
         writer.writerow(["frame", "alpha", "bits", "d1_psnr", "d2_psnr"])
-        for alpha, pair_index, bits, d1, d2 in rows:
-            writer.writerow([pair_index + 1, alpha, bits, _psnr_json(d1), _psnr_json(d2)])
+        writer.writerows([pair_index + 1, alpha, bits, _inf_as_text(d1), _inf_as_text(d2)]
+                         for alpha, pair_index, bits, d1, d2 in rows)
         _atomic_write(os.path.join(args.out, f"rd_{label}.csv"), text.getvalue().encode())
-        points_d1 = []
-        points_d2 = []
-        for alpha in sorted({r[0] for r in rows}):
-            sub = [r for r in rows if r[0] == alpha]
-            bits = sum(r[2] for r in sub)
-            d1 = [r[3] for r in sub if math.isfinite(r[3])]
-            d2 = [r[4] for r in sub if math.isfinite(r[4])]
-            if not d1 or not d2:
-                warnings.append(f"{label}: alpha {alpha} has only infinite PSNR; skipped")
+        # one (bits, mean PSNR) point per alpha on the D1 and the D2 curve
+        curves[label] = ([], [])
+        for alpha, rung in itertools.groupby(rows, key=lambda row: row[0]):
+            _, _, bits, *psnrs = zip(*rung)
+            finite = [[value for value in psnr if math.isfinite(value)] for psnr in psnrs]
+            if not all(finite):
+                skipped.append(f"{label}: alpha {alpha} has only infinite PSNR; skipped")
                 continue
-            points_d1.append((bits, sum(d1) / len(d1)))
-            points_d2.append((bits, sum(d2) / len(d2)))
-        curves[label] = (points_d1, points_d2)
-
-    comparisons = {}
-    baseline_label = ABLATION_CONFIGS[0][0]
-    for label, _ in ABLATION_CONFIGS[1:]:
-        entry = {}
-        for which, idx in (("d1", 0), ("d2", 1)):
-            try:
-                anchor_curve = RDCurve(tuple(curves[baseline_label][idx]))
-                test_curve = RDCurve(tuple(curves[label][idx]))
-                entry[which] = bd_rate(anchor_curve, test_curve)
-            except ValueError as exc:
-                entry[which] = None
-                warnings.append(f"BD-rate {baseline_label} vs {label} ({which}): {exc}")
-        comparisons[label] = entry
-    summary = {"baseline": baseline_label, "bd_rate_pct": comparisons,
-               "warnings": warnings}
+            for curve, values in zip(curves[label], finite):
+                curve.append((sum(bits), sum(values) / len(values)))
+        if label != baseline:
+            entry = comparisons[label] = {}
+            for which, anchor_points, points in zip(("d1", "d2"), curves[baseline], curves[label]):
+                try:
+                    entry[which] = bd_rate(RDCurve(tuple(anchor_points)), RDCurve(tuple(points)))
+                except ValueError as exc:
+                    entry[which] = None
+                    failed.append(f"BD-rate {baseline} vs {label} ({which}): {exc}")
+    summary = {"baseline": baseline, "bd_rate_pct": comparisons, "warnings": skipped + failed}
     _atomic_write(os.path.join(args.out, "bd_rates.json"),
                   json.dumps(summary, indent=2).encode())
     print(json.dumps(summary))
@@ -255,16 +221,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_codec_flags(p):
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--level", type=int, help="subdivision levels")
-        p.add_argument("--alpha", type=float, help="quantization scale")
-        p.add_argument("--delta", type=float, help="quantization offset")
-        p.add_argument("--hbar", type=float, help="valence normalizer")
-        p.add_argument("--no-motion-est", action="store_true",
-                       help="disable motion estimation (ablation)")
-        p.add_argument("--no-qem", action="store_true",
+        p.add_argument("--level", help="subdivision levels")
+        p.add_argument("--alpha", help="quantization scale")
+        p.add_argument("--delta", help="quantization offset")
+        p.add_argument("--hbar", help="valence normalizer")
+        p.add_argument("--no-motion-est", dest="motion_estimation", action="store_const",
+                       const=False, help="disable motion estimation (ablation)")
+        p.add_argument("--no-qem", dest="qem_refine", action="store_const", const=False,
                        help="disable QEM refinement (ablation)")
-        p.add_argument("--no-adaptive-quant", action="store_true",
-                       help="disable adaptive quantization (ablation)")
+        p.add_argument("--no-adaptive-quant", dest="adaptive_quant", action="store_const",
+                       const=False, help="disable adaptive quantization (ablation)")
 
     p = sub.add_parser("encode", help="encode a frame pair to a payload")
     p.add_argument("base")
@@ -287,25 +253,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="rate sweep + ablation BD-rates over a sequence")
     p.add_argument("sequence_dir")
     p.add_argument("out")
-    p.add_argument("--alphas", help="comma-separated rate ladder")
-    p.add_argument("--base-fraction", type=float, help="base mesh decimation ratio")
-    p.add_argument("--threads", type=int, help="worker processes")
+    p.add_argument("--alphas", dest="alpha_ladder", metavar="ALPHAS",
+                   help="comma-separated rate ladder")
+    p.add_argument("--base-fraction", help="base mesh decimation ratio")
+    p.add_argument("--threads", help="worker processes")
     add_codec_flags(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("synth", help="generate a synthetic sequence of OBJ frames")
     p.add_argument("out")
-    p.add_argument("--shape", default="sphere", choices=["sphere", "grid", "cube"])
-    p.add_argument("--resolution", type=int, default=2)
-    p.add_argument("--frames", type=int, default=2)
-    p.add_argument("--motion", default="static",
-                   choices=["static", "translate", "rotate", "bend"])
-    p.add_argument("--velocity", default="0,0,0")
-    p.add_argument("--axis", default="0,0,1")
-    p.add_argument("--rate", type=float, default=0.0)
-    p.add_argument("--region", type=float, default=0.5)
-    p.add_argument("--jitter", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--shape", choices=["sphere", "grid", "cube"])
+    p.add_argument("--resolution")
+    p.add_argument("--frames")
+    p.add_argument("--motion", choices=["static", "translate", "rotate", "bend"])
+    p.add_argument("--velocity")
+    p.add_argument("--axis")
+    p.add_argument("--rate")
+    p.add_argument("--region")
+    p.add_argument("--jitter", dest="topology_jitter", action="store_const", const=True)
+    p.add_argument("--seed")
     p.set_defaults(func=cmd_synth)
     return parser
 
@@ -314,14 +280,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PayloadError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 3
-    except (MeshError, OSError, ValueError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 2
+    except (MeshError, OSError, PayloadError, ValueError) as exc:
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+        return 3 if isinstance(exc, PayloadError) else 2
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
 """Codec configuration: every tunable default in one place, overridable from
-flat key=value config files and CLI flags."""
+flat key=value config files and CLI flags, both read by :func:`parse_fields`."""
 
 from __future__ import annotations
 
@@ -53,23 +53,37 @@ class CodecConfig:
         return replace(self, **kwargs)
 
 
-def parse_value(name: str, kind, raw: str):
+_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+          **dict.fromkeys(("0", "false", "no", "off"), False)}
+_KIND_NAMES = {bool: "boolean", int: "integer", float: "number", str: "string",
+               tuple: "list of numbers"}
+
+
+def _parse_value(name: str, kind, raw: str):
     """``raw`` read as a value of type ``kind`` (a tuple is of floats) for the field ``name``."""
     raw = raw.strip()
-    if kind is bool:
-        lowered = raw.lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"bad boolean for {name}: {raw!r}")
-    if kind is int:
-        return int(raw)
-    if kind is float:
-        return float(raw)
-    if kind is tuple:
-        return tuple(float(part) for part in raw.split(",") if part.strip())
-    raise ValueError(f"unsupported config field type for {name}")
+    if kind not in _KIND_NAMES:
+        raise ValueError(f"unsupported config field type for {name}")
+    try:
+        if kind is bool:
+            return _BOOLS[raw.lower()]
+        if kind is tuple:
+            return tuple(float(part) for part in raw.split(",") if part.strip())
+        return kind(raw)
+    except (KeyError, ValueError):
+        raise ValueError(f"bad {_KIND_NAMES[kind]} for {name}: {raw!r}") from None
+
+
+def parse_fields(cls, given) -> dict:
+    """The fields of the dataclass ``cls`` that ``given`` (name -> value)
+    sets, a value of ``None`` setting none: the one rule for config-file
+    lines and command-line flags alike. A string is read as the type of its
+    field's declared default, a tuple as comma-separated floats and a bool
+    as 1/0, true/false, yes/no or on/off; any other value is kept as it is.
+    Names that are not fields of ``cls`` are left out."""
+    kinds = {f.name: type(f.default) for f in fields(cls)}
+    return {name: _parse_value(name, kinds[name], value) if isinstance(value, str) else value
+            for name, value in given.items() if name in kinds and value is not None}
 
 
 def load_config(path, base: CodecConfig = None) -> CodecConfig:
@@ -78,7 +92,7 @@ def load_config(path, base: CodecConfig = None) -> CodecConfig:
     Each line is applied in turn, so a value that :class:`CodecConfig`
     rejects is reported with its ``path:line``, as a malformed line is."""
     config = base if base is not None else CodecConfig()
-    kinds = {f.name: type(getattr(config, f.name)) for f in fields(config)}
+    names = {f.name for f in fields(CodecConfig)}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -88,10 +102,10 @@ def load_config(path, base: CodecConfig = None) -> CodecConfig:
                 raise ValueError(f"{path}:{line_no}: expected key=value, got {raw.strip()!r}")
             key, value = line.split("=", 1)
             key = key.strip()
-            if key not in kinds:
+            if key not in names:
                 raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
             try:
-                config = config.override(**{key: parse_value(key, kinds[key], value)})
+                config = config.override(**parse_fields(CodecConfig, {key: value}))
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from None
     return config

@@ -28,20 +28,14 @@ DEFAULT_MAX_DEPTH = 21
 
 @dataclass(frozen=True, eq=False)
 class Octree:
-    """Points binned into the ``side ** 3`` cells of one octree level,
-    ``side = 2 ** depth``, each cell ``width`` wide from ``low``.
-
-    ``cell`` holds each point's integer cell and ``bins`` the points binned
-    by it in a :class:`anchormesh.grid.CellBins` grid. ``points`` is the
-    transposed view of the (3, n) array that queries gather from.
+    """Points binned into the ``2 ** depth`` cells a side of one octree
+    level, a :class:`anchormesh.grid.CellBins` grid whose ``low``,
+    ``width`` and ``last`` (``2 ** depth - 1`` on each axis) describe that
+    level. ``points`` is the transposed view of the (3, n) array that
+    queries gather from.
     """
 
     points: np.ndarray  # (n, 3)
-    depth: int
-    side: int
-    low: np.ndarray
-    width: float
-    cell: np.ndarray
     bins: CellBins
     mag: float  # largest coordinate magnitude
 
@@ -81,10 +75,9 @@ def build_octree(points, leaf_capacity: int = DEFAULT_LEAF_CAPACITY,
         if depth == cap or np.bincount(
                 (cell[:, 0] * side + cell[:, 1]) * side + cell[:, 2]).max() <= leaf_capacity:
             break
-    width = 2.0 * half / side
-    bins = CellBins(low, width, np.full(3, side), cell)
+    bins = CellBins(low, 2.0 * half / side, np.full(3, side), cell)
     cols.setflags(write=False)
-    return Octree(cols.T, depth, side, low, width, cell, bins, float(np.abs(cols).max()))
+    return Octree(cols.T, bins, float(np.abs(cols).max()))
 
 
 def nearest(index: Octree, queries):

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -223,6 +224,77 @@ def test_sweep_honours_config_file(sequence, default_sweep, tmp_path, job_config
     rows = list(csv.DictReader(got["nns_ms_qem_aq"].decode().splitlines()))
     assert [float(row["alpha"]) for row in rows] == [2.0, 8.0]
     assert got != _csv_bytes(default_sweep)
+
+
+_FLAGS_AND_LINES = [
+    ("encode", ["--level", "3"], "level = 3", "level", 3),
+    ("encode", ["--alpha", "64"], "alpha = 64", "alpha", 64.0),
+    ("encode", ["--delta", "0.25"], "delta = 0.25", "delta", 0.25),
+    ("encode", ["--hbar", "5"], "hbar = 5", "hbar", 5.0),
+    ("encode", ["--no-motion-est"], "motion_estimation = false", "motion_estimation", False),
+    ("encode", ["--no-qem"], "qem_refine = false", "qem_refine", False),
+    ("encode", ["--no-adaptive-quant"], "adaptive_quant = false", "adaptive_quant", False),
+    ("sweep", ["--alphas", "2,8"], "alpha_ladder = 2,8", "alpha_ladder", (2.0, 8.0)),
+    ("sweep", ["--base-fraction", "0.5"], "base_fraction = 0.5", "base_fraction", 0.5),
+    ("sweep", ["--threads", "3"], "threads = 3", "threads", 3),
+]
+
+
+def _inputs(command, sequence):
+    return {"encode": [sequence / "frame_0000.obj", sequence / "frame_0001.obj"],
+            "sweep": [sequence], "synth": []}[command]
+
+
+@pytest.mark.parametrize("command,flags,line,field,value", _FLAGS_AND_LINES,
+                         ids=[case[3] for case in _FLAGS_AND_LINES])
+def test_a_flag_sets_what_its_config_line_sets(sequence, tmp_path, monkeypatch, job_configs,
+                                               command, flags, line, field, value):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    (tmp_path / "codec.cfg").write_text(line + "\n")
+    inputs = [str(path) for path in _inputs(command, sequence)]
+    assert main([command, *inputs, str(tmp_path / "by_flag"), *flags]) == 0
+    by_flag = job_configs[:]
+    job_configs.clear()
+    assert main([command, *inputs, str(tmp_path / "by_line"), "--config",
+                 str(tmp_path / "codec.cfg")]) == 0
+    assert by_flag == job_configs and by_flag
+    assert getattr(by_flag[0], field) == value != getattr(am.CodecConfig(), field)
+    assert type(getattr(by_flag[0], field)) is type(value)
+
+
+def test_every_codec_flag_has_a_config_line_case(capsys):
+    listed = set()
+    for command in ("encode", "sweep"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        listed |= set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    assert listed == {"--help", "--config"} | {flags[0] for _, flags, *_ in _FLAGS_AND_LINES}
+
+
+def test_a_flag_overrides_the_config_file(rotating, tmp_path, job_configs):
+    (tmp_path / "codec.cfg").write_text("level = 3\nalpha = 64\nqem_refine = true\n")
+    assert main(["encode", *map(str, _inputs("encode", rotating)), str(tmp_path / "out.bin"),
+                 "--config", str(tmp_path / "codec.cfg"), "--level", "1", "--no-qem"]) == 0
+    assert job_configs == [am.CodecConfig(level=1, alpha=64.0, qem_refine=False)]
+
+
+@pytest.mark.parametrize("command,flags,message", [
+    ("encode", ["--level", "two"], "bad integer for level: 'two'"),
+    ("encode", ["--alpha", "x"], "bad number for alpha: 'x'"),
+    ("sweep", ["--threads", "1.5"], "bad integer for threads: '1.5'"),
+    ("synth", ["--frames", "two"], "bad integer for frames: 'two'"),
+], ids=["encode-level", "encode-alpha", "sweep-threads", "synth-frames"])
+def test_a_malformed_flag_value_exits_2_with_one_json_line(sequence, tmp_path, capsys,
+                                                            command, flags, message):
+    # argparse refused these with its usage text, where a malformed
+    # --velocity or config line gave the one-line JSON error
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([command, *map(str, _inputs(command, sequence)), str(out), *flags]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0]) == {"error": "ValueError", "message": message}
+    assert os.listdir(tmp_path) == []
 
 
 def test_decode_exits_3_on_a_bad_payload(sequence, tmp_path, capsys):

@@ -3,7 +3,8 @@ import math
 import pytest
 
 from anchormesh import CodecConfig
-from anchormesh.config import load_config
+from anchormesh.config import load_config, parse_fields
+from anchormesh.synth import SequenceSpec
 
 
 def _write(tmp_path, text):
@@ -119,3 +120,22 @@ def test_layers_over_the_given_base(tmp_path):
 
 def test_later_lines_win(tmp_path):
     assert load_config(_write(tmp_path, "level = 1\nlevel = 5\n")).level == 5
+
+
+def test_a_value_takes_its_kind_from_the_field_not_from_the_base(tmp_path):
+    # a base built with alpha=8 holds an int; the field is a float all the
+    # same, and 8.5 once failed as a malformed int
+    config = load_config(_write(tmp_path, "alpha = 8.5\n"), CodecConfig(alpha=8))
+    assert config == CodecConfig(alpha=8.5)
+
+
+def test_parse_fields_reads_strings_by_the_declared_default():
+    # the rule of config lines, for any dataclass: strings parsed, other
+    # values kept, None and names that are not fields left out
+    given = {"shape": " cube ", "velocity": "1, 0,2", "rate": "0.5", "seed": "7",
+             "topology_jitter": True, "frames": None, "out": "somewhere"}
+    assert parse_fields(SequenceSpec, given) == {
+        "shape": "cube", "velocity": (1.0, 0.0, 2.0), "rate": 0.5, "seed": 7,
+        "topology_jitter": True}
+    with pytest.raises(ValueError, match="^bad integer for frames: 'two'$"):
+        parse_fields(SequenceSpec, {"frames": "two"})

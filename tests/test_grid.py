@@ -23,13 +23,13 @@ def test_nearest_settles_exactly_at_the_cell_width_bound():
     rng = np.random.default_rng(7)
     pts = rng.uniform(-1.0, 1.0, size=(300, 3))
     index = octree.build_octree(pts, leaf_capacity=4)
-    planar = _on_planes(rng, rng.uniform(-1.0, 1.0, size=(300, 3)), index.low, index.width,
-                        np.full(3, index.side))
+    planar = _on_planes(rng, rng.uniform(-1.0, 1.0, size=(300, 3)), index.bins.low,
+                        index.bins.width, (index.bins.last + 1).astype(int))
     # the bound settles a query where it is under (width - pad)^2, with pad
     # 1e-9 of the largest point or query coordinate: place queries a hair
     # under and over that reach from points well inside the cloud
     pad = grid.PAD * max(index.mag, np.abs(planar).max())
-    reach = index.width - pad
+    reach = index.bins.width - pad
     inner = np.flatnonzero(np.abs(pts).max(axis=1) < 0.5)[:40]
     steps = reach * (1.0 + np.array([-1e-12, -1e-15, 0.0, 1e-15, 1e-12]))
     units = np.vstack([np.eye(3), -np.eye(3), rng.normal(size=(4, 3))])

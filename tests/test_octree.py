@@ -138,9 +138,29 @@ def _cell_points(index, cell):
     return index.bins.order[index.bins.starts[key]:index.bins.starts[key + 1]].tolist()
 
 
+def _side(index):
+    """Cells on each axis of the index's grid: ``2 ** depth`` on all three."""
+    side = index.bins.last + 1.0
+    assert np.all(side == side[0]) and int(side[0]).bit_count() == 1
+    return int(side[0])
+
+
+def _depth(index):
+    return _side(index).bit_length() - 1
+
+
+def _cells(index):
+    """Each point's cell as the index stores it: read back from the slots of
+    ``bins.order`` that ``bins.starts`` gives each cell key."""
+    bins = index.bins
+    keys = np.empty(len(bins.order), dtype=np.int64)
+    keys[bins.order] = np.repeat(np.arange(len(bins.starts) - 1), np.diff(bins.starts))
+    return np.stack(np.unravel_index(keys, (bins.last + 3).astype(int)), axis=1) - 1
+
+
 def test_index_single_point_single_cell():
     index = octree.build_octree([[1.0, 2.0, 3.0]])
-    assert index.depth == 0 and index.side == 1
+    assert _depth(index) == 0 and _side(index) == 1
     assert _cell_points(index, [0, 0, 0]) == [0]
     assert index.bins.starts[-1] == 1
 
@@ -159,9 +179,9 @@ def test_index_duplicates_stop_at_the_cell_cap():
     # no depth separates duplicates: the grid stops at its cell cap (8 ** 2
     # cells for 9 points) or at max_depth, whichever comes first
     index = octree.build_octree(pts, leaf_capacity=8)
-    assert index.depth == 2
-    assert _cell_points(index, index.cell[0]) == list(range(9))  # oversized cell permitted
-    assert octree.build_octree(pts, leaf_capacity=8, max_depth=1).depth == 1
+    assert _depth(index) == 2
+    assert _cell_points(index, _cells(index)[0]) == list(range(9))  # oversized cell permitted
+    assert _depth(octree.build_octree(pts, leaf_capacity=8, max_depth=1)) == 1
 
 
 def test_index_cells_are_the_grid_cells_at_the_shallowest_depth():
@@ -169,22 +189,23 @@ def test_index_cells_are_the_grid_cells_at_the_shallowest_depth():
     pts = rng.uniform(-3, 3, size=(10_000, 3))
     index = octree.build_octree(pts)
     assert np.array_equal(np.sort(index.bins.order), np.arange(len(pts)))
-    assert np.array_equal(index.cell, grid.cell_of(pts, index.low, index.width, index.side - 1.0))
+    bins, cells, side = index.bins, _cells(index), _side(index)
+    assert np.array_equal(cells, grid.cell_of(pts, bins.low, bins.width, side - 1.0))
     counts = np.diff(index.bins.starts)
     assert counts.max() <= octree.DEFAULT_LEAF_CAPACITY
-    assert index.side ** 3 <= 8 * len(pts)
+    assert side ** 3 <= 8 * len(pts)
     # the shallowest such depth: one level up, where the same rule gives
     # each cell's parent, some cell holds too many
-    parent = grid.cell_of(pts, index.low, 2.0 * index.width, index.side // 2 - 1.0)
-    assert np.array_equal(parent, index.cell >> 1)
+    parent = grid.cell_of(pts, bins.low, 2.0 * bins.width, side // 2 - 1.0)
+    assert np.array_equal(parent, cells >> 1)
     assert np.unique(parent, axis=0, return_counts=True)[1].max() > octree.DEFAULT_LEAF_CAPACITY
-    keys = index.bins.key(index.cell)
+    keys = index.bins.key(cells)
     for key in np.flatnonzero(counts)[:200]:
         members = index.bins.order[index.bins.starts[key]:index.bins.starts[key + 1]]
         assert np.all(keys[members] == key)
         assert np.all(np.diff(members) > 0)  # ascending within a cell
-    lo = index.low + index.cell * index.width
-    assert np.all(pts >= lo - 1e-12) and np.all(pts <= lo + index.width + 1e-12)
+    lo = bins.low + cells * bins.width
+    assert np.all(pts >= lo - 1e-12) and np.all(pts <= lo + bins.width + 1e-12)
 
 
 @pytest.mark.parametrize("capacity", [1, 2, 4])
@@ -197,15 +218,16 @@ def test_index_bins_each_point_in_the_cell_a_query_on_it_starts_from(scale, capa
         low, high = rng.integers(1, 9, size=2)
         pts = rng.integers(-low, high + 1, size=(int(rng.integers(2, 401)), 3)) * scale
         index = octree.build_octree(pts, leaf_capacity=capacity)
-        assert np.array_equal(index.bins.cell_of(pts), index.cell)
+        assert np.array_equal(index.bins.cell_of(pts), _cells(index))
 
 
 def test_index_half_open_cell_assignment():
     # a point exactly on the splitting plane goes to the upper cell
     pts = np.array([[0.0, 0, 0], [2.0, 0, 0], [1.0, 0, 0]])  # center x = 1.0
     index = octree.build_octree(pts, leaf_capacity=1)
-    assert index.depth == 1 and index.low[0] + index.width == 1.0  # the plane x = 1
-    assert index.cell[2, 0] == index.cell[1, 0] > index.cell[0, 0]
+    assert _depth(index) == 1 and index.bins.low[0] + index.bins.width == 1.0  # the plane x = 1
+    cells = _cells(index)
+    assert cells[2, 0] == cells[1, 0] > cells[0, 0]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200, -1e200, 1e300])
@@ -266,7 +288,7 @@ def test_index_nearest_with_an_empty_block_inside_the_grid():
     queries = np.array([[50.0, 0.5, 0.5], [40.0, 0.0, 1.0], [61.0, 0.9, 0.2]])
     index = octree.build_octree(pts, leaf_capacity=1)
     home = index.bins.cell_of(queries)
-    assert (np.abs(index.cell[None] - home[:, None]).max(axis=2) > 1).all()
+    assert (np.abs(_cells(index)[None] - home[:, None]).max(axis=2) > 1).all()
     got_i, got_d = octree.nearest(index, queries)
     for q, gi, gd in zip(queries, got_i, got_d):
         assert (gi, gd) == brute_force_nearest(pts, q)
@@ -292,7 +314,7 @@ def test_index_flat_clouds_keep_the_cell_count_bounded():
                 np.c_[rng.uniform(-1, 1, 4000), np.zeros((4000, 2))],
                 np.tile([[1e6, -1e6, 3.0]], (500, 1))):
         index = octree.build_octree(pts, leaf_capacity=1)
-        assert index.side ** 3 <= 8 * len(pts)
+        assert _side(index) ** 3 <= 8 * len(pts)
         assert len(index.bins.starts) - 1 <= 27 * 8 * len(pts)  # with its margin
         queries = pts[::50] + rng.normal(0, 1e-3, (len(pts[::50]), 3))
         got_i, got_d = octree.nearest(index, queries)
