@@ -89,6 +89,15 @@ def _write_varints(values, out: bytearray) -> None:
 def _read_varints(data: bytes, offset: int) -> np.ndarray:
     """Decode the zigzag LEB128 varints from ``offset`` to the end as int64."""
     stream = np.frombuffer(data, dtype=np.uint8, offset=offset)
+    # where no byte continues, each is a whole varint, and none is cut short
+    z = stream.astype(np.uint64) if stream.max(initial=0) < 0x80 else _join_groups(stream)
+    return (z >> 1).view(np.int64) ^ -(z & 1).view(np.int64)
+
+
+def _join_groups(stream) -> np.ndarray:
+    """The uint64 of each varint of the nonempty ``stream``, whose 7-bit
+    groups run low first, after checking that each ends within 10 bytes and
+    fits in 64 bits."""
     bounds = np.concatenate([[0], np.flatnonzero(stream < 0x80) + 1])
     starts, length = bounds[:-1], np.diff(bounds)
     tail = len(stream) - bounds[-1]  # bytes after the last complete varint
@@ -98,12 +107,9 @@ def _read_varints(data: bytes, offset: int) -> np.ndarray:
         raise PayloadFormatError("truncated varint stream")
     if (stream[bounds[1:][length == 10] - 1] > 1).any():
         raise PayloadFormatError("varint does not fit in int64")
-    if not len(starts):
-        return np.zeros(0, dtype=np.int64)
     shift = 7 * (np.arange(len(stream)) - np.repeat(starts, length))
     parts = (stream & 0x7F).astype(np.uint64) << shift.astype(np.uint64)
-    z = np.add.reduceat(parts, starts)  # the groups' bits do not overlap
-    return (z >> 1).view(np.int64) ^ -(z & 1).view(np.int64)
+    return np.add.reduceat(parts, starts)  # the groups' bits do not overlap
 
 
 def write_payload(payload: Payload) -> bytes:

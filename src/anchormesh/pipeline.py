@@ -22,8 +22,8 @@ from .payload import Payload, PayloadFormatError, BaseHashMismatchError, mesh_co
 from .qem import refine_anchor
 from .quantize import QuantizationParams, dequantize_field, quantize_field
 from .quantize import neighbor_counts  # noqa: F401 -- codecbench's spans patch this name here
-from .subdivide import (SubdividedMesh, apply_displacements, compute_displacements,
-                        edge_table, midpoint_subdivide, subdivided_vertex_count)
+from .subdivide import (SubdividedMesh, apply_displacements, base_plan, compute_displacements,
+                        edge_table, held_plan, midpoint_subdivide, subdivided_vertex_count)
 
 
 # The CodecConfig fields that only quantization reads. Two configs equal in
@@ -119,7 +119,9 @@ def _fit(base: TriangleMesh, target: TriangleMesh, config: CodecConfig, stats: d
     stats["fine_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    sub = midpoint_subdivide(anchor.mesh, config.level)
+    # the anchor has the base's faces, so the base's plan splits it and
+    # serves every decode against this base object after it
+    sub = midpoint_subdivide(anchor.mesh, config.level, plan=base_plan(base, config.level))
     field = compute_displacements(sub, target)
     stats["displace_s"] = time.perf_counter() - t0
     return anchor, sub, field
@@ -135,15 +137,23 @@ def decode_payload(payload: Payload, base: TriangleMesh) -> TriangleMesh:
         anchor = TriangleMesh(payload.anchor_positions, base.faces)
     except MeshValidationError as exc:  # an anchor coordinate NaN or beyond the mesh range
         raise PayloadFormatError(f"bad anchor positions: {exc}") from exc
-    # the base's one edge sort serves the length check and every split
-    table = edge_table(base.faces, base.n_vertices)
-    expected = subdivided_vertex_count(base, payload.level, split=table)
+    # the stream length is checked before any plan is built: a held plan
+    # knows its vertex count, else the base's one edge sort counts it and
+    # then serves the plan
+    plan = held_plan(base, payload.level)
+    if plan is None:
+        table = edge_table(base.faces, base.n_vertices)
+        expected = subdivided_vertex_count(base, payload.level, split=table)
+    else:
+        expected = plan.n_vertices
     if len(payload.quantized) != expected:
         raise PayloadFormatError(
             f"displacement stream holds {len(payload.quantized)} triples, "
             f"expected {expected} for subdivision level {payload.level}"
         )
-    sub = midpoint_subdivide(anchor, payload.level, split=table)
+    if plan is None:
+        plan = base_plan(base, payload.level, split=table)
+    sub = midpoint_subdivide(anchor, payload.level, plan=plan)
     try:
         with np.errstate(over="ignore"):
             field = dequantize_field(payload.quantized, sub.neighbor_counts, payload.params,

@@ -31,13 +31,27 @@ derives the next level's from its own, since it knows the edges it makes:
   their third vertices.
 
 So the neighbour counts of a level are the previous level's followed by
-``2 + 2 t`` per edge (:class:`SubdividedMesh`). Displacements are world-axis
-residuals from each subdivided vertex to the nearest point on the target
-surface, one row of an (n, 3) array per vertex.
+``2 + 2 t`` per edge (:class:`SubdividedMesh`).
+
+None of this depends on vertex positions, so it is built once, as a
+:class:`SplitPlan`: each level's edges, which the midpoints sit on, the
+final faces and the final neighbour counts and vertex count. Splitting a
+mesh with those faces then only places its vertices. An inter anchor keeps
+its base's connectivity, so one plan of the base serves the encoder's
+split of every anchor fitted against it and every decode against it.
+:func:`base_plan` keeps the last plan it made in one slot, keyed by the base
+object through a weak reference and by the level: the slot never keeps a
+base alive, and empties itself when that base dies. It holds one plan, not
+one per base, so a long run's memory stays that of one plan while it codes
+frame after frame against one base, as a sweep or a group of frames does.
+
+Displacements are world-axis residuals from each subdivided vertex to the
+nearest point on the target surface, one row of an (n, 3) array per vertex.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,26 +98,6 @@ def edge_table(faces, n_vertices: int):
     return edges, face_edges, np.bincount(pairs // n_vertices, minlength=len(edges))
 
 
-def _subdivide_once(vertices, faces, table=None, counts=None):
-    """One 1->4 split: ``(vertices, faces, edges, counts)``, the next
-    level's vertices, faces and neighbour counts and the split's ``edges``.
-    ``table`` is :func:`edge_table` of ``faces`` and ``counts`` the
-    neighbour counts of ``vertices``, where the caller has them."""
-    n = len(vertices)
-    edges, face_edges, thirds = edge_table(faces, n) if table is None else table
-    if counts is None:
-        counts = np.bincount(edges.ravel(), minlength=n)
-    # np.take gathers rows several times faster than fancy indexing
-    midpoints = 0.5 * (np.take(vertices, edges[:, 0], axis=0)
-                       + np.take(vertices, edges[:, 1], axis=0))
-    # rows a, b, c, m_ab, m_bc, m_ca: taking whole rows, then one transposing
-    # copy, is faster than stacking or indexing (m, 6) columns
-    corners = np.concatenate([faces.T, (n + face_edges).T])
-    children = corners[CHILD_CORNERS.ravel()].T.reshape(-1, 3)
-    return (np.vstack([vertices, midpoints]), children, edges,
-            np.concatenate([counts, 2 + 2 * thirds]))
-
-
 def _next_table(faces, n, table):
     """The :func:`edge_table` of the split of ``faces`` on ``n`` vertices,
     derived from their own ``table`` as the module docstring says."""
@@ -136,26 +130,131 @@ def _next_table(faces, n, table):
             np.concatenate([thirds[parent], np.full(len(inner), 2)]))
 
 
-def midpoint_subdivide(mesh: TriangleMesh, levels: int, *, split=None) -> SubdividedMesh:
-    """Split every triangle 1->4 per level using shared edge midpoints.
+@dataclass(frozen=True, eq=False)
+class SplitPlan:
+    """The connectivity of splitting one face list ``levels`` times.
 
-    ``levels=0`` returns the mesh's own arrays. Only ``mesh.faces`` are
-    sorted, into their :func:`edge_table`, unless the caller passes that
-    table as ``split``. Each split derives the next level's table from its
-    own and counts its vertices' neighbours from it, so no edge pass runs
-    over a subdivided level.
+    ``edges`` holds each level's (E, 2) int64 edges, the ones its midpoints
+    sit on, first split first; ``faces`` the final faces, ``neighbor_counts``
+    the final vertices' neighbour counts (as :class:`SubdividedMesh` has
+    them) and ``n_vertices`` their number. Every array is frozen, so every
+    mesh placed from the plan shares the faces and counts.
     """
+
+    edges: tuple
+    faces: np.ndarray
+    neighbor_counts: np.ndarray
+    n_vertices: int
+
+    @property
+    def levels(self) -> int:
+        return len(self.edges)
+
+    def place(self, vertices) -> np.ndarray:
+        """The (n_vertices, 3) subdivided positions of ``vertices``, the
+        positions of the vertices the plan's first faces index: each level
+        appends the midpoints of its edges."""
+        n = len(vertices)
+        if n + sum(map(len, self.edges)) != self.n_vertices:
+            raise ValueError(f"{n} vertices do not fit a plan of {self.n_vertices}")
+        out = np.empty((self.n_vertices, 3))
+        out[:n] = vertices
+        for edges in self.edges:
+            # np.take gathers rows several times faster than fancy indexing;
+            # the midpoint is 0.5 * (a + b), rounded as two steps
+            midpoints = out[n:n + len(edges)]
+            np.add(np.take(out, edges[:, 0], axis=0), np.take(out, edges[:, 1], axis=0),
+                   out=midpoints)
+            midpoints *= 0.5
+            n += len(edges)
+        return out
+
+
+def split_plan(faces, n_vertices: int, levels: int, *, split=None) -> SplitPlan:
+    """The :class:`SplitPlan` of ``faces`` on ``n_vertices`` vertices to
+    ``levels``. Only ``faces`` are sorted, into their :func:`edge_table`,
+    unless the caller passes that table as ``split``; each split derives
+    the next level's table from its own and counts its vertices' neighbours
+    from it, so no edge pass runs over a subdivided level. At level 0 the
+    plan's faces are ``faces`` themselves, frozen in place."""
     if levels < 0:
         raise ValueError("subdivision level must be >= 0")
-    vertices, faces, n = mesh.vertices, mesh.faces, mesh.n_vertices
-    table = edge_table(faces, n) if split is None else split
-    counts = np.bincount(table[0].ravel(), minlength=n)
+    table = edge_table(faces, n_vertices) if split is None else split
+    counts = np.bincount(table[0].ravel(), minlength=n_vertices).astype(np.int64, copy=False)
+    n, edges = n_vertices, []
     for remaining in range(levels, 0, -1):
-        next_table = _next_table(faces, len(vertices), table) if remaining > 1 else None
-        vertices, faces, _, counts = _subdivide_once(vertices, faces, table, counts)
+        next_table = _next_table(faces, n, table) if remaining > 1 else None
+        level_edges, face_edges, thirds = table
+        # rows a, b, c, m_ab, m_bc, m_ca: taking whole rows, then one
+        # transposing copy, is faster than stacking or indexing (m, 6) columns
+        corners = np.concatenate([faces.T, (n + face_edges).T])
+        faces = corners[CHILD_CORNERS.ravel()].T.reshape(-1, 3)
+        counts = np.concatenate([counts, 2 + 2 * thirds])
+        edges.append(level_edges)
+        n += len(level_edges)
         table = next_table
-    return SubdividedMesh(TriangleMesh.derived(vertices, faces),
-                          counts.astype(np.int64, copy=False))
+    for array in (*edges, faces, counts):
+        array.setflags(write=False)
+    return SplitPlan(tuple(edges), faces, counts, n)
+
+
+# (weak reference to a base, levels, its plan): the last plan base_plan
+# made. One slot, so a long run holds one plan whatever it codes. Threads
+# that race on it can only make a plan twice or drop one: every plan of a
+# base to a level is bitwise the same.
+_slot = None
+
+
+def _release(ref) -> None:
+    """Empty the slot when the base its plan was made for dies."""
+    global _slot
+    if _slot is not None and _slot[0] is ref:
+        _slot = None
+
+
+def held_plan(base: TriangleMesh, levels: int) -> SplitPlan | None:
+    """The slot's plan if it is the one of the ``base`` object to
+    ``levels``, else None."""
+    slot = _slot
+    if slot is not None and slot[0]() is base and slot[1] == levels:
+        return slot[2]
+    return None
+
+
+def base_plan(base: TriangleMesh, levels: int, *, split=None) -> SplitPlan:
+    """The :class:`SplitPlan` of ``base``'s faces to ``levels``: the slot's,
+    or a new one from :func:`split_plan` (``split`` as there), which then
+    takes the slot. A :class:`TriangleMesh` freezes its faces, so they
+    cannot change under the plan made of them."""
+    global _slot
+    plan = held_plan(base, levels)
+    if plan is None:
+        plan = split_plan(base.faces, base.n_vertices, levels, split=split)
+        _slot = (weakref.ref(base, _release), levels, plan)
+    return plan
+
+
+def _subdivide_once(vertices, faces):
+    """One 1->4 split of arrays through a one-level plan: ``(vertices,
+    faces, edges, counts)``, the next level's vertices, faces and neighbour
+    counts and the split's ``edges``."""
+    plan = split_plan(faces, len(vertices), 1)
+    return plan.place(vertices), plan.faces, plan.edges[0], plan.neighbor_counts
+
+
+def midpoint_subdivide(mesh: TriangleMesh, levels: int, *, plan=None) -> SubdividedMesh:
+    """Split every triangle 1->4 per level using shared edge midpoints.
+
+    Builds the :func:`split_plan` of ``mesh.faces``, unless the caller passes
+    ``plan``, one made for a mesh with these faces to ``levels``; then only
+    the vertices are placed. The result shares the plan's faces and counts.
+    """
+    if plan is None:
+        plan = split_plan(mesh.faces, mesh.n_vertices, levels)
+    elif plan.levels != levels:
+        raise ValueError(f"a plan of {plan.levels} levels cannot split to {levels}")
+    return SubdividedMesh(TriangleMesh.derived(plan.place(mesh.vertices), plan.faces),
+                          plan.neighbor_counts)
 
 
 def subdivided_vertex_count(mesh: TriangleMesh, levels: int, *, split=None) -> int:
@@ -165,7 +264,7 @@ def subdivided_vertex_count(mesh: TriangleMesh, levels: int, *, split=None) -> i
     three edges inside every face and splits every face in four. Faces on the
     same three vertices share their inner edges, so faces are counted as
     distinct vertex triples: ``V' = V + E``, ``E' = 2E + 3F``, ``F' = 4F``.
-    ``split`` is as for :func:`midpoint_subdivide`.
+    ``split`` is as for :func:`split_plan`.
     """
     edges, _, thirds = edge_table(mesh.faces, mesh.n_vertices) if split is None else split
     # a distinct triple leaves three distinct (edge, third vertex) pairs

@@ -55,9 +55,9 @@ class SequenceSpec:
     (resolution segments per edge of a unit cube). ``motion`` is ``static``,
     ``translate`` (per-frame ``velocity``), ``rotate`` (about ``axis``
     through the shape centroid by ``rate`` rad/frame) or ``bend``
-    (articulated rotation of the +x ``region`` fraction about a y-axis hinge
-    by ``rate`` rad/frame). ``topology_jitter`` re-triangulates a random
-    region each frame.
+    (articulated rotation of the +x ``region`` fraction, within [0, 1],
+    about a y-axis hinge by ``rate`` rad/frame). ``topology_jitter``
+    re-triangulates a random region each frame.
     """
 
     shape: str = "sphere"
@@ -74,6 +74,8 @@ class SequenceSpec:
     def __post_init__(self):
         if not math.isfinite(self.rate):
             raise ValueError(f"rate must be finite, got {self.rate}")
+        if not 0.0 <= self.region <= 1.0:  # also refuses NaN
+            raise ValueError(f"region must be a fraction within [0, 1], got {self.region}")
         for name in ("velocity", "axis"):
             value = getattr(self, name)
             if len(value) != 3 or not all(map(math.isfinite, value)):

@@ -447,3 +447,14 @@ def test_synth_exits_2_on_a_non_finite_motion(tmp_path, capsys, flags):
     assert main(["synth", str(out), *flags]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("region", ["nan", "inf", "-1", "2"])
+def test_synth_exits_2_on_a_region_outside_the_unit_interval(tmp_path, capsys, region):
+    # a NaN hinge or one beyond the shape bent nothing, and -1 bent it all
+    out = tmp_path / "sequence"
+    assert main(["synth", str(out), "--resolution", "1", "--motion", "bend", "--rate", "0.3",
+                 "--region", region]) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "ValueError" and "region" in error["message"]
+    assert not out.exists()

@@ -87,6 +87,32 @@ def test_level_byte_mismatch_raises_before_subdividing(encoded, monkeypatch):
             decode_payload(mutated, base)
 
 
+@pytest.mark.parametrize("held", [False, True], ids=["cold slot", "slot holds another level"])
+def test_a_hostile_level_byte_builds_no_plan(encoded, monkeypatch, held):
+    # the stream length is checked before any plan is made, whether the
+    # slot is cold or holds the base's plan at the payload's own level
+    from anchormesh import subdivide
+
+    base, payload = encoded
+    base = am.TriangleMesh(base.vertices, base.faces)  # an object no plan was made for
+    if held:
+        decode_payload(payload, base)
+        assert subdivide.held_plan(base, payload.level) is not None
+
+    def no_plan(*args, **kwargs):
+        raise AssertionError("decoder built a plan before checking the level")
+
+    monkeypatch.setattr(subdivide, "split_plan", no_plan)
+    data = bytearray(write_payload(payload))
+    for level in (40, 255, payload.level + 1, payload.level - 1):
+        data[HEADER + 24 * base.n_vertices] = level
+        with pytest.raises(PayloadFormatError, match="expected"):
+            decode_payload(read_payload(bytes(data), base.n_vertices), base)
+    if held:  # the held plan still serves the payload's own level
+        assert subdivide.held_plan(base, payload.level) is not None
+        decode_payload(payload, base)
+
+
 def test_unknown_flag_bits_raise():
     rng = np.random.default_rng(9)
     sent = _payload(rng)
@@ -165,6 +191,31 @@ def test_varint_reader_matches_scalar_oracle_on_any_bytes(data):
             _read_varints(data, 0)
     else:
         assert _read_varints(data, 0).tolist() == want
+
+
+_TEN_BYTE_MIN = bytes([0xFF] * 9 + [0x01])  # zigzag 2^64 - 1: the int64 minimum
+
+
+@pytest.mark.parametrize("data, want", [
+    (b"", []),
+    (bytes([0, 1, 2, 3, 0x7E, 0x7F]), [0, -1, 1, -2, 63, -64]),  # every varint one byte
+    (bytes([2]) + _TEN_BYTE_MIN + bytes([1]), [1, INT64.min, -1]),
+], ids=["empty", "one-byte", "ten-byte among one-byte"])
+def test_varint_reader_on_one_byte_streams(data, want):
+    # a stream of one-byte varints is read without splitting it into runs;
+    # one longer varint among them takes the run reader
+    got = _read_varints(b"\x80" + data, 1)
+    assert got.dtype == np.int64
+    assert got.tolist() == want == scalar_read_varints(data, 0)
+
+
+def test_varint_reader_refuses_a_truncated_final_byte():
+    # one-byte varints, then a final byte that says another follows
+    for data in (bytes([2, 4, 0x80]), bytes([0x80]), bytes([6]) + _TEN_BYTE_MIN[:-1]):
+        with pytest.raises(PayloadFormatError, match="truncated"):
+            scalar_read_varints(data, 0)
+        with pytest.raises(PayloadFormatError, match="truncated"):
+            _read_varints(data, 0)
 
 
 @DETERMINISTIC

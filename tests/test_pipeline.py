@@ -44,17 +44,11 @@ def test_decode_rejects_another_base(pair):
         decode_payload(payload, other)
 
 
-def test_decode_makes_one_edge_pass_over_the_base(pair, monkeypatch):
-    # at every level the base's one edge pass serves the stream-length check
-    # and the first split, each later split takes its edges from the one
-    # before, and the decoded vertices are those of an unpatched decode
+def _count_edge_passes(monkeypatch):
+    """The face counts of every ``unique_edges`` call from here on."""
     from anchormesh import mesh, pipeline, quantize, subdivide
     from anchormesh.mesh import unique_edges
 
-    base, target = pair
-    payloads = [encode_pair(base, target, am.CodecConfig(level=level, qem_refine=False)).payload
-                for level in range(5)]
-    wants = [decode_payload(payload, base) for payload in payloads]
     passes = []
 
     def counted(faces, n_vertices):
@@ -63,12 +57,67 @@ def test_decode_makes_one_edge_pass_over_the_base(pair, monkeypatch):
 
     for module in (mesh, pipeline, quantize, subdivide):  # wherever a caller finds it
         monkeypatch.setattr(module, "unique_edges", counted, raising=False)
+    return passes
+
+
+def test_decode_makes_one_edge_pass_over_the_base(pair, monkeypatch):
+    # at every level the first decode against a base object makes the
+    # base's one edge pass, which serves the stream-length check and the
+    # base's plan; each later split takes its edges from the one before. A
+    # repeat decode against that object reuses the plan and makes none. The
+    # decoded vertices and faces are those of an unpatched decode
+    base, target = pair
+    payloads = [encode_pair(base, target, am.CodecConfig(level=level, qem_refine=False)).payload
+                for level in range(5)]
+    wants = [decode_payload(payload, base) for payload in payloads]
+    passes = _count_edge_passes(monkeypatch)
     for payload, want in zip(payloads, wants):
-        passes.clear()
-        got = decode_payload(payload, base)
-        assert passes == [base.n_faces], payload.level
-        assert np.array_equal(got.vertices, want.vertices)
-        assert np.array_equal(got.faces, want.faces)
+        fresh = am.TriangleMesh(base.vertices, base.faces)  # no plan was made for it
+        for expected in ([base.n_faces], []):
+            passes.clear()
+            got = decode_payload(payload, fresh)
+            assert passes == expected, payload.level
+            assert np.array_equal(got.vertices, want.vertices)
+            assert np.array_equal(got.faces, want.faces)
+
+
+def test_an_encode_plan_serves_its_decodes(pair, monkeypatch):
+    # the encoder splits the anchor with the base's plan, so decoding its
+    # payload against that base object sorts no edges, and repeated decodes
+    # share the plan's faces
+    from anchormesh.subdivide import held_plan
+
+    base = am.TriangleMesh(pair[0].vertices, pair[0].faces)  # no plan was made for it
+    result = encode_pair(base, pair[1], am.CodecConfig(level=3))
+    assert held_plan(base, 3) is not None
+    passes = _count_edge_passes(monkeypatch)
+    first, second = (decode_payload(result.payload, base) for _ in range(2))
+    assert passes == []
+    assert first.faces is second.faces is result.subdivided.mesh.faces
+    assert np.array_equal(first.vertices, second.vertices)
+
+
+def test_a_plan_never_serves_another_base_object(pair):
+    # another object with the base's faces and other vertices is another
+    # base: a payload of the first is refused against it, and its own
+    # payload decodes to its own result whichever plan the slot holds
+    base, target = pair
+    config = am.CodecConfig(level=2, alpha=64.0)
+    moved = am.TriangleMesh(base.vertices * 1.5, base.faces)
+    ours = encode_pair(base, target, config).payload
+    theirs = encode_pair(moved, target, config).payload
+    want = decode_payload(theirs, moved)
+    mine = decode_payload(ours, base)  # the slot now holds the first base's plan
+    with pytest.raises(BaseHashMismatchError):
+        decode_payload(ours, moved)
+    got = decode_payload(theirs, moved)
+    assert np.array_equal(got.vertices, want.vertices)
+    assert np.array_equal(got.faces, want.faces)
+    assert not np.array_equal(got.vertices, mine.vertices)
+    # an equal copy of the base decodes the first payload bitwise alike
+    copy = decode_payload(ours, am.TriangleMesh(base.vertices, base.faces))
+    assert np.array_equal(copy.vertices, mine.vertices)
+    assert np.array_equal(copy.faces, mine.faces)
 
 
 def test_a_pair_near_the_coordinate_limit_codes_without_overflow(pair):

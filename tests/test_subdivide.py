@@ -1,3 +1,5 @@
+import gc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,8 +18,8 @@ from anchormesh import (
 )
 from anchormesh.mesh import MeshValidationError, unique_edges
 from anchormesh.quantize import neighbor_counts
-from anchormesh.subdivide import (_next_table, _subdivide_once, edge_table,
-                                  subdivided_vertex_count)
+from anchormesh.subdivide import (_next_table, _subdivide_once, base_plan, edge_table, held_plan,
+                                  split_plan, subdivided_vertex_count)
 from helpers import (
     brute_force_surface_point,
     build_adjacency,
@@ -181,6 +183,71 @@ def test_derived_edge_tables_match_a_sort_of_each_level(mesh):
 @given(face_lists())
 def test_derived_edge_tables_match_a_sort_of_each_level_property(mesh):
     _assert_derived_levels_match_oracles(mesh)
+
+
+def _assert_base_plan_places_like_a_cold_split(base, levels=4):
+    # a mesh with the base's faces and other vertices, as an anchor is:
+    # placed through the base's plan it is bitwise its own cold subdivision
+    other = TriangleMesh(base.vertices[::-1] * 2.0 + 0.25, base.faces)
+    for level in range(levels + 1):
+        plan = base_plan(base, level)
+        assert held_plan(base, level) is plan
+        assert base_plan(base, level) is plan
+        for mesh in (base, other):
+            got = midpoint_subdivide(mesh, level, plan=plan)
+            want = midpoint_subdivide(mesh, level)
+            assert np.array_equal(got.mesh.vertices, want.mesh.vertices)
+            assert np.array_equal(got.mesh.faces, want.mesh.faces)
+            assert np.array_equal(got.neighbor_counts, want.neighbor_counts)
+            assert got.mesh.faces.dtype == got.neighbor_counts.dtype == np.int64
+            # every placed mesh shares the plan's frozen faces and counts
+            assert got.mesh.faces is plan.faces and got.neighbor_counts is plan.neighbor_counts
+            assert not plan.faces.flags.writeable and not plan.neighbor_counts.flags.writeable
+        assert plan.n_vertices == subdivided_vertex_count(base, level)
+
+
+@pytest.mark.parametrize("mesh", _valid_connectivity_cases())
+def test_a_base_plan_places_like_a_cold_split(mesh):
+    _assert_base_plan_places_like_a_cold_split(mesh, 4 if mesh.n_faces <= 320 else 3)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(face_lists())
+def test_a_base_plan_places_like_a_cold_split_property(mesh):
+    _assert_base_plan_places_like_a_cold_split(mesh)
+
+
+def test_the_plan_slot_keeps_no_base_alive():
+    base = make_sphere(1)
+    plan = weakref.ref(base_plan(base, 3))
+    assert held_plan(base, 3) is plan()
+    assert held_plan(base, 2) is None
+    assert held_plan(TriangleMesh(base.vertices, base.faces), 3) is None  # by object
+    base = weakref.ref(base)
+    gc.collect()
+    # the slot let the base go, and emptied itself of the plan made for it
+    assert base() is None and plan() is None
+
+
+def test_the_slot_holds_the_last_plan_only():
+    first, second = make_sphere(0), make_sphere(1)
+    plan = weakref.ref(base_plan(first, 2))
+    base_plan(second, 2)
+    gc.collect()
+    assert held_plan(first, 2) is None and plan() is None
+    assert held_plan(second, 2) is not None
+
+
+def test_a_plan_refuses_another_level_or_vertex_count():
+    mesh = make_sphere(0)
+    plan = split_plan(mesh.faces, mesh.n_vertices, 2)
+    assert plan.levels == 2
+    with pytest.raises(ValueError, match="level"):
+        midpoint_subdivide(mesh, 1, plan=plan)
+    with pytest.raises(ValueError, match="vertices"):
+        plan.place(np.zeros((mesh.n_vertices + 1, 3)))
+    with pytest.raises(ValueError):
+        split_plan(mesh.faces, mesh.n_vertices, -1)
 
 
 def test_midpoint_subdivide_matches_repeated_loop_oracle():

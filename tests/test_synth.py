@@ -120,6 +120,14 @@ def test_bend_moves_only_the_region():
     assert np.any(moved[x > 0.6] > 0.0)
 
 
+@pytest.mark.parametrize("region", [0.0, 1.0])
+def test_bend_takes_either_end_of_the_region_range(region):
+    spec = SequenceSpec(shape="grid", resolution=4, frames=2, motion="bend",
+                        region=region, rate=0.4)
+    frames = generate_sequence(spec)
+    assert np.isfinite(frames[1].vertices).all()
+
+
 def test_topology_jitter_changes_connectivity_not_geometry():
     spec = SequenceSpec(shape="sphere", resolution=2, frames=3,
                         topology_jitter=True, seed=5)
