@@ -148,33 +148,35 @@ def cmd_sweep(args) -> int:
         raise MeshError("sweep needs a sequence of >= 2 frames")
     frames = [_read_mesh_file(p) for p in frame_paths]
 
-    bases = []
-    for mesh in frames[:-1]:
-        target_count = max(4, round(config.base_fraction * mesh.n_vertices))
-        bases.append(decimate_to_base(mesh, target_count))
-
     # each job codes with the sweep's own settings, its ablation's switches
     # and one alpha of the ladder; the jobs of one frame pair with the same
     # anchor settings form a group that fits the pair once
-    jobs = {}  # (pair index, anchor settings) -> [(label, config)]
-    for label, switches in ABLATION_CONFIGS:
-        for alpha in config.alpha_ladder:
-            job_config = config.override(alpha=alpha, **switches)
-            for pair_index in range(len(frames) - 1):
+    jobs = {}  # (pair index, anchor settings) -> [(label, config)], by pair
+    for pair_index in range(len(frames) - 1):
+        for label, switches in ABLATION_CONFIGS:
+            for alpha in config.alpha_ladder:
+                job_config = config.override(alpha=alpha, **switches)
                 jobs.setdefault((pair_index, anchor_settings(job_config)), []).append(
                     (label, job_config))
-    groups = [(pair_index, bases[pair_index], frames[pair_index + 1], group)
-              for (pair_index, _), group in jobs.items()]
+
+    def groups():
+        """Pair after pair, its base and groups: a base, and the plans its
+        connectivity holds, go once its pair's last group is done."""
+        for pair_index, mesh in enumerate(frames[:-1]):
+            base = decimate_to_base(mesh, max(4, round(config.base_fraction * mesh.n_vertices)))
+            yield from ((pair_index, base, frames[pair_index + 1], group)
+                        for (index, _), group in jobs.items() if index == pair_index)
+
     # a fork pool starts all its workers at once: never more than the groups
-    workers = min(config.threads, len(groups))
+    workers = min(config.threads, len(jobs))
     if workers > 1:
         # imported here: multiprocessing is a large import that only a pool needs
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = [row for rows in pool.map(_sweep_group, groups, chunksize=1)
+            results = [row for rows in pool.map(_sweep_group, groups(), chunksize=1)
                        for row in rows]
     else:
-        results = [row for group in groups for row in _sweep_group(group)]
+        results = [row for group in groups() for row in _sweep_group(group)]
 
     os.makedirs(args.out, exist_ok=True)  # after the jobs: a sweep that fails writes nothing
     baseline = ABLATION_CONFIGS[0][0]

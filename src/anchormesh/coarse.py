@@ -106,7 +106,7 @@ def generate_coarse_anchor(base: TriangleMesh, target: TriangleMesh,
     predecessors), summed in ascending neighbor order and divided by their
     count, or zero where it has none. The anchor vertex is an exact copy of
     the match and the realized motion is matched position minus reference
-    position. The face list is copied verbatim from ``base``. With
+    position. The anchor shares ``base``'s connectivity. With
     ``motion_estimation=False`` every query uses a zero offset (plain
     nearest-neighbor matching, the ablation baseline).
 
@@ -153,6 +153,6 @@ def generate_coarse_anchor(base: TriangleMesh, target: TriangleMesh,
             q = q + total / count[wave_vertices]
         correspondence[wave_vertices] = j = nearest(index, q)[0]
         motion[wave_vertices] = target.vertices[j] - base.vertices[wave_vertices]
-    anchor = AnchorMesh(TriangleMesh(target.vertices[correspondence], base.faces),
+    anchor = AnchorMesh(TriangleMesh.derived(target.vertices[correspondence], base.connectivity),
                         correspondence, "coarse", order)
     return anchor, motion

@@ -89,7 +89,8 @@ class CellBins:
     """
 
     def __init__(self, low, width, shape, lo, hi=None):
-        self.low, self.width, self.last = low, width, shape - 1.0
+        self.low, self.width, self.shape, self.last = low, width, shape, shape - 1.0
+        self._volume = None  # summed entry counts, built on the first occupied_reach
         self.boxed = hi is not None
         dims = shape + 2
         self.strides = np.array([dims[1] * dims[2], dims[2], 1])
@@ -129,6 +130,35 @@ class CellBins:
         reach = np.sqrt(d2) * (1.0 + PAD) + pad
         return self.cell_of((cols - reach).T), self.cell_of((cols + reach).T)
 
+    def occupied_reach(self, home, radius):
+        """Per cell of ``home`` (k, 3), the least ``r > radius`` such that
+        the cells within ``r`` of it on every axis hold an entry, for cells
+        whose cells within ``radius`` hold none, in a grid that holds one.
+        A bisection over ``r``, each step counting the entries of every
+        query's cell box from a summed-volume table of the cell counts, built
+        on the first call."""
+        if self._volume is None:
+            volume = np.zeros(tuple(self.shape + 3), dtype=np.int64)
+            volume[1:, 1:, 1:] = np.diff(self.starts).reshape(tuple(self.shape + 2)).cumsum(
+                axis=0).cumsum(axis=1).cumsum(axis=2)
+            self._volume = volume  # volume[i, j, k]: the entries of keys below (i, j, k)
+        empty = np.full(len(home), radius)
+        occupied = np.full(len(home), int(self.shape.max()))  # the whole grid from any cell
+        while (occupied - empty > 1).any():
+            reach = (empty + occupied) // 2
+            # the cell box [home - reach, home + reach] as padded keys [a, b)
+            a = np.clip(home - reach[:, None], 0, self.shape - 1) + 1
+            b = np.clip(home + reach[:, None], 0, self.shape - 1) + 2
+            count = 0
+            for corner in range(8):
+                upper = [(corner >> axis) & 1 for axis in range(3)]
+                at = tuple(np.where(u, b[:, axis], a[:, axis]) for axis, u in enumerate(upper))
+                count = count + (-1) ** (3 - sum(upper)) * self._volume[at]
+            found = count > 0
+            occupied = np.where(found, reach, occupied)
+            empty = np.where(found, empty, reach)
+        return occupied
+
     def _columns(self, lo, hi):
         """``(owner, key, height)`` of the z-columns of cells in each
         inclusive cell box ``[lo[i], hi[i]]``, by owner: the key of a
@@ -167,15 +197,17 @@ def least(bins, cols, measure, radius, pad, n_items):
 
     - *Bound.* ``q`` is measured against the items of the cells within
       ``radius`` (0 or 1) of its own on every axis, and the least distance
-      bounds its minimum: ``r^2``, or ``inf`` where those cells are empty.
+      bounds its minimum: ``r^2``. Where those cells are empty, the items
+      of the cells within the least reach that holds one
+      (:meth:`CellBins.occupied_reach`) give the bound instead.
     - *Settle.* Where the box of ``q +- r`` lies inside those cells, every
       item within ``r`` has been measured. It does when ``r < radius *
       width - pad``: every other cell is ``radius`` widths or more from
       ``q``, which lies on each axis in the middle of those cells or off the
       grid past their margin side.
     - *Gather.* Every other query measures once the items of every cell its
-      box covers, the whole grid for ``r^2 = inf``; a pair met in several
-      cells, where items are binned as boxes, once.
+      box covers; a pair met in several cells, where items are binned as
+      boxes, once. Only a grid without items leaves ``r^2 = inf``.
 
     Either way every item at the minimum is measured. Pairs are formed in
     blocks of whole queries within one pair budget (:func:`owner_blocks`),
@@ -188,6 +220,12 @@ def least(bins, cols, measure, radius, pad, n_items):
     first = bins.starts[column].ravel()
     count = bins.starts[column + 2 * radius + 1].ravel() - first
     item, measured = _least_in_runs(bins, cols, measure, n_items, owner, first, count)
+    empty = np.flatnonzero(measured[-1] == np.inf)
+    if len(empty) and bins.starts[-1]:  # a bound from the nearest occupied cells
+        cells = home[empty]
+        ring = bins.occupied_reach(cells, radius)[:, None]
+        _gather(bins, cols, measure, n_items, empty, np.maximum(cells - ring, 0),
+                np.minimum(cells + ring, bins.shape - 1), item, measured)
     reach = max(radius * bins.width - pad, 0.0)
     settled = measured[-1] < reach * reach
     if not settled.all():  # most nearest-point calls end here: skip the box
@@ -195,14 +233,21 @@ def least(bins, cols, measure, radius, pad, n_items):
         lo, hi = bins.box(np.take(cols, todo, axis=1), measured[-1][todo], pad)
         beyond = ((lo < home[todo] - radius) | (hi > home[todo] + radius)).any(axis=1)
         todo, lo, hi = todo[beyond], lo[beyond], hi[beyond]
-        span = hi - lo + 1
-        for s, e in blocks(span[:, 0] * span[:, 1]):
-            item[todo[s:e]], gathered = _least_in_runs(
-                bins, np.take(cols, todo[s:e], axis=1), measure, n_items,
-                *bins.columns(lo[s:e], hi[s:e]), gather=True)
-            for out, x in zip(measured, gathered):
-                out[..., todo[s:e]] = x
+        _gather(bins, cols, measure, n_items, todo, lo, hi, item, measured)
     return item, measured
+
+
+def _gather(bins, cols, measure, n_items, todo, lo, hi, item, measured):
+    """Set ``item`` and ``measured`` of the queries ``todo`` to :func:`least`
+    over the items of every cell of their inclusive cell boxes ``[lo, hi]``
+    in the grid, in blocks of one budget of cell columns."""
+    span = hi - lo + 1
+    for s, e in blocks(span[:, 0] * span[:, 1]):
+        item[todo[s:e]], gathered = _least_in_runs(
+            bins, np.take(cols, todo[s:e], axis=1), measure, n_items,
+            *bins.columns(lo[s:e], hi[s:e]), gather=True)
+        for out, x in zip(measured, gathered):
+            out[..., todo[s:e]] = x
 
 
 def _least_in_runs(bins, cols, measure, n_items, owner, first, count, gather=False):

@@ -8,7 +8,9 @@ accepted everywhere -- adjacency is purely combinatorial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import hashlib
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -55,19 +57,51 @@ class MeshValidationError(MeshError):
 
 
 @dataclass(frozen=True, eq=False)
+class Connectivity:
+    """One face list, ``faces`` (m, 3) int64 that index ``n_vertices``
+    vertices without repeats, as a checked mesh's faces and their splits
+    do, frozen in place; and what is built from it alone, such as
+    :mod:`anchormesh.subdivide`'s edge table and split plans, held on first
+    use (:meth:`held`) for as long as any mesh on the object lives. Every
+    mesh the library derives from one face list shares its object
+    (:meth:`TriangleMesh.derived`): an anchor its base's, a subdivision and
+    its reconstruction their plan's."""
+
+    faces: np.ndarray
+    n_vertices: int
+    _held: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        self.faces.setflags(write=False)
+
+    def held(self, key, build=None):
+        """What is held under ``key``; where nothing is, ``build()`` held
+        there, or None without ``build``. Of two threads that build one
+        value at once, both get the first held."""
+        value = self._held.get(key)
+        if value is None and build is not None:
+            value = self._held.setdefault(key, build())
+        return value
+
+
+@dataclass(frozen=True, eq=False)
 class TriangleMesh:
-    """Indexed triangle soup: ``vertices`` (n, 3) float64, ``faces`` (m, 3) int64.
+    """Indexed triangle soup: ``vertices`` (n, 3) float64 and the ``faces``
+    (m, 3) int64 of its :class:`Connectivity` ``connectivity``.
 
     Every face indexes three distinct vertices, and every coordinate passes
     :func:`checked_points`, so none is NaN. The constructor copies the
-    arrays, on unpickling too, and checks both rules; :meth:`derived` checks
-    the coordinates only. Either way the arrays are frozen, so instances are
-    safe to share across threads and processes. Face and vertex order is
-    significant and preserved by OBJ round trips.
+    arrays, on unpickling too, checks both rules and makes a connectivity;
+    :meth:`derived` shares one and checks the coordinates only. Either way
+    the arrays are frozen, so instances are safe to share across threads and
+    processes: two threads may both compute the :attr:`content_hash` or what
+    the connectivity holds, bitwise alike, and one result is kept. Face and
+    vertex order is significant and preserved by OBJ round trips.
     """
 
     vertices: np.ndarray
     faces: np.ndarray
+    connectivity: Connectivity = field(init=False, repr=False)
 
     def __post_init__(self):
         verts = np.array(self.vertices, dtype=np.float64, copy=True).reshape(-1, 3)
@@ -86,31 +120,47 @@ class TriangleMesh:
                 raise MeshValidationError(
                     f"face {int(np.flatnonzero(repeated)[0])} repeats a vertex index"
                 )
-        self._freeze(verts, faces)
+        self._freeze(verts, Connectivity(faces, len(verts)))
 
     @classmethod
-    def derived(cls, vertices, faces) -> "TriangleMesh":
-        """A mesh the library split or displaced from a checked one:
-        ``vertices`` (n, 3) float64 and ``faces`` (m, 3) int64 that index
-        them without repeats, as a checked mesh's faces and their splits
-        do. The arrays are frozen in place, not copied; only the
-        coordinates are checked, since a displaced one may leave the range."""
+    def derived(cls, vertices, connectivity: Connectivity, *, checked=False) -> "TriangleMesh":
+        """A mesh on ``connectivity`` that the library split, displaced or
+        fitted from a checked mesh: ``vertices`` (n, 3) float64, n the
+        connectivity's vertex count, frozen in place, not copied. Their
+        coordinates are checked, since a displaced one may leave the range,
+        unless the caller knows that they pass (``checked``)."""
         mesh = object.__new__(cls)
-        mesh._freeze(vertices, faces)
+        mesh._freeze(vertices, connectivity, checked)
         return mesh
 
-    def _freeze(self, verts, faces):
-        """Check the coordinates, then freeze the arrays and keep them."""
-        checked_points(verts, "vertex")
+    def _freeze(self, verts, connectivity, checked=False):
+        """Check the vertices, unless ``checked``, then freeze them and keep
+        them with the connectivity."""
+        if verts.shape != (connectivity.n_vertices, 3):
+            raise MeshValidationError(
+                f"vertices of shape {verts.shape} on {connectivity.n_vertices} vertices")
+        if not checked:
+            checked_points(verts, "vertex")
         verts.setflags(write=False)
-        faces.setflags(write=False)
         object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "faces", faces)
+        object.__setattr__(self, "faces", connectivity.faces)
+        object.__setattr__(self, "connectivity", connectivity)
 
     def __reduce__(self):
         # rebuilt through the constructor, which validates the arrays and
         # freezes them again: unpickled arrays come back writeable
         return TriangleMesh, (self.vertices, self.faces)
+
+    @cached_property
+    def content_hash(self) -> bytes:
+        """SHA-256 over the vertex and face counts as two int64, the
+        vertices as float64 and the faces as int64, little-endian and
+        row-major: the identity of the mesh, whatever its file's whitespace
+        or number formatting. Computed once, since the arrays are frozen."""
+        digest = hashlib.sha256(np.array([self.n_vertices, self.n_faces], dtype="<i8").tobytes())
+        digest.update(np.ascontiguousarray(self.vertices, dtype="<f8").tobytes())
+        digest.update(np.ascontiguousarray(self.faces, dtype="<i8").tobytes())
+        return digest.digest()
 
     @property
     def n_vertices(self) -> int:

@@ -24,7 +24,6 @@ the rate figure used in R-D curves.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from dataclasses import dataclass
 
@@ -61,13 +60,9 @@ class Payload:
 
 
 def mesh_content_hash(mesh: TriangleMesh) -> bytes:
-    """SHA-256 over the vertex and face counts, the vertices and the faces,
-    little-endian: the identity of the parsed mesh, whatever its file's
-    whitespace or number formatting."""
-    digest = hashlib.sha256(np.array([mesh.n_vertices, mesh.n_faces], dtype="<i8").tobytes())
-    digest.update(np.ascontiguousarray(mesh.vertices, dtype="<f8").tobytes())
-    digest.update(np.ascontiguousarray(mesh.faces, dtype="<i8").tobytes())
-    return digest.digest()
+    """The base mesh identifier of a payload: ``mesh.content_hash``, which
+    a mesh computes once."""
+    return mesh.content_hash
 
 
 def _write_varints(values, out: bytearray) -> None:

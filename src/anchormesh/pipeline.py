@@ -22,8 +22,8 @@ from .payload import Payload, PayloadFormatError, BaseHashMismatchError, mesh_co
 from .qem import refine_anchor
 from .quantize import QuantizationParams, dequantize_field, quantize_field
 from .quantize import neighbor_counts  # noqa: F401 -- codecbench's spans patch this name here
-from .subdivide import (SubdividedMesh, apply_displacements, base_plan, compute_displacements,
-                        edge_table, held_plan, midpoint_subdivide, subdivided_vertex_count)
+from .subdivide import (SubdividedMesh, apply_displacements, compute_displacements,
+                        midpoint_subdivide, subdivided_vertex_count)
 
 
 # The CodecConfig fields that only quantization reads. Two configs equal in
@@ -119,9 +119,9 @@ def _fit(base: TriangleMesh, target: TriangleMesh, config: CodecConfig, stats: d
     stats["fine_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    # the anchor has the base's faces, so the base's plan splits it and
-    # serves every decode against this base object after it
-    sub = midpoint_subdivide(anchor.mesh, config.level, plan=base_plan(base, config.level))
+    # the anchor shares the base's connectivity, so the plan that splits it
+    # serves every decode against this base after it
+    sub = midpoint_subdivide(anchor.mesh, config.level)
     field = compute_displacements(sub, target)
     stats["displace_s"] = time.perf_counter() - t0
     return anchor, sub, field
@@ -133,27 +133,20 @@ def decode_payload(payload: Payload, base: TriangleMesh) -> TriangleMesh:
         raise BaseHashMismatchError("payload was encoded against a different base mesh")
     if len(payload.anchor_positions) != base.n_vertices:
         raise PayloadFormatError("anchor vertex count does not match the base mesh")
-    try:
-        anchor = TriangleMesh(payload.anchor_positions, base.faces)
+    try:  # a copy on the base's connectivity: the payload's array is the caller's
+        anchor = TriangleMesh.derived(np.array(payload.anchor_positions, dtype=np.float64),
+                                      base.connectivity)
     except MeshValidationError as exc:  # an anchor coordinate NaN or beyond the mesh range
         raise PayloadFormatError(f"bad anchor positions: {exc}") from exc
-    # the stream length is checked before any plan is built: a held plan
-    # knows its vertex count, else the base's one edge sort counts it and
-    # then serves the plan
-    plan = held_plan(base, payload.level)
-    if plan is None:
-        table = edge_table(base.faces, base.n_vertices)
-        expected = subdivided_vertex_count(base, payload.level, split=table)
-    else:
-        expected = plan.n_vertices
+    # the stream length is checked before any plan is built, against a held
+    # plan's vertex count or else the count of the base's one edge sort
+    expected = subdivided_vertex_count(base, payload.level)
     if len(payload.quantized) != expected:
         raise PayloadFormatError(
             f"displacement stream holds {len(payload.quantized)} triples, "
             f"expected {expected} for subdivision level {payload.level}"
         )
-    if plan is None:
-        plan = base_plan(base, payload.level, split=table)
-    sub = midpoint_subdivide(anchor, payload.level, plan=plan)
+    sub = midpoint_subdivide(anchor, payload.level)
     try:
         with np.errstate(over="ignore"):
             field = dequantize_field(payload.quantized, sub.neighbor_counts, payload.params,

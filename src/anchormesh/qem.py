@@ -618,5 +618,5 @@ def refine_anchor(coarse: AnchorMesh, target: TriangleMesh,
             fine_positions[ai] = point
             fine_errors[ai] = error
             out_corr[ai] = OFF_VERTEX
-    return AnchorMesh(TriangleMesh(fine_positions, coarse.mesh.faces), out_corr, "fine",
-                      coarse.order)
+    return AnchorMesh(TriangleMesh.derived(fine_positions, coarse.mesh.connectivity), out_corr,
+                      "fine", coarse.order)

@@ -34,16 +34,16 @@ So the neighbour counts of a level are the previous level's followed by
 ``2 + 2 t`` per edge (:class:`SubdividedMesh`).
 
 None of this depends on vertex positions, so it is built once, as a
-:class:`SplitPlan`: each level's edges, which the midpoints sit on, the
-final faces and the final neighbour counts and vertex count. Splitting a
-mesh with those faces then only places its vertices. An inter anchor keeps
-its base's connectivity, so one plan of the base serves the encoder's
-split of every anchor fitted against it and every decode against it.
-:func:`base_plan` keeps the last plan it made in one slot, keyed by the base
-object through a weak reference and by the level: the slot never keeps a
-base alive, and empties itself when that base dies. It holds one plan, not
-one per base, so a long run's memory stays that of one plan while it codes
-frame after frame against one base, as a sweep or a group of frames does.
+:class:`SplitPlan`: each level's edges, which the midpoints sit on, and the
+final faces' connectivity, neighbour counts and vertex count. Splitting a
+mesh with those faces then only places its vertices. The plan and the base
+level's table are held by the :class:`anchormesh.mesh.Connectivity` of the
+faces (:func:`plan_of`, :func:`edge_table_of`), which every mesh on them
+shares: an inter anchor keeps its base's connectivity, so one plan serves
+the encoder's split of every anchor fitted against that base and every
+decode against it or against a mesh derived on it. A plan lives as long as
+any mesh on its connectivity, and goes with the last of them; no module
+state keeps it.
 
 Displacements are world-axis residuals from each subdivided vertex to the
 nearest point on the target surface, one row of an (n, 3) array per vertex.
@@ -51,13 +51,12 @@ nearest point on the target surface, one row of an (n, 3) array per vertex.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import closest_points_on_surface
-from .mesh import TriangleMesh, sorted_unique, unique_edges, unique_inverse
+from .mesh import Connectivity, TriangleMesh, sorted_unique, unique_edges, unique_inverse
 
 # The 1->4 split of a face (a, b, c): its four children, in the order they
 # are emitted, as indices into (a, b, c, m_ab, m_bc, m_ca), m_ab the
@@ -132,32 +131,27 @@ def _next_table(faces, n, table):
 
 @dataclass(frozen=True, eq=False)
 class SplitPlan:
-    """The connectivity of splitting one face list ``levels`` times.
+    """The connectivity of splitting one face list ``len(edges)`` times.
 
     ``edges`` holds each level's (E, 2) int64 edges, the ones its midpoints
-    sit on, first split first; ``faces`` the final faces, ``neighbor_counts``
-    the final vertices' neighbour counts (as :class:`SubdividedMesh` has
-    them) and ``n_vertices`` their number. Every array is frozen, so every
-    mesh placed from the plan shares the faces and counts.
+    sit on, first split first; ``connectivity`` the final faces and their
+    vertex count, ``neighbor_counts`` the final vertices' neighbour counts
+    (as :class:`SubdividedMesh` has them). Every array is frozen, so every
+    mesh placed from the plan shares the connectivity and counts.
     """
 
     edges: tuple
-    faces: np.ndarray
+    connectivity: Connectivity
     neighbor_counts: np.ndarray
-    n_vertices: int
-
-    @property
-    def levels(self) -> int:
-        return len(self.edges)
 
     def place(self, vertices) -> np.ndarray:
-        """The (n_vertices, 3) subdivided positions of ``vertices``, the
-        positions of the vertices the plan's first faces index: each level
-        appends the midpoints of its edges."""
-        n = len(vertices)
-        if n + sum(map(len, self.edges)) != self.n_vertices:
-            raise ValueError(f"{n} vertices do not fit a plan of {self.n_vertices}")
-        out = np.empty((self.n_vertices, 3))
+        """The subdivided positions of ``vertices``, the positions of the
+        vertices the plan's first faces index: each level appends the
+        midpoints of its edges."""
+        n, total = len(vertices), self.connectivity.n_vertices
+        if n + sum(map(len, self.edges)) != total:
+            raise ValueError(f"{n} vertices do not fit a plan of {total}")
+        out = np.empty((total, 3))
         out[:n] = vertices
         for edges in self.edges:
             # np.take gathers rows several times faster than fancy indexing;
@@ -176,7 +170,9 @@ def split_plan(faces, n_vertices: int, levels: int, *, split=None) -> SplitPlan:
     unless the caller passes that table as ``split``; each split derives
     the next level's table from its own and counts its vertices' neighbours
     from it, so no edge pass runs over a subdivided level. At level 0 the
-    plan's faces are ``faces`` themselves, frozen in place."""
+    plan's faces are ``faces`` themselves, frozen in place, under a
+    connectivity of the plan's own: one that held the plan would keep it
+    alive in a reference cycle."""
     if levels < 0:
         raise ValueError("subdivision level must be >= 0")
     table = edge_table(faces, n_vertices) if split is None else split
@@ -193,80 +189,62 @@ def split_plan(faces, n_vertices: int, levels: int, *, split=None) -> SplitPlan:
         edges.append(level_edges)
         n += len(level_edges)
         table = next_table
-    for array in (*edges, faces, counts):
+    for array in (*edges, counts):
         array.setflags(write=False)
-    return SplitPlan(tuple(edges), faces, counts, n)
+    return SplitPlan(tuple(edges), Connectivity(faces, n), counts)
 
 
-# (weak reference to a base, levels, its plan): the last plan base_plan
-# made. One slot, so a long run holds one plan whatever it codes. Threads
-# that race on it can only make a plan twice or drop one: every plan of a
-# base to a level is bitwise the same.
-_slot = None
+def edge_table_of(connectivity: Connectivity):
+    """The :func:`edge_table` of ``connectivity``'s faces, frozen and held
+    by it under ``"edge_table"``."""
+    def build():
+        table = edge_table(connectivity.faces, connectivity.n_vertices)
+        for array in table:
+            array.setflags(write=False)
+        return table
+    return connectivity.held("edge_table", build)
 
 
-def _release(ref) -> None:
-    """Empty the slot when the base its plan was made for dies."""
-    global _slot
-    if _slot is not None and _slot[0] is ref:
-        _slot = None
+def plan_of(connectivity: Connectivity, levels: int) -> SplitPlan:
+    """The :class:`SplitPlan` of ``connectivity``'s faces to ``levels``,
+    held by it under ``levels``: :func:`split_plan` on its
+    :func:`edge_table_of`."""
+    return connectivity.held(levels, lambda: split_plan(
+        connectivity.faces, connectivity.n_vertices, levels, split=edge_table_of(connectivity)))
 
 
-def held_plan(base: TriangleMesh, levels: int) -> SplitPlan | None:
-    """The slot's plan if it is the one of the ``base`` object to
-    ``levels``, else None."""
-    slot = _slot
-    if slot is not None and slot[0]() is base and slot[1] == levels:
-        return slot[2]
-    return None
-
-
-def base_plan(base: TriangleMesh, levels: int, *, split=None) -> SplitPlan:
-    """The :class:`SplitPlan` of ``base``'s faces to ``levels``: the slot's,
-    or a new one from :func:`split_plan` (``split`` as there), which then
-    takes the slot. A :class:`TriangleMesh` freezes its faces, so they
-    cannot change under the plan made of them."""
-    global _slot
-    plan = held_plan(base, levels)
-    if plan is None:
-        plan = split_plan(base.faces, base.n_vertices, levels, split=split)
-        _slot = (weakref.ref(base, _release), levels, plan)
-    return plan
-
-
-def _subdivide_once(vertices, faces):
-    """One 1->4 split of arrays through a one-level plan: ``(vertices,
-    faces, edges, counts)``, the next level's vertices, faces and neighbour
-    counts and the split's ``edges``."""
-    plan = split_plan(faces, len(vertices), 1)
-    return plan.place(vertices), plan.faces, plan.edges[0], plan.neighbor_counts
-
-
-def midpoint_subdivide(mesh: TriangleMesh, levels: int, *, plan=None) -> SubdividedMesh:
+def midpoint_subdivide(mesh: TriangleMesh, levels: int) -> SubdividedMesh:
     """Split every triangle 1->4 per level using shared edge midpoints.
 
-    Builds the :func:`split_plan` of ``mesh.faces``, unless the caller passes
-    ``plan``, one made for a mesh with these faces to ``levels``; then only
-    the vertices are placed. The result shares the plan's faces and counts.
+    Places ``mesh``'s vertices through :func:`plan_of` its connectivity, so
+    every mesh on one face list shares one plan; the result shares the
+    plan's connectivity and counts.
     """
-    if plan is None:
-        plan = split_plan(mesh.faces, mesh.n_vertices, levels)
-    elif plan.levels != levels:
-        raise ValueError(f"a plan of {plan.levels} levels cannot split to {levels}")
-    return SubdividedMesh(TriangleMesh.derived(plan.place(mesh.vertices), plan.faces),
+    plan = plan_of(mesh.connectivity, levels)
+    # Not checked again: the first rows are mesh's checked coordinates, and
+    # each midpoint 0.5 * (a + b) of two of them has |0.5 * (a + b)| <=
+    # max(|a|, |b|) in IEEE arithmetic, since rounding is monotone and a + b
+    # cannot overflow within the coordinate limit. So none leaves the range
+    # or is NaN.
+    return SubdividedMesh(TriangleMesh.derived(plan.place(mesh.vertices), plan.connectivity,
+                                               checked=True),
                           plan.neighbor_counts)
 
 
-def subdivided_vertex_count(mesh: TriangleMesh, levels: int, *, split=None) -> int:
-    """Vertex count of ``midpoint_subdivide(mesh, levels)``, without building it.
+def subdivided_vertex_count(mesh: TriangleMesh, levels: int) -> int:
+    """Vertex count of ``midpoint_subdivide(mesh, levels)``, without
+    building a plan: that of the plan ``mesh``'s connectivity holds, else
+    counted from its :func:`edge_table_of`.
 
     Each level adds one vertex per unique edge, splits every edge in two, adds
     three edges inside every face and splits every face in four. Faces on the
     same three vertices share their inner edges, so faces are counted as
     distinct vertex triples: ``V' = V + E``, ``E' = 2E + 3F``, ``F' = 4F``.
-    ``split`` is as for :func:`split_plan`.
     """
-    edges, _, thirds = edge_table(mesh.faces, mesh.n_vertices) if split is None else split
+    plan = mesh.connectivity.held(levels)
+    if plan is not None:
+        return plan.connectivity.n_vertices
+    edges, _, thirds = edge_table_of(mesh.connectivity)
     # a distinct triple leaves three distinct (edge, third vertex) pairs
     vertices, edges, faces = mesh.n_vertices, len(edges), int(thirds.sum()) // 3
     for _ in range(levels):
@@ -287,4 +265,4 @@ def apply_displacements(sub: SubdividedMesh, field) -> TriangleMesh:
     displaced coordinate leaves the range a :class:`TriangleMesh` holds."""
     if len(field) != sub.mesh.n_vertices:
         raise ValueError(f"field length {len(field)} != vertex count {sub.mesh.n_vertices}")
-    return TriangleMesh.derived(sub.mesh.vertices + field, sub.mesh.faces)
+    return TriangleMesh.derived(sub.mesh.vertices + field, sub.mesh.connectivity)

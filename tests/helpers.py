@@ -323,7 +323,7 @@ def brute_force_nearest(points, q):
 
 def loop_subdivide_once(vertices, faces):
     """One midpoint split with an edge-rank dict and a per-face loop; the
-    oracle for ``subdivide._subdivide_once``. Returns ``parents``:
+    oracle for a one-level ``subdivide.split_plan``. Returns ``parents``:
     ``("original", j)`` or ``("midpoint", u, v)`` per new vertex."""
     if len(faces) == 0:
         return vertices.copy(), faces.copy(), [("original", i) for i in range(len(vertices))]

@@ -44,12 +44,51 @@ def test_closest_points_do_not_depend_on_the_block_budget(monkeypatch):
     cells = faces.cells
     home = cells.key(cells.cell_of(queries))
     empty = cells.starts[home + 1] == cells.starts[home]
-    # queries whose own cell holds no face scan the whole grid
+    # queries whose own cell holds no face take their bound from the nearest
+    # occupied cells
     assert empty[len(near):].sum() >= 40
     want = brute_force_surface_points(target, queries)
     for got in _at_every_budget(monkeypatch, lambda: faces.closest(queries)):
         for x, y in zip(got, want):
             assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("search", ["closest", "nearest"])
+def test_an_empty_home_query_measures_only_the_cells_near_it(search):
+    # a query clipped into an empty corner cell takes its bound from the
+    # nearest occupied cells, then gathers the box of that bound: 13-15% of
+    # the grid's faces or points, where it once measured every one
+    sphere = make_sphere(3)
+    query = np.array([[1.2, 1.2, 1.2]])
+    if search == "closest":
+        faces = grid.FaceGrid(sphere)
+        bins, pad, n, measure = faces.cells, faces.pad, faces.terms.shape[1], faces.measure
+        radius = 0
+    else:
+        index = octree.build_octree(sphere.vertices, leaf_capacity=4)
+        bins, n, radius = index.bins, sphere.n_vertices, 1
+        pad = grid.PAD * max(index.mag, 1.2)
+
+        def measure(q, point):
+            diff = np.take(index.points.T, point, axis=1) - q
+            return (grid.dot3(diff, diff),)
+    home = bins.cell_of(query)[0]
+    near = bins.key(np.clip(home + np.stack(np.meshgrid(*[np.arange(-radius, radius + 1)] * 3),
+                                            axis=-1).reshape(-1, 3), 0, bins.last.astype(int)))
+    assert (bins.starts[near + 1] == bins.starts[near]).all()  # its own cells are empty
+    pairs = []
+
+    def counted(q, item):
+        pairs.append(len(item))
+        return measure(q, item)
+
+    item, measured = grid.least(bins, grid.query_columns(query), counted, radius, pad, n)
+    assert 0 < sum(pairs) < 0.25 * n
+    if search == "closest":
+        want = brute_force_surface_points(sphere, query)
+        assert item[0] == want[1][0] and measured[-1][0] == want[3][0]
+    else:
+        assert item[0] == ((sphere.vertices - query) ** 2).sum(axis=1).argmin()
 
 
 def test_nearest_points_do_not_depend_on_the_block_budget(monkeypatch):
@@ -59,8 +98,8 @@ def test_nearest_points_do_not_depend_on_the_block_budget(monkeypatch):
     queries = np.vstack([target.vertices + rng.normal(scale=0.02, size=target.vertices.shape),
                          rng.uniform(-0.3, 0.3, size=(40, 3)),
                          rng.normal(size=(20, 3)) * 5.0])
-    # a query whose 3 x 3 x 3 block of cells holds no point gathers the
-    # whole grid: most of those inside the sphere
+    # a query whose 3 x 3 x 3 block of cells holds no point, as most of those
+    # inside the sphere, takes its bound from the nearest occupied cells
     bins = index.bins
     starts = bins.starts
     dx, dy = np.divmod(np.arange(9), 3)

@@ -115,6 +115,42 @@ def test_sweep_fits_each_pair_once_per_anchor_configuration(tmp_path, monkeypatc
         assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
 
+def test_a_sweep_releases_each_pair_base_and_its_plan(tmp_path, monkeypatch):
+    # 3 frames, 2 pairs, one process: each group's base holds the plan of
+    # its encodes and decodes, and when the second pair's first group
+    # starts, the first pair's base and that plan are gone
+    import gc
+    import weakref
+
+    sequence = tmp_path / "sequence"
+    assert main(["synth", str(sequence), "--resolution", "1", "--frames", "3",
+                 "--motion", "bend", "--rate", "0.1", "--jitter", "--seed", "3"]) == 0
+    level = am.CodecConfig().level
+    bases, plans, live = [], [], []
+    decimate, run_group = cli.decimate_to_base, cli._sweep_group
+
+    def kept(mesh, count):
+        base = decimate(mesh, count)
+        bases.append(weakref.ref(base))
+        return base
+
+    def checked(group):
+        gc.collect()
+        live.append((group[0], [ref() is not None for ref in bases],
+                     [ref() is not None for ref in plans]))
+        rows = run_group(group)
+        plans.append(weakref.ref(group[1].connectivity.held(level)))
+        return rows
+
+    monkeypatch.setattr(cli, "decimate_to_base", kept)
+    monkeypatch.setattr(cli, "_sweep_group", checked)
+    _sweep(sequence, tmp_path / "out", "--threads", "1")
+    assert [pair for pair, _, _ in live] == [0, 0, 0, 1, 1, 1]
+    assert live[2][1:] == ([True], [True, True])  # one plan of the first base, held
+    assert live[3][1:] == ([False, True], [False] * 3)
+    assert live[5][1:] == ([False, True], [False] * 3 + [True] * 2)
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records its size and runs the jobs
     in this process, so that no worker is ever started."""

@@ -262,7 +262,7 @@ def test_a_nan_base_vertex_is_an_input_error(motion_estimation, qem_refine):
     with pytest.raises(MeshValidationError, match="NaN"):
         TriangleMesh(broken, base.faces)
     with pytest.raises(MeshValidationError, match="NaN"):
-        TriangleMesh.derived(broken, base.faces)
+        TriangleMesh.derived(broken, base.connectivity)
     config = am.CodecConfig().override(motion_estimation=motion_estimation,
                                        qem_refine=qem_refine)
     am.encode_pair(base, target, config)

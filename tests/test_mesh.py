@@ -16,8 +16,8 @@ from anchormesh import (
     make_sphere,
     save_mesh,
 )
-from anchormesh.mesh import (COORDINATE_LIMIT, DEGENERATE_AREA, face_normals, unique_edges,
-                             vertex_corners)
+from anchormesh.mesh import (COORDINATE_LIMIT, DEGENERATE_AREA, Connectivity, face_normals,
+                             unique_edges, vertex_corners)
 from helpers import (
     DegenerateFaceError,
     brute_force_surface_point,
@@ -61,22 +61,28 @@ def test_mesh_rejects_a_coordinate_beyond_the_limit(bad):
     # comparison
     verts = np.eye(3)
     verts[0, 0], verts[1, 1] = COORDINATE_LIMIT, -COORDINATE_LIMIT
-    TriangleMesh(verts, [[0, 1, 2]])
-    TriangleMesh.derived(verts.copy(), np.array([[0, 1, 2]]))
+    connectivity = TriangleMesh(verts, [[0, 1, 2]]).connectivity
+    TriangleMesh.derived(verts.copy(), connectivity)
     verts[2, 2] = bad
     with pytest.raises(MeshValidationError, match="beyond"):
         TriangleMesh(verts, [[0, 1, 2]])
     with pytest.raises(MeshValidationError, match="beyond"):
-        TriangleMesh.derived(verts, np.array([[0, 1, 2]]))
+        TriangleMesh.derived(verts, connectivity)
     with pytest.raises(MeshValidationError, match="beyond"):
         load_mesh(f"v 0 0 0\nv 1 0 0\nv 0 0 {float(bad)!r}\nf 1 2 3\n")
 
 
 def test_derived_mesh_freezes_its_own_arrays():
     verts, faces = np.zeros((3, 3)), np.array([[0, 1, 2]])
-    mesh = TriangleMesh.derived(verts, faces)
+    connectivity = Connectivity(faces, 3)
+    mesh = TriangleMesh.derived(verts, connectivity)
     assert mesh.vertices is verts and mesh.faces is faces
+    assert mesh.connectivity is connectivity
     assert not verts.flags.writeable and not faces.flags.writeable
+    # vertices that do not fit the connectivity's count are refused
+    for wrong in (np.zeros((4, 3)), np.zeros((3, 2))):
+        with pytest.raises(MeshValidationError, match="shape"):
+            TriangleMesh.derived(wrong, connectivity)
 
 
 def test_pickled_mesh_is_equal_and_frozen():
@@ -84,6 +90,9 @@ def test_pickled_mesh_is_equal_and_frozen():
     sent = random_mesh(np.random.default_rng(21), n_vertices=30, n_faces=40)
     got = pickle.loads(pickle.dumps(sent))
     assert got.vertices.tobytes() == sent.vertices.tobytes()
+    # through the constructor: a connectivity of its own, the same hash
+    assert got.connectivity is not sent.connectivity and got.faces is got.connectivity.faces
+    assert got.content_hash == sent.content_hash
     assert np.array_equal(got.faces, sent.faces) and got.faces.dtype == np.int64
     for array in (got.vertices, got.faces):
         assert not array.flags.writeable

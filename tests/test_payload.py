@@ -19,7 +19,7 @@ from anchormesh import (
     read_payload,
     write_payload,
 )
-from anchormesh import cli, pipeline
+from anchormesh import cli, pipeline, subdivide
 from anchormesh.payload import (
     FLAG_ADAPTIVE,
     VERSION,
@@ -90,14 +90,12 @@ def test_level_byte_mismatch_raises_before_subdividing(encoded, monkeypatch):
 @pytest.mark.parametrize("held", [False, True], ids=["cold slot", "slot holds another level"])
 def test_a_hostile_level_byte_builds_no_plan(encoded, monkeypatch, held):
     # the stream length is checked before any plan is made, whether the
-    # slot is cold or holds the base's plan at the payload's own level
-    from anchormesh import subdivide
-
+    # base's connectivity holds no plan or its plan at the payload's own level
     base, payload = encoded
     base = am.TriangleMesh(base.vertices, base.faces)  # an object no plan was made for
     if held:
         decode_payload(payload, base)
-        assert subdivide.held_plan(base, payload.level) is not None
+        assert base.connectivity.held(payload.level) is not None
 
     def no_plan(*args, **kwargs):
         raise AssertionError("decoder built a plan before checking the level")
@@ -108,8 +106,10 @@ def test_a_hostile_level_byte_builds_no_plan(encoded, monkeypatch, held):
         data[HEADER + 24 * base.n_vertices] = level
         with pytest.raises(PayloadFormatError, match="expected"):
             decode_payload(read_payload(bytes(data), base.n_vertices), base)
+    assert all(base.connectivity.held(level) is None
+               for level in (40, 255, payload.level + 1, payload.level - 1))
     if held:  # the held plan still serves the payload's own level
-        assert subdivide.held_plan(base, payload.level) is not None
+        assert base.connectivity.held(payload.level) is not None
         decode_payload(payload, base)
 
 
@@ -300,13 +300,14 @@ def test_decode_refuses_a_bad_anchor_before_any_split(encoded, monkeypatch, valu
     # a payload built in memory skips the read: the decoder's anchor mesh
     # applies the coordinate rule before the base's edges are sorted
     base, payload = encoded
+    base = am.TriangleMesh(base.vertices, base.faces)  # no edge table was made for it
     anchors = payload.anchor_positions.copy()
     anchors[3, 1] = value
 
     def no_split(*args, **kwargs):
         raise AssertionError("edge_table called before the anchors were checked")
 
-    monkeypatch.setattr(pipeline, "edge_table", no_split)
+    monkeypatch.setattr(subdivide, "edge_table", no_split)
     with pytest.raises(PayloadFormatError, match="anchor positions"):
         decode_payload(dataclasses.replace(payload, anchor_positions=anchors), base)
 

@@ -82,14 +82,13 @@ def test_decode_makes_one_edge_pass_over_the_base(pair, monkeypatch):
 
 
 def test_an_encode_plan_serves_its_decodes(pair, monkeypatch):
-    # the encoder splits the anchor with the base's plan, so decoding its
-    # payload against that base object sorts no edges, and repeated decodes
-    # share the plan's faces
-    from anchormesh.subdivide import held_plan
-
+    # the encoder splits the anchor, on the base's connectivity, with the
+    # plan that connectivity then holds, so decoding its payload against
+    # that base sorts no edges, and repeated decodes share the plan's faces
     base = am.TriangleMesh(pair[0].vertices, pair[0].faces)  # no plan was made for it
     result = encode_pair(base, pair[1], am.CodecConfig(level=3))
-    assert held_plan(base, 3) is not None
+    assert result.anchor.mesh.connectivity is base.connectivity
+    assert base.connectivity.held(3) is not None
     passes = _count_edge_passes(monkeypatch)
     first, second = (decode_payload(result.payload, base) for _ in range(2))
     assert passes == []
@@ -100,14 +99,15 @@ def test_an_encode_plan_serves_its_decodes(pair, monkeypatch):
 def test_a_plan_never_serves_another_base_object(pair):
     # another object with the base's faces and other vertices is another
     # base: a payload of the first is refused against it, and its own
-    # payload decodes to its own result whichever plan the slot holds
+    # payload decodes to its own result, whatever plans were made before
     base, target = pair
     config = am.CodecConfig(level=2, alpha=64.0)
     moved = am.TriangleMesh(base.vertices * 1.5, base.faces)
+    assert moved.connectivity is not base.connectivity
     ours = encode_pair(base, target, config).payload
     theirs = encode_pair(moved, target, config).payload
     want = decode_payload(theirs, moved)
-    mine = decode_payload(ours, base)  # the slot now holds the first base's plan
+    mine = decode_payload(ours, base)  # the last plan made was the first base's
     with pytest.raises(BaseHashMismatchError):
         decode_payload(ours, moved)
     got = decode_payload(theirs, moved)
@@ -118,6 +118,64 @@ def test_a_plan_never_serves_another_base_object(pair):
     copy = decode_payload(ours, am.TriangleMesh(base.vertices, base.faces))
     assert np.array_equal(copy.vertices, mine.vertices)
     assert np.array_equal(copy.faces, mine.faces)
+
+
+def test_a_chained_reference_decodes_without_an_edge_pass(pair, monkeypatch):
+    # a chained frame's reference is a mesh derived on an anchor's
+    # connectivity, the base's, so decoding against it, even as a new
+    # object, finds the plan the base's encode made and sorts no edges
+    base = am.TriangleMesh(pair[0].vertices, pair[0].faces)  # no plan was made for it
+    target = pair[1]
+    config = am.CodecConfig(level=3, alpha=64.0)
+    anchor = encode_pair(base, target, config).anchor.mesh
+    reference = am.TriangleMesh.derived(anchor.vertices + 0.125, anchor.connectivity)
+    payload = encode_pair(reference, target, config).payload
+    want = decode_payload(payload, am.TriangleMesh(reference.vertices, reference.faces))
+    again = am.TriangleMesh.derived(reference.vertices.copy(), anchor.connectivity)
+    passes = _count_edge_passes(monkeypatch)
+    got = decode_payload(payload, again)
+    assert passes == []
+    assert np.array_equal(got.vertices, want.vertices)
+    assert np.array_equal(got.faces, want.faces)
+
+
+def test_threads_decoding_against_one_fresh_base_agree(pair):
+    # eight threads race to build one fresh base's hash, edge table and plan:
+    # one may build what another already built, and every decode is bitwise
+    # that of a decode against an equal base of its own
+    import sys
+    import threading
+
+    base, target = pair
+    payload = encode_pair(base, target, am.CodecConfig(level=3, alpha=64.0)).payload
+    want = decode_payload(payload, am.TriangleMesh(base.vertices, base.faces))
+    fresh = am.TriangleMesh(base.vertices, base.faces)
+    results = [None] * 8
+    start = threading.Barrier(len(results))
+
+    def run(i):
+        start.wait(timeout=30)
+        results[i] = [decode_payload(payload, fresh) for _ in range(5)]
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(results))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for decoded in results:
+        assert decoded is not None and len(decoded) == 5
+        for got in decoded:
+            assert got.vertices.tobytes() == want.vertices.tobytes()
+            assert got.faces.tobytes() == want.faces.tobytes()
+    assert fresh.content_hash == payload.base_hash
+    # one plan is held, and a decode after the race shares its faces
+    assert decode_payload(payload, fresh).faces is fresh.connectivity.held(3).connectivity.faces
 
 
 def test_a_pair_near_the_coordinate_limit_codes_without_overflow(pair):

@@ -1,5 +1,6 @@
 """Module boundaries of the library: no module of ``anchormesh`` imports
-another's private names or passes a private keyword, and the pair budget
+another's private names or passes a private keyword or keeps mutable
+module state, ``mesh`` imports no other module of it, and the pair budget
 of the grid searches is defined and read in ``grid`` alone, as the
 coordinate limit is named in ``mesh`` alone and the quantizer's weight rule
 is applied in ``quantize`` alone."""
@@ -71,3 +72,20 @@ def test_the_weight_rule_is_applied_in_quantize_alone():
     # the decoder gets its weights through dequantize_field, as the
     # encoder does through quantize_field
     assert _modules_naming("adaptive_weights") == {"quantize"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+def test_no_module_rebinds_a_global(path):
+    # what a module computes once is held by the object it belongs to, such
+    # as a connectivity's plans, not in module state every caller shares
+    assert not [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Global)]
+
+
+def test_mesh_imports_no_other_module_of_the_library():
+    # the mesh type holds a subdivision's plans without knowing them:
+    # subdivide builds them and stores them through Connectivity.held
+    source = (Path(anchormesh.__file__).parent / "mesh.py").read_text()
+    assert not [node.module for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ImportFrom)
+                and (node.level or (node.module or "").startswith("anchormesh"))]

@@ -18,8 +18,8 @@ from anchormesh import (
 )
 from anchormesh.mesh import MeshValidationError, unique_edges
 from anchormesh.quantize import neighbor_counts
-from anchormesh.subdivide import (_next_table, _subdivide_once, base_plan, edge_table, held_plan,
-                                  split_plan, subdivided_vertex_count)
+from anchormesh.subdivide import (_next_table, edge_table, plan_of, split_plan,
+                                  subdivided_vertex_count)
 from helpers import (
     brute_force_surface_point,
     build_adjacency,
@@ -75,7 +75,9 @@ def test_subdivided_vertex_count_matches_subdivision():
 
 @pytest.mark.parametrize("name, verts, faces", connectivity_cases())
 def test_subdivide_once_matches_loop_oracle(name, verts, faces):
-    got_verts, got_faces, edges, counts = _subdivide_once(verts, faces)
+    plan = split_plan(faces, len(verts), 1)
+    got_verts, got_faces, edges, counts = (plan.place(verts), plan.connectivity.faces,
+                                           plan.edges[0], plan.neighbor_counts)
     want_verts, want_faces, parents = loop_subdivide_once(verts, faces)
     assert len(counts) == len(got_verts)
     assert np.array_equal(got_verts, want_verts)
@@ -186,24 +188,31 @@ def test_derived_edge_tables_match_a_sort_of_each_level_property(mesh):
 
 
 def _assert_base_plan_places_like_a_cold_split(base, levels=4):
-    # a mesh with the base's faces and other vertices, as an anchor is:
-    # placed through the base's plan it is bitwise its own cold subdivision
-    other = TriangleMesh(base.vertices[::-1] * 2.0 + 0.25, base.faces)
+    # a mesh derived on the base's connectivity with other vertices, as an
+    # anchor is: placed through the base's plan it is bitwise the cold
+    # subdivision of an equal mesh with a connectivity of its own
+    other = TriangleMesh.derived(base.vertices[::-1] * 2.0 + 0.25, base.connectivity)
     for level in range(levels + 1):
-        plan = base_plan(base, level)
-        assert held_plan(base, level) is plan
-        assert base_plan(base, level) is plan
+        plan = plan_of(base.connectivity, level)
+        assert base.connectivity.held(level) is plan
+        assert plan_of(other.connectivity, level) is plan
         for mesh in (base, other):
-            got = midpoint_subdivide(mesh, level, plan=plan)
-            want = midpoint_subdivide(mesh, level)
+            got = midpoint_subdivide(mesh, level)
+            cold = TriangleMesh(mesh.vertices, mesh.faces)
+            want = midpoint_subdivide(cold, level)
+            assert cold.connectivity.held(level) is not plan
             assert np.array_equal(got.mesh.vertices, want.mesh.vertices)
             assert np.array_equal(got.mesh.faces, want.mesh.faces)
             assert np.array_equal(got.neighbor_counts, want.neighbor_counts)
             assert got.mesh.faces.dtype == got.neighbor_counts.dtype == np.int64
-            # every placed mesh shares the plan's frozen faces and counts
-            assert got.mesh.faces is plan.faces and got.neighbor_counts is plan.neighbor_counts
-            assert not plan.faces.flags.writeable and not plan.neighbor_counts.flags.writeable
-        assert plan.n_vertices == subdivided_vertex_count(base, level)
+            # every placed mesh shares the plan's frozen connectivity and counts
+            assert got.mesh.connectivity is plan.connectivity
+            assert got.mesh.faces is plan.connectivity.faces
+            assert got.neighbor_counts is plan.neighbor_counts
+            assert not got.mesh.faces.flags.writeable and not plan.neighbor_counts.flags.writeable
+        # counted from the edge table of a mesh that holds no plan
+        cold = TriangleMesh(base.vertices, base.faces)
+        assert plan.connectivity.n_vertices == subdivided_vertex_count(cold, level)
 
 
 @pytest.mark.parametrize("mesh", _valid_connectivity_cases())
@@ -217,33 +226,29 @@ def test_a_base_plan_places_like_a_cold_split_property(mesh):
     _assert_base_plan_places_like_a_cold_split(mesh)
 
 
-def test_the_plan_slot_keeps_no_base_alive():
+def test_no_plan_outlives_the_last_mesh_on_its_connectivity():
     base = make_sphere(1)
-    plan = weakref.ref(base_plan(base, 3))
-    assert held_plan(base, 3) is plan()
-    assert held_plan(base, 2) is None
-    assert held_plan(TriangleMesh(base.vertices, base.faces), 3) is None  # by object
+    anchor = TriangleMesh.derived(base.vertices * 2.0, base.connectivity)
+    sub = midpoint_subdivide(anchor, 3)
+    plan = weakref.ref(base.connectivity.held(3))
+    assert plan() is not None and base.connectivity.held(2) is None
+    assert TriangleMesh(base.vertices, base.faces).connectivity.held(3) is None  # by object
+    connectivity = weakref.ref(base.connectivity)
     base = weakref.ref(base)
     gc.collect()
-    # the slot let the base go, and emptied itself of the plan made for it
-    assert base() is None and plan() is None
-
-
-def test_the_slot_holds_the_last_plan_only():
-    first, second = make_sphere(0), make_sphere(1)
-    plan = weakref.ref(base_plan(first, 2))
-    base_plan(second, 2)
+    # the anchor on the base's connectivity keeps it, and the plan, alive
+    assert base() is None and plan() is anchor.connectivity.held(3)
+    del anchor
     gc.collect()
-    assert held_plan(first, 2) is None and plan() is None
-    assert held_plan(second, 2) is not None
+    # the subdivision shares the plan's connectivity and counts, not the plan
+    assert connectivity() is None and plan() is None
+    assert sub.mesh.n_vertices == subdivided_vertex_count(make_sphere(1), 3)
 
 
-def test_a_plan_refuses_another_level_or_vertex_count():
+def test_a_plan_refuses_another_vertex_count():
     mesh = make_sphere(0)
     plan = split_plan(mesh.faces, mesh.n_vertices, 2)
-    assert plan.levels == 2
-    with pytest.raises(ValueError, match="level"):
-        midpoint_subdivide(mesh, 1, plan=plan)
+    assert len(plan.edges) == 2
     with pytest.raises(ValueError, match="vertices"):
         plan.place(np.zeros((mesh.n_vertices + 1, 3)))
     with pytest.raises(ValueError):
